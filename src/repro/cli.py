@@ -180,7 +180,6 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         executor=args.executor,
         jobs=args.jobs,
         presolve=not args.no_presolve,
-        window_cache=not args.no_window_cache,
         dirty_tracking=not args.no_dirty_tracking,
         shards=args.shards,
         halo_rows=args.halo_rows,
@@ -260,8 +259,6 @@ def _spec_from_args(args: argparse.Namespace) -> dict:
     }
     if args.no_presolve:
         spec["presolve"] = False
-    if args.no_window_cache:
-        spec["window_cache"] = False
     if args.no_dirty_tracking:
         spec["dirty_tracking"] = False
     if args.trace:
@@ -555,10 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the window-model presolve reductions",
     )
     flow.add_argument(
-        "--no-window-cache", action="store_true",
-        help="disable the cross-pass window-solve cache",
-    )
-    flow.add_argument(
         "--no-dirty-tracking", action="store_true",
         help="disable dirty-region window skipping and the "
         "incremental (delta-accounted) objective",
@@ -673,7 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'serial' when --jobs is 1 and to 'process' otherwise",
     )
     submit.add_argument("--no-presolve", action="store_true")
-    submit.add_argument("--no-window-cache", action="store_true")
     submit.add_argument("--no-dirty-tracking", action="store_true")
     submit.add_argument(
         "--shards", type=_shards_value, default=1, metavar="N|auto",

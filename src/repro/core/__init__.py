@@ -14,8 +14,11 @@ placement.
 * :mod:`repro.core.distopt` — Algorithm 2 (DistOpt).
 * :mod:`repro.core.vm1opt` — Algorithm 1 (VM1Opt), the metaheuristic
   outer loop.
+* :mod:`repro.core.dirty` — cross-pass dirty tracking, the one
+  mechanism that skips re-solving settled windows.
 * :mod:`repro.core.checkpoint` — per-pass VM1Opt checkpoints for
-  crash-safe resume (used by :mod:`repro.service`).
+  crash-safe resume (used by :mod:`repro.service` and
+  :mod:`repro.shard`).
 """
 
 from repro.core.checkpoint import CHECKPOINT_SCHEMA, VM1Checkpoint
@@ -24,7 +27,6 @@ from repro.core.scp import Candidate, enumerate_candidates
 from repro.core.window import Window, independent_families, partition
 from repro.core.objective import alignment_stats, calculate_objective
 from repro.core.formulation import WindowProblem, build_window_model
-from repro.core.windowcache import WindowSolveCache
 from repro.core.distopt import DistOptResult, dist_opt
 from repro.core.vm1opt import VM1OptResult, vm1_opt
 
@@ -43,7 +45,6 @@ __all__ = [
     "calculate_objective",
     "WindowProblem",
     "build_window_model",
-    "WindowSolveCache",
     "DistOptResult",
     "dist_opt",
     "VM1OptResult",

@@ -1,4 +1,4 @@
-"""Crash-safe VM1Opt checkpoints (per-pass placement + cache state).
+"""Crash-safe VM1Opt checkpoints (per-pass placement + dirty state).
 
 A :class:`VM1Checkpoint` captures everything :func:`repro.core.vm1opt.
 vm1_opt` needs to continue after the last *completed* DistOpt pass:
@@ -12,9 +12,6 @@ vm1_opt` needs to continue after the last *completed* DistOpt pass:
   ``objective`` (after the checkpointed pass), and
   ``initial_objective`` / ``iterations`` for result bookkeeping;
 * the full placement (every instance's ``x/y/orientation``);
-* the :class:`~repro.core.windowcache.WindowSolveCache` entries, so a
-  resumed run skips exactly the windows the uninterrupted run would
-  have skipped;
 * the :class:`~repro.core.dirty.DirtyTracker` state (clean-window
   marks + accumulated dirty regions), so a resumed run's incremental
   engine skips exactly what the uninterrupted run would skip.  The
@@ -22,21 +19,27 @@ vm1_opt` needs to continue after the last *completed* DistOpt pass:
   with everything presumed dirty, which is always sound — identical
   placements, merely slower first pass.
 
-Every DistOpt pass is deterministic given (placement, cache, params,
-grid offsets) — PR 3's λ tie-break made solves reproducible — so a run
-resumed from a checkpoint finishes with a placement *byte-identical*
-to the uninterrupted run.  The end-of-iteration control flow (grid
-shift, θ test) is pure computation over checkpointed values and is
-simply re-executed on resume.
+Every DistOpt pass is deterministic given (placement, params, grid
+offsets) — the λ tie-break of :mod:`repro.core.formulation` makes
+solves reproducible — so a run resumed from a checkpoint finishes with
+a placement *byte-identical* to the uninterrupted run.  The
+end-of-iteration control flow (grid shift, θ test) is pure computation
+over checkpointed values and is simply re-executed on resume.
 
 Serialization is plain JSON; ``json`` round-trips Python floats via
 ``repr`` exactly, so the θ test sees bit-identical objectives after a
-save/load cycle.
+save/load cycle.  Documents written before the dirty tracker became
+the only cross-pass skip may also carry a ``cache`` key; it is ignored.
+
+:func:`atomic_write_text` is the one durable-write primitive of the
+package (temp + fsync + rename): :meth:`VM1Checkpoint.save`, the shard
+checkpoint store and the service job journal all write through it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -45,7 +48,6 @@ from repro.geometry import Orientation
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from repro.core.dirty import DirtyTracker
-    from repro.core.windowcache import WindowSolveCache
     from repro.netlist.design import Design
 
 #: Schema identifier written into every checkpoint document.
@@ -74,8 +76,6 @@ class VM1Checkpoint:
     iterations: int
     #: instance name -> (x, y, DEF orientation string).
     placement: dict[str, tuple[int, int, str]]
-    #: serialized WindowSolveCache entries (see windowcache module).
-    cache_entries: list = field(default_factory=list)
     #: serialized DirtyTracker state (see dirty module); [] = none.
     dirty_state: list = field(default_factory=list)
     #: ``(trace_id, root_span_id)`` of the run that wrote this
@@ -90,7 +90,6 @@ class VM1Checkpoint:
     def capture(
         cls,
         design: "Design",
-        cache: "WindowSolveCache | None",
         dirty: "DirtyTracker | None" = None,
         *,
         u_index: int,
@@ -104,7 +103,7 @@ class VM1Checkpoint:
         iterations: int,
         trace: tuple[str, str | None] | None = None,
     ) -> "VM1Checkpoint":
-        """Snapshot the design placement + cache into a checkpoint."""
+        """Snapshot the design placement + dirty state."""
         placement = {
             name: (inst.x, inst.y, inst.orientation.value)
             for name, inst in design.instances.items()
@@ -120,9 +119,6 @@ class VM1Checkpoint:
             initial_objective=initial_objective,
             iterations=iterations,
             placement=placement,
-            cache_entries=(
-                cache.export_state() if cache is not None else []
-            ),
             dirty_state=(
                 dirty.export_state() if dirty is not None else []
             ),
@@ -133,16 +129,13 @@ class VM1Checkpoint:
     def restore(
         self,
         design: "Design",
-        cache: "WindowSolveCache | None",
         dirty: "DirtyTracker | None" = None,
     ) -> None:
-        """Write the checkpointed placement (+ cache/dirty) back."""
+        """Write the checkpointed placement (+ dirty state) back."""
         for name, (x, y, orient) in self.placement.items():
             inst = design.instances[name]
             inst.x, inst.y = int(x), int(y)
             inst.orientation = Orientation(orient)
-        if cache is not None and self.cache_entries:
-            cache.import_state(self.cache_entries)
         if dirty is not None and self.dirty_state:
             dirty.import_state(self.dirty_state)
 
@@ -163,7 +156,6 @@ class VM1Checkpoint:
                 name: list(state)
                 for name, state in self.placement.items()
             },
-            "cache": self.cache_entries,
             "dirty": self.dirty_state,
             "trace": (
                 list(self.trace) if self.trace is not None else None
@@ -192,7 +184,6 @@ class VM1Checkpoint:
                 name: (int(x), int(y), str(orient))
                 for name, (x, y, orient) in doc["placement"].items()
             },
-            cache_entries=list(doc.get("cache", [])),
             dirty_state=list(doc.get("dirty", [])),
             trace=_trace_from_doc(doc.get("trace")),
         )
@@ -205,12 +196,41 @@ class VM1Checkpoint:
         return cls.from_dict(json.loads(text))
 
     def save(self, path: str | Path) -> Path:
-        """Persist as JSON (plain write; use a jobstore for atomicity)."""
+        """Persist as JSON via :func:`atomic_write_text`."""
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.dumps())
+        atomic_write_text(path, self.dumps())
         return path
 
     @classmethod
     def load(cls, path: str | Path) -> "VM1Checkpoint":
         return cls.loads(Path(path).read_text())
+
+
+def atomic_write_text(path: Path, text: str, *, chaos=None) -> None:
+    """Write ``text`` to ``path`` crash-safely (temp + fsync + rename).
+
+    ``chaos`` is an optional fault controller: the ``fs.fsync`` site
+    models a durability syscall failing mid-write.  The temp file is
+    removed on any failure so a faulted write leaves no debris (and
+    crucially leaves the *previous* document intact — the rename
+    never happens).
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            if (
+                chaos is not None
+                and chaos.check("fs.fsync", path.name) is not None
+            ):
+                raise OSError(f"chaos: fsync failed for {path.name}")
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise

@@ -1,22 +1,39 @@
 """Cross-pass dirty tracking: skip windows *before* building.
 
-The :class:`~repro.core.windowcache.WindowSolveCache` already makes
-re-solving a settled window free-ish — but proving "settled" still
-costs a content hash over the window's probe neighborhood, which is a
-sort + scan of **every** instance in the design, per window, per pass.
-Late VM1Opt passes, where almost nothing moves, spend nearly all their
-time hashing windows only to conclude "unchanged".
-
-A :class:`DirtyTracker` turns that around: instead of re-deriving
-"unchanged" from content, it *remembers* which windows were verified
-fixpoints and what has been written since.  A window may be skipped
-without hashing, building, or solving when
+VM1Opt re-runs DistOpt over the same (or half-shifted) window grids
+pass after pass; once a neighborhood settles, every later pass would
+slice, build and re-solve a window only to conclude "no improving
+move" again.  A :class:`DirtyTracker` *remembers* which windows were
+verified fixpoints and what has been written since, so a window may
+be skipped without slicing, building, or solving when
 
 * its key (window rect + ``lx``/``ly``/``allow_flip`` freedom) was
   previously marked clean — i.e. a solve of exactly this subproblem
-  ended ``OPTIMAL`` with no surviving move, or its content hash hit
-  the window cache — **and**
+  ended ``OPTIMAL`` with no surviving move — **and**
 * nothing the window's build *reads* has been written since the mark.
+
+It is the only cross-pass skip in the engine: with tracking off, every
+pass re-solves every window (plain Algorithm 2).
+
+Soundness — why skipping preserves the placement bit for bit:
+
+* Only **fixpoint** outcomes are marked: windows whose solve ended
+  ``OPTIMAL`` and whose guarded apply changed nothing (``no_move``) or
+  was reverted (``reverted``).  The model build is a deterministic
+  function of what it reads (below), and a solve of the identical
+  model with identical options is deterministic (the λ tie-break of
+  :mod:`repro.core.formulation` makes the selected optimum a property
+  of the model), so re-running such a window provably reproduces the
+  same non-move.  Skipping it cannot change the placement — at *any*
+  optimality gap.
+* **Applied** windows are never marked: the next pass enumerates SCP
+  candidates around the new positions and could move further.
+* Window geometry and the (lx, ly, allow_flip) freedom are part of the
+  key itself; everything else a build reads is covered by
+  invalidation.  The same argument makes eviction and a lost mark
+  safe: an unmarked fixpoint merely re-solves to the identical
+  non-move, so capacity and resume state change performance, never
+  placements.
 
 What a build reads is two things, and the tracker invalidates each
 with a matched mechanism:
@@ -29,16 +46,11 @@ with a matched mechanism:
   over-approximation is tight.
 * **By net identity**: the pin positions of every net touched by the
   window's movable cells.  Each mark records exactly that net-name
-  set (from the solved slice, or from the cache signature's scan),
-  applied moves report the names of the nets their cells touch, and
-  a mark sharing any name is dropped.  This is *exact* — an earlier
-  design used the nets' post-move bounding boxes as spatial dirt, and
-  a handful of applies on well-connected nets wiped out nearly every
-  mark on the die per pass.
-
-Skipping is therefore exactly as sound as a window-cache hit — the
-same fixpoint argument, minus the hash — and changes performance,
-never placements.
+  set (from the solved slice), applied moves report the names of the
+  nets their cells touch, and a mark sharing any name is dropped.
+  This is *exact* — an earlier design used the nets' post-move
+  bounding boxes as spatial dirt, and a handful of applies on
+  well-connected nets wiped out nearly every mark on the die per pass.
 
 Two operating modes:
 
@@ -68,8 +80,8 @@ DirtyKey = tuple[int, int, int, int, int, int, bool]
 #: Closed rectangle (xlo, ylo, xhi, yhi) in DBU.
 Rect4 = tuple[int, int, int, int]
 
-#: Default cap on clean marks; eviction is sound (an evicted mark just
-#: re-verifies through the window cache), mirroring the cache's cap.
+#: Default cap on clean marks; eviction is sound (an evicted mark's
+#: window just re-solves to the same non-move next time).
 DEFAULT_MAX_MARKS = 65_536
 
 
@@ -113,22 +125,22 @@ class DirtyTracker:
     """Remembers verified-fixpoint windows and what has been written
     since, so later passes can skip clean windows pre-build.
 
-    Protocol (per window, before the cache probe)::
+    Protocol (per window, before slicing)::
 
         key = DirtyTracker.window_key(window, lx, ly, allow_flip)
         probe = probe_rect(design, window)
         if tracker.is_clean(key, probe):
             ...skip the window entirely...
 
-    After a window verifies as a fixpoint (cache hit, or solved
-    ``OPTIMAL`` with no surviving move), ``mark_clean(key, probe,
-    nets=...)`` with the net names its build read.  After each
-    family's applies, ``note_dirty(cell_rects, nets=..., net_rects=
-    ...)`` with the family's :class:`DirtyWrite` — marks whose probe
-    intersects a cell rect or whose net set shares a name are dropped.
-    Batching per family matches the engine's build-before-apply
-    ordering, so a skip never observes a placement the no-skip run
-    would not also have observed.
+    After a window verifies as a fixpoint (solved ``OPTIMAL`` with no
+    surviving move), ``mark_clean(key, probe, nets=...)`` with the net
+    names its build read.  After each family's applies,
+    ``note_dirty(cell_rects, nets=..., net_rects=...)`` with the
+    family's :class:`DirtyWrite` — marks whose probe intersects a cell
+    rect or whose net set shares a name are dropped.  Batching per
+    family matches the engine's build-before-apply ordering, so a skip
+    never observes a placement the no-skip run would not also have
+    observed.
     """
 
     def __init__(
@@ -165,8 +177,8 @@ class DirtyTracker:
     def window_key(
         window: "Window", lx: int, ly: int, allow_flip: bool
     ) -> DirtyKey:
-        """The subproblem identity — same shape as the window-cache
-        key, deliberately: a mark asserts what a cache hit asserts."""
+        """The subproblem identity: everything a build depends on
+        that invalidation does not cover."""
         rect = window.rect
         return (
             rect.xlo, rect.ylo, rect.xhi, rect.yhi,
@@ -258,7 +270,7 @@ class DirtyTracker:
         """JSON-serializable snapshot (marks + mode + dirty rects).
 
         Counters are per-run observability, not solver state, and are
-        not exported — same policy as the window cache.
+        not exported.
         """
         return [
             int(self._background_clean),

@@ -15,9 +15,9 @@ The incremental engine rides on three cooperating pieces:
 
 * an optional :class:`~repro.core.dirty.DirtyTracker` skips windows
   that were verified fixpoints and whose probe neighborhood nothing
-  has touched since — *before* any hashing or building (the
-  :class:`~repro.core.windowcache.WindowSolveCache` remains the
-  content-addressed backstop for windows that do get probed);
+  has touched since — before any slicing or building; it is the only
+  cross-pass skip, so without it every window is re-solved every pass
+  (plain Algorithm 2);
 * the pass objective is maintained as a running delta (the guarded
   apply already computes exact before/after local objectives over the
   window's touched nets, and those nets fully cover the global
@@ -81,12 +81,8 @@ class DistOptResult:
     windows_reverted: int = 0
     windows_failed: int = 0
     windows_timed_out: int = 0
-    windows_cached: int = 0
-    #: windows skipped by the dirty tracker before probe/build.
+    #: windows skipped by the dirty tracker before slicing/building.
     windows_skipped_clean: int = 0
-    #: cache probes that actually missed (≠ windows built: a probed
-    #: window may turn out to have nothing to build).
-    cache_misses: int = 0
     #: sum of guarded-apply objective deltas over applied windows.
     objective_delta: float = 0.0
     #: |delta-accounted − fully-recomputed| objective; None unless the
@@ -121,7 +117,6 @@ def dist_opt(
     telemetry: RunTelemetry | None = None,
     pass_label: str = "distopt",
     presolve: bool = True,
-    cache=None,
     window_filter=None,
     dirty: DirtyTracker | None = None,
     objective: float | None = None,
@@ -149,17 +144,13 @@ def dist_opt(
         presolve: run the :mod:`repro.milp.presolve` reductions on
             every window model inside the worker (solutions are lifted
             back before they cross the process boundary).
-        cache: optional
-            :class:`~repro.core.windowcache.WindowSolveCache`; windows
-            whose content hash matches a previously-cached fixpoint
-            are skipped without building or solving.
         window_filter: optional predicate ``Window -> bool``; when
             given, only accepted windows are optimized (the shard
             layer's seam pass restricts a DistOpt to the windows
             straddling shard boundaries).
         dirty: optional cross-pass :class:`~repro.core.dirty.
             DirtyTracker`; verified-clean windows are skipped before
-            the cache probe (no hash, no build), applied moves are
+            slicing (no slice, no build), applied moves are
             recorded as dirty regions, and fixpoints are marked clean.
         objective: the design's exact global objective *before* this
             pass.  When given, the post-pass objective is accounted
@@ -227,7 +218,7 @@ def dist_opt(
                     telemetry=telemetry, pass_label=pass_label,
                     lx=lx, ly=ly, allow_flip=allow_flip,
                     next_task_id=next_task_id,
-                    presolve=presolve, cache=cache, dirty=dirty,
+                    presolve=presolve, dirty=dirty,
                     trace_ctx=trace_ctx,
                 )
         finally:
@@ -253,7 +244,6 @@ def dist_opt(
             objective=result.objective,
             windows_built=result.windows_built,
             windows_applied=result.windows_applied,
-            windows_cached=result.windows_cached,
             windows_skipped_clean=result.windows_skipped_clean,
             moved_cells=result.moved_cells,
         )
@@ -273,8 +263,6 @@ def dist_opt(
             applied=result.windows_applied,
             failed=result.windows_failed,
             timed_out=result.windows_timed_out,
-            cache_hits=result.windows_cached,
-            cache_misses=result.cache_misses,
             windows_skipped_clean=result.windows_skipped_clean,
         )
     return result
@@ -312,16 +300,14 @@ def _run_family(
     allow_flip: bool,
     next_task_id: int,
     presolve: bool,
-    cache,
     dirty: DirtyTracker | None,
     trace_ctx: tuple[str, str | None] | None = None,
 ) -> int:
     """Slice, dispatch (worker-side build+solve), and apply one
     independent family; returns the next free task id."""
     tasks: list[WindowTask] = []
-    tokens: dict[int, object] = {}
-    keys: dict[int, tuple] = {}
-    probes: dict[int, tuple] = {}
+    # task id -> (dirty key, probe rect) for the fixpoint mark.
+    marks: dict[int, tuple] = {}
     for window in family:
         key = probe = None
         if dirty is not None:
@@ -330,8 +316,7 @@ def _run_family(
             if dirty.is_clean(key, probe):
                 # Previously verified fixpoint, nothing written in its
                 # neighborhood since: re-solving would provably
-                # reproduce the same non-move (same argument as a
-                # cache hit, minus the hash).
+                # reproduce the same non-move (see repro.core.dirty).
                 result.windows_skipped_clean += 1
                 if telemetry is not None:
                     telemetry.record_window(
@@ -344,32 +329,6 @@ def _run_family(
                         )
                     )
                 continue
-        token = None
-        if cache is not None:
-            hit, token = cache.probe(
-                design, window, lx=lx, ly=ly, allow_flip=allow_flip
-            )
-            if hit:
-                # A fixpoint with identical content: re-solving would
-                # deterministically reproduce the same non-move.
-                result.windows_cached += 1
-                if dirty is not None:
-                    # The signature scan derived the window's exact
-                    # net read-set — record it with the mark.
-                    dirty.mark_clean(key, probe, nets=token.nets)
-                if telemetry is not None:
-                    telemetry.record_window(
-                        WindowRecord(
-                            pass_label=pass_label,
-                            family=family_index,
-                            ix=window.ix,
-                            iy=window.iy,
-                            status="cached",
-                        )
-                    )
-                continue
-            cache.note_miss()
-            result.cache_misses += 1
         sliced = window_slice(design, window)
         if sliced is None:
             # No movable cells, so the build reads no nets at all —
@@ -394,10 +353,8 @@ def _run_family(
         )
         next_task_id += 1
         tasks.append(task)
-        tokens[task.task_id] = token
         if dirty is not None:
-            keys[task.task_id] = key
-            probes[task.task_id] = probe
+            marks[task.task_id] = (key, probe)
     if not tasks:
         return next_task_id
 
@@ -451,19 +408,12 @@ def _run_family(
             and outcome.solution is not None
             and outcome.solution.status is SolveStatus.OPTIMAL
         )
-        if is_fixpoint:
+        if is_fixpoint and dirty is not None:
             # Fixpoint: the optimal solve produced no (surviving)
-            # move.  Identical content next pass can skip the window.
-            # Applied windows are NOT cached/marked — the next pass
-            # enumerates candidates around the new positions.
-            if cache is not None and tokens[task.task_id] is not None:
-                cache.store(tokens[task.task_id])
-            if dirty is not None:
-                dirty.mark_clean(
-                    keys[task.task_id],
-                    probes[task.task_id],
-                    nets=outcome.nets,
-                )
+            # move, so the window may be skipped until something it
+            # reads is written.  Applied windows are NOT marked — the
+            # next pass enumerates candidates around the new positions.
+            dirty.mark_clean(*marks[task.task_id], nets=outcome.nets)
         if telemetry is not None:
             telemetry.record_window(
                 WindowRecord(

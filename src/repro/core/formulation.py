@@ -25,8 +25,10 @@ Two solver-facing details ride on the model:
   objective perturbation — deterministic in the cell name and the
   candidate index, total weight below ``_TIE_BREAK_BUDGET`` — which
   makes the selected optimum a property of the *model*, not of the
-  solve path.  That is what lets presolved/cached solves reproduce the
-  plain solve bit for bit.
+  solve path.  That is what lets presolved solves reproduce the plain
+  solve bit for bit, and what makes a re-solved fixpoint window
+  reproduce its earlier non-move (the soundness argument of
+  :mod:`repro.core.dirty`).
 * **Identity warm start** — ``model.warm_start`` carries the
   always-feasible identity assignment (candidate 0 per cell, all
   alignment binaries off) for backends that can seed an incumbent.
@@ -383,9 +385,10 @@ def _identity_warm_start(
 
 def probe_rect(design: Design, window: Window):
     """The neighborhood a window build actually reads: the window rect
-    expanded far enough to see every blocking cell.  The window-solve
-    cache hashes exactly this neighborhood, so the cache key covers
-    everything that can influence the built model."""
+    expanded far enough to see every blocking cell.  The dirty
+    tracker invalidates a window's clean mark when a moved cell
+    touches exactly this neighborhood, which covers every placement
+    the build reads."""
     tech = design.tech
     return window.rect.expanded(
         max(tech.site_width * 64, tech.row_height * 4)

@@ -18,7 +18,6 @@ from repro.core.dirty import DirtyTracker
 from repro.core.distopt import DistOptResult, dist_opt
 from repro.core.objective import calculate_objective
 from repro.core.params import OptParams
-from repro.core.windowcache import WindowSolveCache
 from repro.milp.highs_backend import HighsBackend
 from repro.netlist.design import Design
 from repro.obs.trace import current_context, span
@@ -45,7 +44,6 @@ class VM1OptResult:
     measured_parallel_seconds: float = 0.0
     windows_failed: int = 0
     windows_timed_out: int = 0
-    windows_cached: int = 0
     windows_skipped_clean: int = 0
     passes: list[DistOptResult] = field(default_factory=list)
 
@@ -71,7 +69,6 @@ def vm1_opt(
     enable_flip: bool = True,
     enable_shift: bool = True,
     presolve: bool = True,
-    window_cache: bool = True,
     dirty_tracking: bool = True,
     objective_audit: bool = False,
     checkpoint_sink=None,
@@ -99,17 +96,14 @@ def vm1_opt(
         presolve: run the window-model presolve reductions before
             every solve (behaviour-preserving; see
             :mod:`repro.milp.presolve`).
-        window_cache: keep a cross-pass
-            :class:`~repro.core.windowcache.WindowSolveCache` so
-            windows whose neighborhood has not changed since their
-            last fixpoint solve are skipped (behaviour-preserving).
         dirty_tracking: run the incremental convergence engine — a
             cross-pass :class:`~repro.core.dirty.DirtyTracker` skips
-            verified-clean windows before probe/build, and the global
+            verified-clean windows before slice/build, and the global
             objective is delta-accounted from the guarded applies
             instead of re-swept after every pass (both
             behaviour-preserving; placements stay byte-identical with
-            the flag on or off).
+            the flag on or off).  Off, every pass re-solves every
+            window (plain Algorithm 2).
         objective_audit: paranoia knob — with ``dirty_tracking``,
             every pass also runs the full objective sweep and raises
             if the delta-accounted value drifts ≥ 1e-6 from it.
@@ -118,8 +112,8 @@ def vm1_opt(
             completed DistOpt pass (crash-safe persistence is the
             caller's job, e.g. ``repro.service.jobstore``).
         resume: optional :class:`~repro.core.checkpoint.VM1Checkpoint`
-            to continue from: the checkpointed placement and cache are
-            restored and every pass up to and including the
+            to continue from: the checkpointed placement and dirty
+            state are restored and every pass up to and including the
             checkpointed one is skipped.  Passes are deterministic, so
             the resumed run finishes with a placement byte-identical
             to the uninterrupted run.
@@ -130,7 +124,6 @@ def vm1_opt(
         work done after the checkpoint; ``iterations`` continues the
         checkpointed count.
     """
-    cache = WindowSolveCache() if window_cache else None
     dirty = DirtyTracker() if dirty_tracking else None
     if solver is None:
         solver = HighsBackend(
@@ -145,7 +138,7 @@ def vm1_opt(
     resume_u = resume_iter = -1
     resume_phase = ""
     if resume is not None:
-        resume.restore(design, cache, dirty)
+        resume.restore(design, dirty)
         initial = resume.initial_objective
         objective = resume.objective
         tx, ty = resume.tx, resume.ty
@@ -174,7 +167,6 @@ def vm1_opt(
         checkpoint_sink(
             VM1Checkpoint.capture(
                 design,
-                cache,
                 dirty,
                 u_index=u_index,
                 iteration=iteration,
@@ -240,7 +232,6 @@ def vm1_opt(
                             telemetry=telemetry,
                             pass_label=f"move[{label}]",
                             presolve=presolve,
-                            cache=cache,
                             dirty=dirty,
                             objective=(
                                 objective if dirty_tracking else None
@@ -270,7 +261,6 @@ def vm1_opt(
                             telemetry=telemetry,
                             pass_label=f"flip[{label}]",
                             presolve=presolve,
-                            cache=cache,
                             dirty=dirty,
                             objective=(
                                 objective if dirty_tracking else None
@@ -318,7 +308,6 @@ def _absorb(result: VM1OptResult, pass_result: DistOptResult) -> None:
     result.build_seconds += pass_result.build_seconds
     result.presolve_seconds += pass_result.presolve_seconds
     result.solve_seconds += pass_result.solve_seconds
-    result.windows_cached += pass_result.windows_cached
     result.windows_skipped_clean += pass_result.windows_skipped_clean
     result.modeled_parallel_seconds += (
         pass_result.modeled_parallel_seconds

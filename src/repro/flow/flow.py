@@ -51,8 +51,6 @@ class FlowConfig:
         jobs: worker count for pool executors; 1 = serial.
         presolve: run the window-model presolve reductions before
             every solve (behaviour-preserving speedup).
-        window_cache: skip windows unchanged since their last
-            fixpoint solve (behaviour-preserving speedup).
         dirty_tracking: incremental convergence engine — skip windows
             whose probe neighborhood no applied move has touched since
             their last verified fixpoint, and delta-account the pass
@@ -83,7 +81,6 @@ class FlowConfig:
     executor: str = "auto"
     jobs: int = 1
     presolve: bool = True
-    window_cache: bool = True
     dirty_tracking: bool = True
     shards: int | str = 1
     halo_rows: int = 2
@@ -269,7 +266,6 @@ def run_flow(
                         jobs=config.jobs,
                         executor=config.executor,
                         presolve=config.presolve,
-                        window_cache=config.window_cache,
                         dirty_tracking=config.dirty_tracking,
                         checkpoint_dir=shard_checkpoint_dir,
                         resume=shard_resume,
@@ -357,7 +353,6 @@ def _run_unsharded(
             telemetry=telemetry,
             progress=vm1_progress,
             presolve=config.presolve,
-            window_cache=config.window_cache,
             dirty_tracking=config.dirty_tracking,
             checkpoint_sink=checkpoint_sink,
             resume=resume,

@@ -39,11 +39,16 @@ logger = subsystem_logger("repro.runtime")
 #: :func:`load_telemetry` still reads v3 documents, and
 #: :meth:`RunTelemetry.from_spans` derives a telemetry document
 #: directly from a recorded span tree.
-TELEMETRY_SCHEMA = "repro.runtime.telemetry/v4"
-#: Older schemas :func:`load_telemetry` accepts (normalizing to v4
-#: shape: empty ``counters``, null ``trace``).
+#: v5 drops the window-cache fields with the cache itself (the
+#: ``cache`` section, the per-pass hit/miss counts and the ``cached``
+#: window status and count); the dirty tracker's ``skipped_clean``
+#: counts are the one cross-pass skip.
+TELEMETRY_SCHEMA = "repro.runtime.telemetry/v5"
+#: Schemas :func:`load_telemetry` accepts (older ones normalized to
+#: the v4+ shape: empty ``counters``, null ``trace``).
 READABLE_SCHEMAS = (
     "repro.runtime.telemetry/v3",
+    "repro.runtime.telemetry/v4",
     TELEMETRY_SCHEMA,
 )
 
@@ -62,7 +67,7 @@ class WindowRecord:
     solve_seconds: float = 0.0
     status: str = "skipped"  # applied | reverted | no_move |
     #                          no_solution | failed | timed_out |
-    #                          skipped | cached | skipped_clean
+    #                          skipped | skipped_clean
     attempts: int = 0
     moved_cells: int = 0
     num_pairs: int = 0
@@ -180,8 +185,6 @@ class RunTelemetry:
         failed: int,
         timed_out: int,
         presolve_seconds: float = 0.0,
-        cache_hits: int = 0,
-        cache_misses: int = 0,
         windows_skipped_clean: int = 0,
     ) -> None:
         entry = {
@@ -196,8 +199,6 @@ class RunTelemetry:
             "applied": applied,
             "failed": failed,
             "timed_out": timed_out,
-            "cache_hits": cache_hits,
-            "cache_misses": cache_misses,
             "windows_skipped_clean": windows_skipped_clean,
         }
         self.passes.append(entry)
@@ -207,10 +208,10 @@ class RunTelemetry:
         ).inc()
         logger.info(
             "pass %s: %d windows (%d applied, %d failed, %d timed "
-            "out, %d cached, %d clean-skipped) wall=%.2fs "
+            "out, %d clean-skipped) wall=%.2fs "
             "solve=%.2fs parallel measured=%.2fs modeled=%.2fs "
             "[%s x%d]",
-            label, windows, applied, failed, timed_out, cache_hits,
+            label, windows, applied, failed, timed_out,
             windows_skipped_clean, wall_seconds, solve_seconds,
             measured_parallel_seconds, modeled_parallel_seconds,
             self.executor, self.jobs,
@@ -221,7 +222,7 @@ class RunTelemetry:
         return sum(1 for r in self.records if r.status == status)
 
     def summary(self) -> dict:
-        """The telemetry JSON document (schema v4)."""
+        """The telemetry JSON document (schema v5)."""
         build = sum(r.build_seconds for r in self.records)
         presolve = sum(r.presolve_seconds for r in self.records)
         solve = sum(r.solve_seconds for r in self.records)
@@ -230,11 +231,6 @@ class RunTelemetry:
             p["measured_parallel_seconds"] for p in self.passes
         )
         modeled = modeled_parallel_seconds(self.records)
-        cache_hits = sum(p.get("cache_hits", 0) for p in self.passes)
-        cache_misses = sum(
-            p.get("cache_misses", 0) for p in self.passes
-        )
-        cache_total = cache_hits + cache_misses
         return {
             "schema": TELEMETRY_SCHEMA,
             "executor": self.executor,
@@ -247,7 +243,6 @@ class RunTelemetry:
                 "no_solution": self._count("no_solution"),
                 "failed": self._count("failed"),
                 "timed_out": self._count("timed_out"),
-                "cached": self._count("cached"),
                 "skipped_clean": self._count("skipped_clean"),
             },
             "seconds": {
@@ -258,13 +253,6 @@ class RunTelemetry:
                 "queue_wait": queue,
                 "measured_parallel": measured,
                 "modeled_parallel": modeled,
-            },
-            "cache": {
-                "hits": cache_hits,
-                "misses": cache_misses,
-                "hit_rate": (
-                    cache_hits / cache_total if cache_total else 0.0
-                ),
             },
             "speedup": {
                 # serial solve work over what the engine achieved /
@@ -367,7 +355,6 @@ class RunTelemetry:
                     applied=int(s.attrs.get("windows_applied", 0)),
                     failed=0,
                     timed_out=0,
-                    cache_hits=int(s.attrs.get("windows_cached", 0)),
                     windows_skipped_clean=int(
                         s.attrs.get("windows_skipped_clean", 0)
                     ),
@@ -376,12 +363,13 @@ class RunTelemetry:
 
 
 def load_telemetry(path: str | Path) -> dict:
-    """Read a telemetry JSON document, accepting schema v3 or v4.
+    """Read a telemetry JSON document, accepting schema v3, v4 or v5.
 
-    v3 documents are normalized to the v4 shape: the sections v4
+    v3 documents are normalized to the v4+ shape: the sections v4
     added (``counters``, ``trace``) are filled with their empty
-    defaults and the ``schema`` field is left at the document's own
-    version so callers can tell what was actually on disk.
+    defaults.  v3/v4 documents keep their window-cache fields, and the
+    ``schema`` field is left at the document's own version so callers
+    can tell what was actually on disk.
     """
     doc = json.loads(Path(path).read_text())
     schema = doc.get("schema")

@@ -7,14 +7,15 @@ Layout (one directory per job under ``<root>/jobs/``)::
         events.ndjson    # append-only progress events (one JSON/line)
         checkpoint.json  # latest VM1Checkpoint — atomically replaced
         result.json      # Table-2 row + summary, written on DONE
-        telemetry.json   # repro.runtime.telemetry/v2 document
+        telemetry.json   # repro.runtime.telemetry/v5 document
         post.def         # final optimized placement (DEF)
 
 Write discipline:
 
 * ``job.json`` / ``checkpoint.json`` / ``result.json`` are written via
-  *write-temp, fsync, rename* — a reader (or a restarted server) never
-  sees a torn document, even across SIGKILL.
+  *write-temp, fsync, rename*
+  (:func:`repro.core.checkpoint.atomic_write_text`) — a reader (or a
+  restarted server) never sees a torn document, even across SIGKILL.
 * ``events.ndjson`` is append-only with one flushed line per event; a
   SIGKILL can at worst truncate the final line, which readers skip.
 
@@ -36,14 +37,13 @@ from __future__ import annotations
 
 import enum
 import json
-import os
 import threading
 import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.checkpoint import VM1Checkpoint
+from repro.core.checkpoint import VM1Checkpoint, atomic_write_text
 from repro.log import subsystem_logger
 
 logger = subsystem_logger("repro.service")
@@ -116,36 +116,6 @@ class JobRecord:
             error=str(doc.get("error", "")),
             schema=str(doc.get("schema", JOB_SCHEMA)),
         )
-
-
-def atomic_write_text(path: Path, text: str, *, chaos=None) -> None:
-    """Write ``text`` to ``path`` crash-safely (temp + fsync + rename).
-
-    ``chaos`` is an optional fault controller: the ``fs.fsync`` site
-    models a durability syscall failing mid-write.  The temp file is
-    removed on any failure so a faulted write leaves no debris (and
-    crucially leaves the *previous* document intact — the rename
-    never happens).
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            if (
-                chaos is not None
-                and chaos.check("fs.fsync", path.name) is not None
-            ):
-                raise OSError(f"chaos: fsync failed for {path.name}")
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
 
 
 class JobStore:

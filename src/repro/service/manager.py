@@ -105,7 +105,6 @@ _FLOW_SPEC_FIELDS = {
     "executor": str,
     "jobs": int,
     "presolve": bool,
-    "window_cache": bool,
     "dirty_tracking": bool,
     "timing_driven": bool,
     "shards": _shards,

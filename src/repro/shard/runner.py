@@ -23,7 +23,6 @@ and deterministic, so it is simply re-run on resume.
 from __future__ import annotations
 
 import json
-import os
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from pathlib import Path
 
 from repro.chaos.inject import active_chaos
 from repro.chaos.inject import barrier as chaos_barrier
-from repro.core.checkpoint import VM1Checkpoint
+from repro.core.checkpoint import VM1Checkpoint, atomic_write_text
 from repro.core.objective import calculate_objective
 from repro.core.params import OptParams
 from repro.core.vm1opt import VM1OptResult, vm1_opt
@@ -80,11 +79,13 @@ class ShardOutcome:
     iterations: int = 0
     moved_cells: int = 0
     wall_seconds: float = 0.0
+    build_seconds: float = 0.0
+    presolve_seconds: float = 0.0
     solve_seconds: float = 0.0
     modeled_parallel_seconds: float = 0.0
     windows_failed: int = 0
     windows_timed_out: int = 0
-    windows_cached: int = 0
+    windows_skipped_clean: int = 0
     resumed: bool = False
     #: span dicts collected inside the shard worker when the task
     #: carried a trace context; they ride the ``done`` record so a
@@ -105,11 +106,13 @@ class ShardOutcome:
             "iterations": self.iterations,
             "moved_cells": self.moved_cells,
             "wall_seconds": self.wall_seconds,
+            "build_seconds": self.build_seconds,
+            "presolve_seconds": self.presolve_seconds,
             "solve_seconds": self.solve_seconds,
             "modeled_parallel_seconds": self.modeled_parallel_seconds,
             "windows_failed": self.windows_failed,
             "windows_timed_out": self.windows_timed_out,
-            "windows_cached": self.windows_cached,
+            "windows_skipped_clean": self.windows_skipped_clean,
             "resumed": self.resumed,
             "spans": list(self.spans),
         }
@@ -131,13 +134,19 @@ class ShardOutcome:
             iterations=int(doc["iterations"]),
             moved_cells=int(doc["moved_cells"]),
             wall_seconds=float(doc["wall_seconds"]),
+            # Absent from done records written before these were
+            # carried; such a record still resumes.
+            build_seconds=float(doc.get("build_seconds", 0)),
+            presolve_seconds=float(doc.get("presolve_seconds", 0)),
             solve_seconds=float(doc["solve_seconds"]),
             modeled_parallel_seconds=float(
                 doc["modeled_parallel_seconds"]
             ),
             windows_failed=int(doc["windows_failed"]),
             windows_timed_out=int(doc["windows_timed_out"]),
-            windows_cached=int(doc["windows_cached"]),
+            windows_skipped_clean=int(
+                doc.get("windows_skipped_clean", 0)
+            ),
             resumed=bool(doc.get("resumed", False)),
             spans=list(doc.get("spans", [])),
         )
@@ -155,7 +164,6 @@ class ShardTask:
     inner_executor: str = "serial"
     inner_jobs: int = 1
     presolve: bool = True
-    window_cache: bool = True
     dirty_tracking: bool = True
     checkpoint_path: str | None = None
     resume_doc: dict | None = None
@@ -194,7 +202,7 @@ class ShardTask:
             path = self.checkpoint_path
 
             def sink(cp: VM1Checkpoint) -> None:
-                _atomic_write(Path(path), cp.dumps())
+                atomic_write_text(Path(path), cp.dumps())
 
         chaos_barrier(f"shard:{self.index}:start")
         started = time.perf_counter()
@@ -208,7 +216,6 @@ class ShardTask:
                         self.params,
                         executor=ex,
                         presolve=self.presolve,
-                        window_cache=self.window_cache,
                         dirty_tracking=self.dirty_tracking,
                         checkpoint_sink=sink,
                         resume=resume,
@@ -232,22 +239,16 @@ class ShardTask:
             iterations=result.iterations,
             moved_cells=result.moved_cells,
             wall_seconds=wall,
+            build_seconds=result.build_seconds,
+            presolve_seconds=result.presolve_seconds,
             solve_seconds=result.solve_seconds,
             modeled_parallel_seconds=result.modeled_parallel_seconds,
             windows_failed=result.windows_failed,
             windows_timed_out=result.windows_timed_out,
-            windows_cached=result.windows_cached,
+            windows_skipped_clean=result.windows_skipped_clean,
             resumed=resume is not None,
             spans=trace_collector.export(),
         )
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    """Same-directory tmp + rename, the torn-write-safe idiom."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 class ShardCheckpointStore:
@@ -317,7 +318,9 @@ class ShardCheckpointStore:
         self.root.mkdir(parents=True, exist_ok=True)
         for stale in self.root.glob("shard_*.json"):
             stale.unlink()
-        _atomic_write(self._plan_path(), json.dumps(want, indent=1))
+        atomic_write_text(
+            self._plan_path(), json.dumps(want, indent=1)
+        )
         return False
 
     def load_done(self, index: int) -> ShardOutcome | None:
@@ -327,7 +330,7 @@ class ShardCheckpointStore:
         return ShardOutcome.from_dict(json.loads(path.read_text()))
 
     def write_done(self, outcome: ShardOutcome) -> None:
-        _atomic_write(
+        atomic_write_text(
             self.done_path(outcome.index),
             json.dumps(outcome.to_dict()),
         )
@@ -386,6 +389,12 @@ class ShardRunResult:
             (o.iterations for o in self.outcomes), default=0
         )
         result.moved_cells = sum(o.moved_cells for o in self.outcomes)
+        result.build_seconds = sum(
+            o.build_seconds for o in self.outcomes
+        )
+        result.presolve_seconds = sum(
+            o.presolve_seconds for o in self.outcomes
+        )
         result.solve_seconds = sum(
             o.solve_seconds for o in self.outcomes
         )
@@ -402,14 +411,19 @@ class ShardRunResult:
         result.windows_timed_out = sum(
             o.windows_timed_out for o in self.outcomes
         )
-        result.windows_cached = sum(
-            o.windows_cached for o in self.outcomes
+        result.windows_skipped_clean = sum(
+            o.windows_skipped_clean for o in self.outcomes
         )
         if self.stitch is not None and self.stitch.seam_pass is not None:
             seam = self.stitch.seam_pass
             result.passes.append(seam)
             result.moved_cells += seam.moved_cells
+            result.build_seconds += seam.build_seconds
+            result.presolve_seconds += seam.presolve_seconds
             result.solve_seconds += seam.solve_seconds
+            result.windows_failed += seam.windows_failed
+            result.windows_timed_out += seam.windows_timed_out
+            result.windows_skipped_clean += seam.windows_skipped_clean
             result.modeled_parallel_seconds += (
                 seam.modeled_parallel_seconds
             )
@@ -484,7 +498,6 @@ def run_sharded(
     jobs: int = 1,
     executor: str = "auto",
     presolve: bool = True,
-    window_cache: bool = True,
     dirty_tracking: bool = True,
     checkpoint_dir: str | Path | None = None,
     resume: bool = False,
@@ -508,7 +521,7 @@ def run_sharded(
         jobs: total worker budget (see :func:`plan_workers`).
         executor: shard-level executor kind (``auto``/``serial``/
             ``thread``/``process``).
-        presolve / window_cache / dirty_tracking: forwarded to
+        presolve / dirty_tracking: forwarded to
             every ``vm1_opt`` (and the seam pass — dirty regions are
             seeded from the stitch boundaries).
         checkpoint_dir: when given, shard-granular crash-safe state is
@@ -526,8 +539,7 @@ def run_sharded(
     if shards == 1:
         initial_final = _run_single(
             design, params, jobs, executor,
-            presolve=presolve, window_cache=window_cache,
-            dirty_tracking=dirty_tracking,
+            presolve=presolve, dirty_tracking=dirty_tracking,
         )
         result = ShardRunResult(
             num_shards=1,
@@ -569,7 +581,7 @@ def run_sharded(
             # Stale fingerprint: the checkpoint dir was left by some
             # other run.  ``begin(resume=True)`` must refuse it
             # instead of silently mixing two runs' shard state.
-            _atomic_write(
+            atomic_write_text(
                 store._plan_path(),
                 json.dumps(
                     {
@@ -632,7 +644,6 @@ def run_sharded(
                 inner_executor=inner_kind,
                 inner_jobs=inner_jobs,
                 presolve=presolve,
-                window_cache=window_cache,
                 dirty_tracking=dirty_tracking,
                 checkpoint_path=(
                     str(store.ckpt_path(shard.index))
@@ -768,7 +779,6 @@ def _run_single(
     executor: str,
     *,
     presolve: bool,
-    window_cache: bool,
     dirty_tracking: bool = True,
 ) -> VM1OptResult:
     """The shards == 1 fast path: plain (byte-identical) vm1_opt."""
@@ -778,6 +788,5 @@ def _run_single(
             params,
             executor=ex,
             presolve=presolve,
-            window_cache=window_cache,
             dirty_tracking=dirty_tracking,
         )

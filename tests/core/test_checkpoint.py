@@ -1,12 +1,13 @@
 """VM1Opt checkpoint/resume: capture, JSON round-trip, equivalence."""
 
+import json
+
 import pytest
 
 from repro.core import (
     CHECKPOINT_SCHEMA,
     OptParams,
     VM1Checkpoint,
-    WindowSolveCache,
     vm1_opt,
 )
 from repro.library import build_library
@@ -65,17 +66,22 @@ def test_from_dict_rejects_unknown_schema(reference):
         VM1Checkpoint.from_dict(doc)
 
 
-@pytest.mark.parametrize("which", ["first", "last"])
+@pytest.mark.parametrize("which", ["first", "last", "parent_cache"])
 def test_resume_reproduces_placement_byte_identical(
     reference, which
 ):
     """Resuming from any checkpoint finishes with the exact placement
     (and iteration count) of the uninterrupted run — the contract the
-    service's crash recovery rests on."""
+    service's crash recovery rests on.  ``parent_cache`` resumes a
+    document in the older format that still carried window-cache
+    entries under ``cache``; the key is ignored."""
     params, checkpoints, final_placement, result = reference
     cp = checkpoints[0] if which == "first" else checkpoints[-2]
     # Serialize across the "crash": resume from JSON, not the object.
-    cp = VM1Checkpoint.loads(cp.dumps())
+    doc = cp.to_dict()
+    if which == "parent_cache":
+        doc["cache"] = [[[0, 0, 10, 10, 2, 1, False], "ab" * 16]]
+    cp = VM1Checkpoint.from_dict(json.loads(json.dumps(doc)))
     design = _fresh_design()
     resumed = vm1_opt(design, params, resume=cp)
     assert design.placement_snapshot() == final_placement
@@ -83,35 +89,3 @@ def test_resume_reproduces_placement_byte_identical(
     assert resumed.final_objective == pytest.approx(
         result.final_objective
     )
-
-
-def test_resume_restores_cache_entries(reference):
-    params, checkpoints, _, _ = reference
-    cp = checkpoints[-1]
-    cache = WindowSolveCache()
-    design = _fresh_design()
-    cp.restore(design, cache)
-    assert len(cache) == len(cp.cache_entries)
-    assert cache.export_state() == cp.cache_entries
-
-
-def test_cache_state_roundtrip():
-    cache = WindowSolveCache()
-    design = _fresh_design(scale=0.01)
-    from repro.core.window import partition
-
-    windows = partition(design, 0, 0, 1250, 1080)
-    for window in windows[:3]:
-        _, token = cache.probe(
-            design, window, lx=2, ly=1, allow_flip=False
-        )
-        cache.store(token)
-    state = cache.export_state()
-    clone = WindowSolveCache()
-    clone.import_state(state)
-    assert clone.export_state() == state
-    # A probe of unchanged content hits in the imported clone.
-    hit, _ = clone.probe(
-        design, windows[0], lx=2, ly=1, allow_flip=False
-    )
-    assert hit

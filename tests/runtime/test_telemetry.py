@@ -11,6 +11,7 @@ from repro.runtime import (
     WindowRecord,
     modeled_parallel_seconds,
 )
+from repro.runtime.telemetry import load_telemetry
 
 
 def rec(pass_label="p", family=0, solve=1.0, build=0.0, **kw):
@@ -118,12 +119,10 @@ def test_summary_schema_and_save(tmp_path):
     assert summary["jobs"] == 2
     assert summary["windows"] == {
         "total": 3, "applied": 1, "reverted": 1, "no_move": 0,
-        "no_solution": 0, "failed": 1, "timed_out": 0, "cached": 0,
+        "no_solution": 0, "failed": 1, "timed_out": 0,
         "skipped_clean": 0,
     }
-    assert summary["cache"] == {
-        "hits": 0, "misses": 0, "hit_rate": 0.0,
-    }
+    assert "cache" not in summary
     seconds = summary["seconds"]
     assert seconds["build"] == pytest.approx(0.75)
     assert seconds["solve"] == pytest.approx(3.5)
@@ -140,11 +139,12 @@ def test_summary_schema_and_save(tmp_path):
     assert json.loads(path.read_text())["schema"] == TELEMETRY_SCHEMA
 
 
-def test_v4_json_roundtrip_from_real_run(tmp_path):
-    """Write → load → validate the v3 fields the service's progress
-    stream depends on (schema id, presolve seconds, cache hits/misses,
-    clean-skip counts)."""
-    from repro.core import OptParams, WindowSolveCache
+def test_v5_json_roundtrip_from_real_run(tmp_path):
+    """Write → load → validate the fields the service's progress
+    stream depends on (schema id, presolve seconds, clean-skip
+    counts), and that v5 carries no window-cache section."""
+    from repro.core import OptParams
+    from repro.core.dirty import DirtyTracker
     from repro.core.distopt import dist_opt
     from repro.library import build_library
     from repro.netlist import generate_design
@@ -157,28 +157,22 @@ def test_v4_json_roundtrip_from_real_run(tmp_path):
     place_design(design, seed=1)
     params = OptParams.for_arch(tech.arch, time_limit=2.0)
     telemetry = RunTelemetry(executor="serial", jobs=1)
-    cache = WindowSolveCache()
-    snapshot = {
-        name: (inst.x, inst.y, inst.orientation)
-        for name, inst in design.instances.items()
-    }
-    for pass_label in ("move[u0.i0]", "move[u0.i1]"):
-        # Restore the pre-pass placement so the second pass re-solves
-        # byte-identical windows — guaranteed cache hits.
-        for name, (x, y, orient) in snapshot.items():
-            inst = design.instances[name]
-            inst.x, inst.y, inst.orientation = x, y, orient
+    dirty = DirtyTracker()
+    for pass_label in ("flip[u0.i0]", "flip[u0.i1]", "flip[u0.i2]"):
+        # Same grid each time: flip passes settle within two passes,
+        # and a later pass skips the windows verified as fixpoints
+        # that no apply has touched since.
         dist_opt(
-            design, params, tx=0, ty=0, bw=1250, bh=1080, lx=2, ly=1,
-            allow_flip=False, telemetry=telemetry,
-            pass_label=pass_label, presolve=True, cache=cache,
+            design, params, tx=0, ty=0, bw=1250, bh=1080, lx=0, ly=0,
+            allow_flip=True, telemetry=telemetry,
+            pass_label=pass_label, presolve=True, dirty=dirty,
         )
     telemetry.wall_seconds = 1.0
 
     path = telemetry.save(tmp_path / "telemetry.json")
-    doc = json.loads(path.read_text())
+    doc = load_telemetry(path)
 
-    assert doc["schema"] == "repro.runtime.telemetry/v4"
+    assert doc["schema"] == "repro.runtime.telemetry/v5"
     assert doc["schema"] == TELEMETRY_SCHEMA
     # v4 observability sections: counters rendered from the per-run
     # registry; trace null because no tracer was active.
@@ -189,26 +183,31 @@ def test_v4_json_roundtrip_from_real_run(tmp_path):
         doc["windows_detail"]
     )
     assert counters["repro_run_passes_total"] == len(doc["passes"])
-    # v3 clean-skip visibility: present per pass and in the summary
-    # (zero here — no DirtyTracker was wired into these passes).
+    # Clean-skip visibility: present per pass and in the summary.
     assert all("windows_skipped_clean" in p for p in doc["passes"])
-    assert doc["windows"]["skipped_clean"] == 0
-    # v2 presolve split: present run-wide, per pass, and per window.
+    assert doc["passes"][0]["windows_skipped_clean"] == 0
+    assert doc["windows"]["skipped_clean"] > 0
+    assert doc["windows"]["skipped_clean"] == sum(
+        p["windows_skipped_clean"] for p in doc["passes"]
+    )
+    # Presolve split: present run-wide, per pass, and per window.
     assert doc["seconds"]["presolve"] >= 0.0
     assert all("presolve_seconds" in p for p in doc["passes"])
     assert all(
         "presolve_seconds" in w for w in doc["windows_detail"]
     )
-    # v2 cache section: the identical second pass hits the cache.
-    assert doc["cache"]["hits"] == cache.hits
-    assert doc["cache"]["misses"] == cache.misses
-    assert doc["cache"]["hits"] > 0
-    assert doc["cache"]["hit_rate"] == pytest.approx(
-        cache.hits / (cache.hits + cache.misses)
+    # v5: the window cache is gone from every level of the document.
+    assert "cache" not in doc
+    assert "cached" not in doc["windows"]
+    assert not any(
+        key.startswith("cache") for p in doc["passes"] for key in p
     )
-    assert doc["windows"]["cached"] == cache.hits
     # Round-trip: loading loses nothing the summary carries.
     assert doc == json.loads(json.dumps(telemetry.summary()))
+    # A v4 document (with its cache section) still loads as written.
+    v4 = dict(doc, schema="repro.runtime.telemetry/v4", cache={})
+    (tmp_path / "v4.json").write_text(json.dumps(v4))
+    assert load_telemetry(tmp_path / "v4.json") == v4
 
 
 def test_speedup_none_when_nothing_ran():

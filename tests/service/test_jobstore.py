@@ -171,7 +171,6 @@ def test_checkpoint_roundtrip_through_store(store):
         initial_objective=6.0,
         iterations=3,
         placement={"a": (10, 20, "FS")},
-        cache_entries=[[[0, 0, 10, 10, 2, 1, False], "ab" * 16]],
     )
     store.write_checkpoint(record.job_id, checkpoint)
     assert store.load_checkpoint(record.job_id) == checkpoint

@@ -42,7 +42,6 @@ def test_spec_full_roundtrip():
             "executor": "thread",
             "jobs": 4,
             "presolve": False,
-            "window_cache": False,
             "timing_driven": True,
         }
     )
@@ -67,6 +66,7 @@ def test_spec_full_roundtrip():
         ({"executor": "gpu"}, "executor"),
         ({"presolve": "yes"}, "presolve"),
         ({"frobnicate": 1}, "unknown spec field"),
+        ({"window_cache": False}, "unknown spec field"),
     ],
 )
 def test_spec_rejects_bad_values(bad, match):
@@ -123,13 +123,15 @@ def test_flow_job_runs_to_done_with_artifacts(service):
         "route_final",
     ):
         assert expected in types
-    # Pass events are lifted from the telemetry v2 pass entries.
+    # Pass events are lifted from the telemetry pass entries.
     pass_event = next(
         e
         for e in store.read_events(record.job_id)
         if e["type"] == "pass"
     )
-    for key in ("label", "windows", "cache_hits", "presolve_seconds"):
+    for key in (
+        "label", "windows", "windows_skipped_clean", "presolve_seconds"
+    ):
         assert key in pass_event
     assert manager.counters["jobs_done"] == 1
     assert manager.counters["passes"] > 0

@@ -10,9 +10,12 @@ The anchors:
   uninterrupted placement byte for byte (shard-granular crash safety).
 """
 
+import os
+
 import pytest
 
 from repro.core import OptParams
+from repro.core.distopt import DistOptResult
 from repro.core.vm1opt import vm1_opt
 from repro.library import build_library
 from repro.netlist import generate_design
@@ -20,10 +23,13 @@ from repro.placement import place_design
 from repro.runtime import SerialExecutor
 from repro.shard.runner import (
     ShardCheckpointStore,
+    ShardOutcome,
     ShardPlanError,
+    ShardRunResult,
     plan_workers,
     run_sharded,
 )
+from repro.shard.stitch import StitchResult
 from repro.tech import CellArchitecture, make_tech
 
 TECH = make_tech(CellArchitecture.CLOSED_M1)
@@ -166,3 +172,74 @@ def test_plan_workers_budget():
     assert (inner_kind, inner_jobs) == ("serial", 1)
     with pytest.raises(ValueError):
         plan_workers(2, 2, "warp")
+
+
+def test_sharded_vm1_view_sums_shard_and_seam_counts():
+    """Build/presolve seconds and clean skips of every shard, plus the
+    seam pass's own counts (failed and timed-out windows included),
+    reach the aggregate view the flow reports."""
+    outcomes = [
+        ShardOutcome(
+            index=index,
+            placements={},
+            initial_objective=10.0,
+            final_objective=9.0,
+            build_seconds=0.5,
+            presolve_seconds=0.25,
+            solve_seconds=1.0,
+            windows_failed=index,
+            windows_skipped_clean=3,
+        )
+        for index in range(2)
+    ]
+    seam = DistOptResult(
+        objective=8.0,
+        build_seconds=0.125,
+        presolve_seconds=0.0625,
+        solve_seconds=0.5,
+        windows_failed=1,
+        windows_timed_out=2,
+        windows_skipped_clean=4,
+    )
+    result = ShardRunResult(
+        num_shards=2,
+        halo_rows=2,
+        initial_objective=20.0,
+        final_objective=8.0,
+        outcomes=outcomes,
+        stitch=StitchResult(seam_pass=seam),
+    )
+    opt = result.to_vm1_result()
+    assert opt.build_seconds == 1.125
+    assert opt.presolve_seconds == 0.5625
+    assert opt.solve_seconds == 2.5
+    assert opt.windows_skipped_clean == 10
+    assert opt.windows_failed == 2
+    assert opt.windows_timed_out == 2
+    assert opt.passes == [seam]
+
+
+def test_write_done_fsyncs_and_leaves_no_temp_file(
+    tmp_path, monkeypatch
+):
+    synced = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        synced.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    store = ShardCheckpointStore(tmp_path)
+    outcome = ShardOutcome(
+        index=0,
+        placements={"a": (10, 20, "N")},
+        initial_objective=2.0,
+        final_objective=1.0,
+    )
+    store.write_done(outcome)
+    assert len(synced) == 1
+    assert [p.name for p in tmp_path.iterdir()] == [
+        "shard_000.done.json"
+    ]
+    assert store.load_done(0) == outcome
