@@ -147,6 +147,17 @@ class ChaosController:
     def total_fires(self) -> int:
         return sum(state.fires for state in self._states)
 
+    def fired_rules(self) -> tuple[FaultRule, ...]:
+        """The plan's rules that fired at least once, in plan order.
+
+        A declared rule may never fire: its trigger can miss the
+        workload's call census, or another rule can pre-empt it
+        (:meth:`check` fires only the first matching rule per call).
+        """
+        return tuple(
+            state.rule for state in self._states if state.fires
+        )
+
     def drain_counts(self) -> dict[str, int]:
         """Fires per site since the last drain (for telemetry)."""
         current = self.fires_by_site()

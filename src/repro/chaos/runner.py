@@ -15,7 +15,9 @@ the **invariant ladder** the previous PRs promised in prose:
    telemetry v4 ``repro_run_faults_injected_total`` counter; retried
    window faults bump ``repro_run_retries_total``; fault actions that
    produce a failed solve attempt leave ``error:``-status spans in
-   the trace.
+   the trace.  Only rules that fired owe this evidence
+   (:meth:`~repro.chaos.inject.ChaosController.fired_rules`): a
+   declared rule may never fire.
 
 :func:`run_fuzz` generates seeded random plans from the recoverable
 templates, runs each case, and delta-debug-shrinks any failing plan
@@ -201,7 +203,6 @@ def _check_ladder(
     clean,
     clean_snapshot,
 ) -> None:
-    plan = result.plan
     # Rung 1: the plan actually did something.
     if controller.total_fires() == 0:
         result.errors.append(
@@ -246,7 +247,12 @@ def _check_ladder(
             f"telemetry counted {counted} injected faults, "
             f"controller fired {controller.total_fires()}"
         )
-    actions = {(rule.site, rule.action) for rule in plan.faults}
+    # Only rules that actually fired owe evidence: a declared rule can
+    # miss the call census or be pre-empted by another rule at the
+    # same hook.
+    actions = {
+        (rule.site, rule.action) for rule in controller.fired_rules()
+    }
     if actions & RETRIED_ACTIONS:
         retries = result.counters.get("repro_run_retries_total", 0)
         if not retries:

@@ -507,20 +507,22 @@ def _apply_guarded(
     :class:`~repro.core.dirty.DirtyWrite` (``()`` when nothing was
     applied).
     """
-    nets = [design.nets[name] for name in outcome.nets]
-    before_local = calculate_objective(design, params, nets)
     snapshot = {
         name: _placement_of(design, name) for name in outcome.movable
     }
-    changed: list[str] = []
-    for name, column, row, flipped in outcome.moves:
-        prev = snapshot[name]
-        design.place(name, column, row, flipped)
-        inst = design.instances[name]
-        if (inst.x, inst.y, inst.orientation) != prev:
-            changed.append(name)
+    changed = [
+        name
+        for name, column, row, flipped in outcome.moves
+        if design.placement_at(column, row, flipped) != snapshot[name]
+    ]
     if not changed:
         return "no_move", 0, 0.0, ()
+    # The guard's "before" objective is only needed when something
+    # moves, so a no-move window evaluates no objective at all.
+    nets = [design.nets[name] for name in outcome.nets]
+    before_local = calculate_objective(design, params, nets)
+    for name, column, row, flipped in outcome.moves:
+        design.place(name, column, row, flipped)
     after_local = calculate_objective(design, params, nets)
     if after_local > before_local - 1e-9:
         for name, state in snapshot.items():

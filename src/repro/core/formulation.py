@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from repro.core.params import OptParams
 from repro.core.scp import Candidate, enumerate_candidates
 from repro.core.window import Window
-from repro.geometry import Orientation
+from repro.geometry.orientation import X_MIRRORED
 from repro.milp.model import Constraint, LinExpr, Model, Sense, Var
 from repro.milp.solution import Solution
 from repro.netlist.design import Design, Instance, Net, PinRef
@@ -72,6 +72,21 @@ class _PinExpr:
     lo_min: int
     hi_max: int
     movable: bool
+    #: field name -> nonzero coefficients of ``-field``, filled on
+    #: first use: a pin's bound rows share one negation.
+    _negated: dict[str, dict[int, float]] = field(default_factory=dict)
+
+    def negated(self, name: str) -> dict[int, float]:
+        """Nonzero coefficients of ``-getattr(self, name)``."""
+        neg = self._negated.get(name)
+        if neg is None:
+            neg = {
+                idx: -coef
+                for idx, coef in getattr(self, name).coefs.items()
+                if coef
+            }
+            self._negated[name] = neg
+        return neg
 
 
 @dataclass
@@ -237,13 +252,14 @@ def solution_moves(
             candidate — a corrupt solution.
     """
     moves: list[tuple[str, int, int, bool]] = []
+    values = solution.values
     for name in problem.movable:
         cands = problem.candidates[name]
         lams = problem.lambda_vars[name]
         picked = [
             cand
             for cand, lam in zip(cands, lams)
-            if solution.is_one(lam)
+            if values.get(lam.index, 0.0) > 0.5  # Solution.is_one
         ]
         if len(picked) != 1:
             raise ValueError(
@@ -306,13 +322,29 @@ def window_slice(
     """
     probe = probe_rect(design, window)
     rect = window.rect
+    px0, py0, px1, py1 = probe.xlo, probe.ylo, probe.xhi, probe.yhi
+    wx0, wy0, wx1, wy1 = rect.xlo, rect.ylo, rect.xhi, rect.yhi
     instances: dict[str, Instance] = {}
     movable: set[str] = set()
+    # Integer coordinate tests, one instance at a time: the open
+    # overlap of Rect.overlaps_open for the slice, Rect.contains_rect
+    # for the movables — without a bbox Rect per instance per window.
     for name, inst in design.instances.items():
-        if not inst.bbox.overlaps_open(probe):
+        x = inst.x
+        y = inst.y
+        macro = inst.macro
+        x1 = x + macro.width
+        y1 = y + macro.height
+        if not (x < px1 and px0 < x1 and y < py1 and py0 < y1):
             continue
         instances[name] = inst
-        if not inst.fixed and rect.contains_rect(inst.bbox):
+        if (
+            not inst.fixed
+            and wx0 <= x
+            and x1 <= wx1
+            and wy0 <= y
+            and y1 <= wy1
+        ):
             movable.add(name)
     if not movable:
         return None
@@ -399,24 +431,35 @@ def _blocked_sites(
     design: Design, window: Window, movable: set[str]
 ) -> set[tuple[int, int]]:
     """Sites inside the window footprinted by cells we may not move
-    (boundary-straddling or fixed cells)."""
+    (boundary-straddling or fixed cells).
+
+    Only cells overlapping the window rect can cover such a site, and
+    every candidate footprint lies inside the window rect, so the scan
+    skips the rest of the probe neighborhood: the sites it leaves out
+    could never meet a candidate."""
     blocked: set[tuple[int, int]] = set()
-    probe = probe_rect(design, window)
-    xlo, ylo, xhi, yhi = probe.xlo, probe.ylo, probe.xhi, probe.yhi
+    rect = window.rect
+    xlo, ylo, xhi, yhi = rect.xlo, rect.ylo, rect.xhi, rect.yhi
+    die = design.die
+    sw = design.tech.site_width
+    rh = design.tech.row_height
     # Set contents are order-independent — no need to sort the scan.
     for name, inst in design.instances.items():
         if name in movable:
             continue
+        x = inst.x
+        y = inst.y
+        macro = inst.macro
         if (
-            inst.x >= xhi
-            or inst.x + inst.width <= xlo
-            or inst.y >= yhi
-            or inst.y + inst.height <= ylo
+            x >= xhi
+            or x + macro.width <= xlo
+            or y >= yhi
+            or y + macro.height <= ylo
         ):
             continue
-        row = design.row_of(inst)
-        col = design.column_of(inst)
-        for c in range(col, col + inst.macro.width_sites):
+        row = (y - die.ylo) // rh  # Design.row_of
+        col = (x - die.xlo) // sw  # Design.column_of
+        for c in range(col, col + macro.width_sites):
             blocked.add((row, c))
     return blocked
 
@@ -434,97 +477,72 @@ def _pin_expressions(
     lambda_vars: dict[str, list[Var]],
 ) -> dict[PinRef, _PinExpr]:
     exprs: dict[PinRef, _PinExpr] = {}
-    # Candidate geometry is per *instance*, not per pin — hoist the
-    # orientation test out of the per-pin loops so a cell's pins share
-    # one (x, y, mirrored) sweep.
-    inst_geo: dict[str, list[tuple[int, int, bool]]] = {}
+    # Candidate geometry is per *instance*, not per pin — hoist it out
+    # of the per-pin work so a cell's pins share one sweep.
+    inst_geo: dict[str, tuple[list, list, list, list]] = {}
     for net in nets:
         for ref in net.pins:
             if ref in exprs:
                 continue
             inst = design.instances[ref.instance]
-            pin = inst.macro.pin(ref.pin)
             if ref.instance in movable:
-                # λ indices are distinct, so each pin expression is a
-                # straight dict fill — building them with `expr + expr`
-                # copied the growing dict per candidate and dominated
-                # the whole model build.
-                x_coefs: dict[int, float] = {}
-                y_coefs: dict[int, float] = {}
-                lo_coefs: dict[int, float] = {}
-                hi_coefs: dict[int, float] = {}
-                xs: list[int] = []
-                ys: list[int] = []
-                lo_min = None
-                hi_max = None
-                # The pin's relative geometry has exactly two variants
-                # (plain / x-mirrored); resolving the property chain
-                # per candidate dominated this loop.
-                width = inst.width
-                y_rel = pin.y_rel
-                xp_n = pin.x_rel
-                iv_n = pin.x_interval_rel
-                xp_m = width - xp_n
-                iv_m = Orientation.FN.transform_x_interval(
-                    iv_n, width
-                )
                 geo = inst_geo.get(ref.instance)
                 if geo is None:
-                    geo = [
-                        (c.x, c.y, c.orientation.is_x_mirrored)
-                        for c in candidates[ref.instance]
-                    ]
+                    cands = candidates[ref.instance]
+                    geo = (
+                        [lam.index for lam in lambda_vars[ref.instance]],
+                        [c.x for c in cands],
+                        [c.y for c in cands],
+                        [c.orientation in X_MIRRORED for c in cands],
+                    )
                     inst_geo[ref.instance] = geo
-                lo_n, hi_n = iv_n.lo, iv_n.hi
-                lo_m, hi_m = iv_m.lo, iv_m.hi
-                for (cx, cy, mirrored), lam in zip(
-                    geo, lambda_vars[ref.instance]
-                ):
-                    if mirrored:
-                        px = cx + xp_m
-                        lo = cx + lo_m
-                        hi = cx + hi_m
-                    else:
-                        px = cx + xp_n
-                        lo = cx + lo_n
-                        hi = cx + hi_n
-                    py = cy + y_rel
-                    idx = lam.index
-                    # Integer coefficients are fine: every consumer
-                    # (extract, presolve) does float arithmetic, and
-                    # the np.float64 conversion happens once in CSR
-                    # assembly instead of per coefficient here.
-                    x_coefs[idx] = px
-                    y_coefs[idx] = py
-                    lo_coefs[idx] = lo
-                    hi_coefs[idx] = hi
-                    xs.append(px)
-                    ys.append(py)
-                    lo_min = lo if lo_min is None else min(lo_min, lo)
-                    hi_max = hi if hi_max is None else max(hi_max, hi)
+                idxs, cxs, cys, mirrored = geo
+                # The pin's relative geometry has exactly two variants
+                # (plain / x-mirrored), both precomputed in the
+                # macro's pin table.
+                (xp_n, y_rel, lo_n, hi_n), (xp_m, _, lo_m, hi_m) = (
+                    inst.macro.pin_access[ref.pin]
+                )
+                xs = [
+                    cx + (xp_m if m else xp_n)
+                    for cx, m in zip(cxs, mirrored)
+                ]
+                ys = [cy + y_rel for cy in cys]
+                los = [
+                    cx + (lo_m if m else lo_n)
+                    for cx, m in zip(cxs, mirrored)
+                ]
+                his = [
+                    cx + (hi_m if m else hi_n)
+                    for cx, m in zip(cxs, mirrored)
+                ]
+                # λ indices are distinct, so each pin expression maps
+                # λ index -> coordinate.  Integer coefficients are
+                # fine: every consumer (extract, presolve) does float
+                # arithmetic, and the np.float64 conversion happens
+                # once in CSR assembly instead of per coefficient here.
                 exprs[ref] = _PinExpr(
-                    x=LinExpr(x_coefs),
-                    y=LinExpr(y_coefs),
-                    x_lo=LinExpr(lo_coefs),
-                    x_hi=LinExpr(hi_coefs),
+                    x=LinExpr(dict(zip(idxs, xs))),
+                    y=LinExpr(dict(zip(idxs, ys))),
+                    x_lo=LinExpr(dict(zip(idxs, los))),
+                    x_hi=LinExpr(dict(zip(idxs, his))),
                     x_values=tuple(sorted(set(xs))),
                     y_values=tuple(sorted(set(ys))),
-                    lo_min=lo_min or 0,
-                    hi_max=hi_max or 0,
+                    lo_min=min(los, default=0),
+                    hi_max=max(his, default=0),
                     movable=True,
                 )
             else:
-                pos = inst.pin_position(ref.pin)
-                iv = inst.pin_x_interval(ref.pin)
+                x, y, lo, hi = inst.pin_access(ref.pin)
                 exprs[ref] = _PinExpr(
-                    x=LinExpr({}, float(pos.x)),
-                    y=LinExpr({}, float(pos.y)),
-                    x_lo=LinExpr({}, float(iv.lo)),
-                    x_hi=LinExpr({}, float(iv.hi)),
-                    x_values=(pos.x,),
-                    y_values=(pos.y,),
-                    lo_min=iv.lo,
-                    hi_max=iv.hi,
+                    x=LinExpr({}, float(x)),
+                    y=LinExpr({}, float(y)),
+                    x_lo=LinExpr({}, float(lo)),
+                    x_hi=LinExpr({}, float(hi)),
+                    x_values=(x,),
+                    y_values=(y,),
+                    lo_min=lo,
+                    hi_max=hi,
                     movable=False,
                 )
     return exprs
@@ -586,10 +604,10 @@ def _hpwl_expr(
         # Rows are assembled as raw coefficient dicts: the operator
         # forms copy each pin expression (one dict per λ of the owner
         # cell) several times per row and dominated the build.
-        model.add_constraint(_bound_row(x_max, expr.x, Sense.GE))
-        model.add_constraint(_bound_row(x_min, expr.x, Sense.LE))
-        model.add_constraint(_bound_row(y_max, expr.y, Sense.GE))
-        model.add_constraint(_bound_row(y_min, expr.y, Sense.LE))
+        model.add_constraint(_bound_row(x_max, expr, "x", Sense.GE))
+        model.add_constraint(_bound_row(x_min, expr, "x", Sense.LE))
+        model.add_constraint(_bound_row(y_max, expr, "y", Sense.GE))
+        model.add_constraint(_bound_row(y_min, expr, "y", Sense.LE))
     return LinExpr(
         {
             x_max.index: 1.0,
@@ -600,11 +618,13 @@ def _hpwl_expr(
     )
 
 
-def _bound_row(var: Var, expr: LinExpr, sense: Sense) -> Constraint:
-    """``var - expr (sense) 0`` without LinExpr copies."""
-    coefs = {idx: -coef for idx, coef in expr.coefs.items() if coef}
+def _bound_row(
+    var: Var, pin: _PinExpr, name: str, sense: Sense
+) -> Constraint:
+    """``var - pin.<name> (sense) 0`` without LinExpr copies."""
+    coefs = dict(pin.negated(name))
     coefs[var.index] = coefs.get(var.index, 0.0) + 1.0
-    return Constraint(coefs, sense, expr.const)
+    return Constraint(coefs, sense, getattr(pin, name).const)
 
 
 def _diff_coefs(
@@ -707,10 +727,10 @@ def _openm1_pair(
     b = model.add_continuous(
         f"b[{name}]", -float("inf"), min(p.hi_max, q.hi_max)
     )
-    model.add_constraint(_bound_row(a, p.x_lo, Sense.GE))
-    model.add_constraint(_bound_row(a, q.x_lo, Sense.GE))
-    model.add_constraint(_bound_row(b, p.x_hi, Sense.LE))
-    model.add_constraint(_bound_row(b, q.x_hi, Sense.LE))
+    model.add_constraint(_bound_row(a, p, "x_lo", Sense.GE))
+    model.add_constraint(_bound_row(a, q, "x_lo", Sense.GE))
+    model.add_constraint(_bound_row(b, p, "x_hi", Sense.LE))
+    model.add_constraint(_bound_row(b, q, "x_hi", Sense.LE))
 
     d = model.add_binary(f"d[{name}]")
     v = model.add_binary(f"v[{name}]")

@@ -30,7 +30,7 @@ class Orientation(enum.Enum):
     @property
     def is_x_mirrored(self) -> bool:
         """Return True when the orientation mirrors x (the paper's flip)."""
-        return self in (Orientation.FN, Orientation.S)
+        return self in X_MIRRORED
 
     @property
     def is_y_mirrored(self) -> bool:
@@ -64,6 +64,11 @@ class Orientation(enum.Enum):
             return iv.mirrored_in(Interval(0, cell_width))
         return iv
 
+
+#: The x-mirrored orientations.  ``orientation in X_MIRRORED`` is the
+#: hot-path form of :attr:`Orientation.is_x_mirrored` (a tuple identity
+#: scan, no property call).
+X_MIRRORED = (Orientation.FN, Orientation.S)
 
 _FLIP = {
     Orientation.N: Orientation.FN,

@@ -1,4 +1,22 @@
-"""HiGHS backend via ``scipy.optimize.milp``."""
+"""HiGHS backend: a direct driver over SciPy's bundled HiGHS binding.
+
+SciPy ships HiGHS as ``scipy.optimize._highspy._core``.  Its public
+``scipy.optimize.milp`` entry point (and the ``_highs_wrapper`` under
+it) re-validates every option through a fresh options manager, turns
+the integrality mask into enum objects one ``HighsVarType(i)`` call at
+a time, and after the run extracts the basis, the duals and a
+per-column bound-multiplier table this backend never reads.  On the
+window-solve hot path — many small MILPs per flow — that glue cost
+about a fifth as much as HiGHS' own ``run()``.
+
+The driver here fills a ``HighsLp`` from the same arrays and sets the
+same options the wrapper would (output off, ``mip_rel_gap``,
+``time_limit``, and ``presolve`` only when forced off), so HiGHS
+receives a bit-identical model and option set and returns the same
+solution; it then reads back only the model status and the primal
+column values.  On a SciPy without ``_core`` the public ``milp`` entry
+point is used instead.
+"""
 
 from __future__ import annotations
 
@@ -11,23 +29,12 @@ from repro.milp.extract import extract
 from repro.milp.model import Model
 from repro.milp.solution import Solution, SolveStatus
 
-# ``scipy.optimize.milp`` re-validates every argument and rebuilds the
-# constraint matrix per call; on the window-solve hot path that glue is
-# measurable next to the solve itself.  When SciPy's internal HiGHS
-# wrapper is importable we hand it our CSC arrays directly and map the
-# status the same way ``milp`` does; otherwise (or on any API drift)
-# the public ``milp`` entry point is used unchanged.
 try:  # pragma: no cover - exercised implicitly on this SciPy
-    from scipy.optimize._highspy._highs_wrapper import (
-        _highs_wrapper,
-    )
-    from scipy.optimize._linprog_highs import (
-        _highs_to_scipy_status_message,
-    )
+    from scipy.optimize._highspy import _core as _highs
 except ImportError:  # pragma: no cover - future SciPy layouts
-    _highs_wrapper = None
-    _highs_to_scipy_status_message = None
+    _highs = None
 
+#: ``scipy.optimize.milp`` status codes (the fallback path).
 _STATUS_MAP = {
     0: SolveStatus.OPTIMAL,
     1: SolveStatus.FEASIBLE,  # iteration/time limit with incumbent
@@ -35,6 +42,107 @@ _STATUS_MAP = {
     3: SolveStatus.UNBOUNDED,
     4: SolveStatus.ERROR,
 }
+
+if _highs is not None:
+    _MS = _highs.HighsModelStatus
+    #: HiGHS model status -> ours; every status missing here is an
+    #: ``ERROR``.  The same mapping ``milp`` applies, so both paths
+    #: classify every outcome alike (a model HiGHS rejects on load is
+    #: reported as infeasible there too).
+    _MODEL_STATUS = {
+        _MS.kOptimal: SolveStatus.OPTIMAL,
+        _MS.kTimeLimit: SolveStatus.FEASIBLE,
+        _MS.kIterationLimit: SolveStatus.FEASIBLE,
+        _MS.kInfeasible: SolveStatus.INFEASIBLE,
+        _MS.kModelError: SolveStatus.INFEASIBLE,
+        _MS.kUnbounded: SolveStatus.UNBOUNDED,
+    }
+    _VAR_TYPES = (
+        _highs.HighsVarType.kContinuous,
+        _highs.HighsVarType.kInteger,
+    )
+
+
+def _run_highs(arrays, options: dict):
+    """One direct HiGHS run; returns ``(status, message, x)``.
+
+    ``x`` is None unless HiGHS holds a usable primal solution: an
+    optimal one, or for a MIP the incumbent of a limit stop.
+    """
+    h = _highs
+    n = arrays.n
+    m = arrays.m
+    lp = h.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = m
+    matrix = lp.a_matrix_
+    matrix.num_col_ = n
+    matrix.num_row_ = m
+    matrix.format_ = h.MatrixFormat.kColwise
+    # The binding copies an ndarray into most of these vectors one
+    # element at a time; a list converts several times faster.  Only
+    # col_cost_ takes the array directly.  Either way HiGHS receives
+    # the same doubles and ints.
+    lp.col_cost_ = arrays.c
+    lp.col_lower_ = arrays.lb.tolist()
+    lp.col_upper_ = arrays.ub.tolist()
+    lp.row_lower_ = arrays.lo.tolist()
+    lp.row_upper_ = arrays.hi.tolist()
+    col_ptr, rows, values = arrays.csc()
+    matrix.start_ = col_ptr.tolist()
+    matrix.index_ = rows.tolist()
+    matrix.value_ = values.tolist()
+    integrality = arrays.integrality.tolist()
+    lp.integrality_ = [_VAR_TYPES[flag] for flag in integrality]
+
+    highs = h._Highs()
+    highs.setOptionValue("log_to_console", False)
+    for key, value in options.items():
+        if key == "presolve":
+            value = "on" if value else "off"
+        highs.setOptionValue(key, value)
+    if highs.passModel(lp) == h.HighsStatus.kError:
+        status = _MS.kModelError
+        return _MODEL_STATUS[status], _message(highs, status), None
+    run_status = highs.run()
+    status = highs.getModelStatus()
+    ours = _MODEL_STATUS.get(status, SolveStatus.ERROR)
+    message = _message(highs, status)
+    if run_status == h.HighsStatus.kError or not ours.has_solution:
+        return ours, message, None
+    if status != _MS.kOptimal:
+        # A limit stop: only a MIP's finite incumbent is a solution.
+        if (
+            1 not in integrality
+            or highs.getInfo().objective_function_value
+            == h.kHighsInf
+        ):
+            return ours, f"{message}; no feasible solution", None
+    return ours, message, highs.getSolution().col_value
+
+
+def _run_milp(arrays, options: dict):
+    """One solve through the public ``scipy.optimize.milp`` entry
+    point; returns ``(status, message, x)`` like :func:`_run_highs`."""
+    constraints = None
+    if arrays.a is not None:
+        constraints = LinearConstraint(arrays.a, arrays.lo, arrays.hi)
+    result = milp(
+        arrays.c,
+        constraints=constraints,
+        integrality=arrays.integrality,
+        bounds=Bounds(arrays.lb, arrays.ub),
+        options=options,
+    )
+    status = _STATUS_MAP.get(result.status, SolveStatus.ERROR)
+    return status, str(result.message), result.x
+
+
+def _message(highs, status) -> str:
+    return (
+        f"{highs.modelStatusToString(status)} "
+        f"(HiGHS model status {int(status)})"
+    )
 
 
 class HighsBackend:
@@ -44,7 +152,9 @@ class HighsBackend:
         time_limit: per-solve wall-clock limit in seconds (None = no
             limit).  On timeout the incumbent, if any, is returned with
             status ``FEASIBLE`` — matching how the paper's flow would
-            use CPLEX with a deterministic time limit per window.
+            use CPLEX with a deterministic time limit per window.  A
+            timeout with no incumbent is an ``ERROR`` whose message
+            says "time limit".
         mip_rel_gap: relative optimality gap at which to stop.
         native_presolve: whether HiGHS runs its own presolve.  True /
             False force it; None (default) keeps it on except for
@@ -69,43 +179,10 @@ class HighsBackend:
 
     @staticmethod
     def _invoke(arrays, options: dict):
-        """One HiGHS call; returns ``(status_code, message, x)``."""
-        if _highs_wrapper is not None and arrays.a is not None:
-            csc = arrays.a.tocsc()
-            highs_res = _highs_wrapper(
-                arrays.c,
-                csc.indptr,
-                csc.indices,
-                csc.data,
-                arrays.lo,
-                arrays.hi,
-                arrays.lb,
-                arrays.ub,
-                arrays.integrality.astype(np.uint8),
-                {
-                    "log_to_console": False,
-                    "mip_max_nodes": None,
-                    **options,
-                },
-            )
-            status, message = _highs_to_scipy_status_message(
-                highs_res.get("status"),
-                highs_res.get("message"),
-            )
-            return status, message, highs_res.get("x")
-        constraints = None
-        if arrays.a is not None:
-            constraints = LinearConstraint(
-                arrays.a, arrays.lo, arrays.hi
-            )
-        result = milp(
-            arrays.c,
-            constraints=constraints,
-            integrality=arrays.integrality,
-            bounds=Bounds(arrays.lb, arrays.ub),
-            options=options,
-        )
-        return result.status, result.message, result.x
+        """One HiGHS call; returns ``(status, message, x)``."""
+        if _highs is not None:
+            return _run_highs(arrays, options)
+        return _run_milp(arrays, options)
 
     def solve(self, model: Model) -> Solution:
         """Solve ``model`` (minimization)."""
@@ -134,11 +211,9 @@ class HighsBackend:
         if not native:
             options["presolve"] = False
 
-        result_status, result_message, result_x = self._invoke(
-            arrays, options
-        )
+        status, message, result_x = self._invoke(arrays, options)
         if (
-            _STATUS_MAP.get(result_status) is SolveStatus.ERROR
+            status is SolveStatus.ERROR
             and options.get("presolve") is not False
         ):
             # HiGHS' own presolve occasionally reports Status 4
@@ -147,19 +222,18 @@ class HighsBackend:
             # presolve off before surfacing an error.  The retry is a
             # pure function of the first outcome, so determinism
             # across runs/executors is preserved.
-            result_status, result_message, result_x = self._invoke(
+            status, message, result_x = self._invoke(
                 arrays, {**options, "presolve": False}
             )
         elapsed = time.perf_counter() - started
 
-        status = _STATUS_MAP.get(result_status, SolveStatus.ERROR)
         if status.has_solution and result_x is None:
             status = SolveStatus.ERROR
-        if not status.has_solution or result_x is None:
+        if not status.has_solution:
             return Solution(
                 status=status,
                 solve_seconds=elapsed,
-                message=str(result_message),
+                message=message,
             )
 
         # Integer variables snap to the nearest integer in one
@@ -176,5 +250,5 @@ class HighsBackend:
             objective=objective,
             values=values,
             solve_seconds=elapsed,
-            message=str(result_message),
+            message=message,
         )

@@ -96,9 +96,19 @@ class PresolveResult:
 
         Indices are stable (no variable is eliminated), so lifting
         re-pins the fixed variables to their exact values and
-        re-evaluates the original objective.
+        re-evaluates the original objective.  When every fixed
+        variable already holds exactly its value and the reduced
+        model shares the original objective, the solution is returned
+        as is: re-pinning would copy the same values, and the backend
+        already evaluated this very objective over them (the
+        :class:`~repro.milp.solution.Solution` contract).
         """
         if solution.values is None:
+            return solution
+        if self.model.objective is self._original_objective and all(
+            _same_value(solution.values.get(idx), val)
+            for idx, val in self.fixed.items()
+        ):
             return solution
         values = dict(solution.values)
         for idx, val in self.fixed.items():
@@ -109,6 +119,15 @@ class PresolveResult:
         return replace(
             solution, values=values, objective=objective
         )
+
+
+def _same_value(current: float | None, pinned: float) -> bool:
+    """``current`` is ``pinned`` bit for bit (signed zeros differ)."""
+    return (
+        current is not None
+        and current == pinned
+        and math.copysign(1.0, current) == math.copysign(1.0, pinned)
+    )
 
 
 class _Activities:

@@ -24,7 +24,12 @@ class SolveStatus(enum.Enum):
 
 @dataclass
 class Solution:
-    """Variable assignment returned by a backend."""
+    """Variable assignment returned by a backend.
+
+    A backend's ``objective`` is the model's objective expression
+    evaluated over ``values`` (``model.objective.value(values)``);
+    :meth:`repro.milp.presolve.PresolveResult.lift` relies on it.
+    """
 
     status: SolveStatus
     objective: float = float("nan")

@@ -118,6 +118,19 @@ def test_first_matching_rule_wins():
     assert chaos.check("barrier", "other") is second
 
 
+def test_fired_rules_lists_only_rules_that_fired():
+    # The every=1 rule pre-empts the nth=1 rule at the same call, so
+    # the nth rule is declared but never fires.
+    preempting = barrier_rule(every=1)
+    preempted = barrier_rule(nth=1)
+    unreached = barrier_rule(nth=99)
+    chaos = controller(preempting, preempted, unreached)
+    assert chaos.fired_rules() == ()
+    chaos.check("barrier", "b")
+    chaos.check("barrier", "b")
+    assert chaos.fired_rules() == (preempting,)
+
+
 def test_drain_counts_returns_deltas():
     chaos = controller(barrier_rule(every=1))
     chaos.check("barrier", "b")

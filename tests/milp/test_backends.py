@@ -2,7 +2,8 @@
 
 The two independent solvers must agree on optimal objective values —
 the strongest cheap check we have that the CPLEX-substitute stack is
-sound.
+sound.  The direct HiGHS driver must also agree bit for bit with the
+public ``scipy.optimize.milp`` path it replaces.
 """
 
 import numpy as np
@@ -16,6 +17,13 @@ from repro.milp import (
     LinExpr,
     Model,
     SolveStatus,
+)
+from repro.milp import highs_backend
+from repro.milp.extract import extract
+
+needs_direct = pytest.mark.skipif(
+    highs_backend._highs is None,
+    reason="SciPy without the bundled HiGHS binding",
 )
 
 
@@ -150,3 +158,138 @@ def test_error_status_retries_without_native_presolve():
     sol = HighsBackend().solve(m)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(-2.0)
+
+
+def test_error_status_retry_sends_presolve_off(monkeypatch):
+    """The retry is a second call with native presolve forced off."""
+    calls = []
+
+    def invoke(arrays, options):
+        calls.append(dict(options))
+        if len(calls) == 1:
+            return SolveStatus.ERROR, "Solve error", None
+        return highs_backend._run_milp(arrays, options)
+
+    monkeypatch.setattr(
+        highs_backend.HighsBackend, "_invoke", staticmethod(invoke)
+    )
+    sol = HighsBackend(mip_rel_gap=0.01).solve(knapsack([5, 7], [2, 3], 5))
+    assert sol.status is SolveStatus.OPTIMAL
+    assert calls == [
+        {"mip_rel_gap": 0.01},
+        {"mip_rel_gap": 0.01, "presolve": False},
+    ]
+
+
+def test_infeasible_status_on_both_paths():
+    m = Model()
+    x = m.add_binary("x")
+    y = m.add_binary("y")
+    m.add_constraint((x + y) >= 3)
+    m.minimize(x + y)
+    assert HighsBackend().solve(m).status is SolveStatus.INFEASIBLE
+    arrays = extract(m)
+    status, _, x_out = highs_backend._run_milp(arrays, {})
+    assert status is SolveStatus.INFEASIBLE and x_out is None
+    if highs_backend._highs is not None:
+        status, _, x_out = highs_backend._run_highs(arrays, {})
+        assert status is SolveStatus.INFEASIBLE and x_out is None
+
+
+def hard_equality_knapsack(n=40, seed=0):
+    """A 0/1 equality knapsack HiGHS cannot solve in a nanosecond."""
+    rng = np.random.RandomState(seed)
+    m = Model("eq-knapsack")
+    xs = [m.add_binary(f"x{i}") for i in range(n)]
+    weights = rng.randint(1000, 100000, size=n)
+    m.add_constraint(
+        LinExpr.total(int(w) * x for w, x in zip(weights, xs)).equals(
+            int(weights[: n // 2].sum()) + 1
+        )
+    )
+    m.minimize(
+        LinExpr.total(
+            int(c) * x for c, x in zip(rng.randint(1, 9, size=n), xs)
+        )
+    )
+    return m
+
+
+def test_time_limit_without_incumbent_is_a_time_limit_error():
+    m = hard_equality_knapsack()
+    sol = HighsBackend(time_limit=1e-9).solve(m)
+    assert sol.status is SolveStatus.ERROR
+    assert "time limit" in sol.message.lower()
+    assert sol.values == {}
+
+
+def test_time_limit_without_incumbent_marks_the_task_timed_out():
+    from repro.runtime.task import SolverSpec, WindowTask
+
+    task = WindowTask(
+        task_id=0,
+        ix=0,
+        iy=0,
+        family=0,
+        solver=SolverSpec(time_limit=1e-9),
+        model=hard_equality_knapsack(),
+        presolve=False,
+    )
+    result = task.run()
+    assert result.timed_out
+    assert "time limit" in result.error.lower()
+
+
+def _window_models(monkeypatch, arch, seed):
+    """The arrays and options of every HiGHS call one DistOpt pass
+    makes (each window model, presolved as in production)."""
+    from repro.core import OptParams
+    from repro.core.distopt import dist_opt
+    from repro.library import build_library
+    from repro.netlist import generate_design
+    from repro.placement import place_design
+    from repro.tech import make_tech
+
+    calls = []
+    invoke = highs_backend.HighsBackend._invoke
+
+    def record(arrays, options):
+        calls.append((arrays, dict(options)))
+        return invoke(arrays, options)
+
+    monkeypatch.setattr(
+        highs_backend.HighsBackend, "_invoke", staticmethod(record)
+    )
+    tech = make_tech(arch)
+    design = generate_design(
+        "aes", tech, build_library(tech), scale=0.008, seed=seed
+    )
+    place_design(design, seed=seed)
+    params = OptParams.for_arch(arch, time_limit=10.0)
+    dist_opt(
+        design, params, tx=0, ty=0, bw=1250, bh=1080, lx=2, ly=1,
+        allow_flip=False,
+    )
+    return calls
+
+
+@needs_direct
+@pytest.mark.parametrize("arch_name", ["CLOSED_M1", "OPEN_M1"])
+def test_direct_driver_matches_public_milp_on_window_models(
+    monkeypatch, arch_name
+):
+    from repro.tech import CellArchitecture
+
+    calls = _window_models(
+        monkeypatch, CellArchitecture[arch_name], seed=5
+    )
+    assert len(calls) >= 5
+    for index, (arrays, options) in enumerate(calls):
+        d_status, _, d_x = highs_backend._run_highs(arrays, options)
+        p_status, _, p_x = highs_backend._run_milp(arrays, options)
+        assert d_status is p_status, index
+        assert (d_x is None) == (p_x is None), index
+        if d_x is not None:
+            direct = np.asarray(d_x, dtype=np.float64)
+            public = np.asarray(p_x, dtype=np.float64)
+            assert direct.tobytes() == public.tobytes(), index
