@@ -55,6 +55,11 @@ _PRESETS = {
     "default": EvalScale,
     "paper": EvalScale.paper,
 }
+_NO_PRESOLVE_HELP = (
+    "disable the window-model presolve reductions (placements are "
+    "byte-identical with presolve on or off only at a 0 MIP gap; at "
+    "the default 0.01 gap the placement changes)"
+)
 
 
 def _positive_int(text: str) -> int:
@@ -549,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     flow.add_argument(
         "--no-presolve", action="store_true",
-        help="disable the window-model presolve reductions",
+        help=_NO_PRESOLVE_HELP,
     )
     flow.add_argument(
         "--no-dirty-tracking", action="store_true",
@@ -665,7 +670,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="window-solve executor backend; 'auto' resolves to "
         "'serial' when --jobs is 1 and to 'process' otherwise",
     )
-    submit.add_argument("--no-presolve", action="store_true")
+    submit.add_argument(
+        "--no-presolve", action="store_true", help=_NO_PRESOLVE_HELP
+    )
     submit.add_argument("--no-dirty-tracking", action="store_true")
     submit.add_argument(
         "--shards", type=_shards_value, default=1, metavar="N|auto",

@@ -94,8 +94,10 @@ def vm1_opt(
             boundary cells get optimized (ablation knob; Algorithm 1
             line 9).
         presolve: run the window-model presolve reductions before
-            every solve (behaviour-preserving; see
-            :mod:`repro.milp.presolve`).
+            every solve (see :mod:`repro.milp.presolve`).  Placements
+            are byte-identical with it on or off only at
+            ``mip_gap=0``; at a nonzero gap HiGHS may return a
+            different within-gap solution for the reduced model.
         dirty_tracking: run the incremental convergence engine — a
             cross-pass :class:`~repro.core.dirty.DirtyTracker` skips
             verified-clean windows before slice/build, and the global

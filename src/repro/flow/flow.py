@@ -50,7 +50,9 @@ class FlowConfig:
             / ``process`` / ``auto``; see :mod:`repro.runtime`).
         jobs: worker count for pool executors; 1 = serial.
         presolve: run the window-model presolve reductions before
-            every solve (behaviour-preserving speedup).
+            every solve (a speedup; byte-identical placements only at
+            ``mip_gap=0`` — at the default 0.01 gap it changes which
+            within-gap solution HiGHS returns, and so the placement).
         dirty_tracking: incremental convergence engine — skip windows
             whose probe neighborhood no applied move has touched since
             their last verified fixpoint, and delta-account the pass

@@ -52,6 +52,42 @@ def test_size_one_gub_fixes_variable():
     assert lifted.objective == pytest.approx(5.0)
 
 
+def test_lift_keeps_a_solution_that_already_holds_the_fixed_values():
+    import math
+    from dataclasses import replace
+
+    m = Model()
+    lam = m.add_binary("l0")
+    off = m.add_continuous("off", -5, 5)
+    extra = m.add_binary("e")
+    exactly_one(m, [lam])
+    m.add_constraint(LinExpr.of(off).equals(0))
+    m.minimize(5 * lam + extra + off)
+    result = presolve(m)
+    assert result.fixed == {lam.index: 1.0, off.index: 0.0}
+    pinned = result.fixed[off.index]
+    sol = HighsBackend().solve(result.model)
+    if math.copysign(1.0, sol.value(off)) == math.copysign(1.0, pinned):
+        # Nothing to re-pin: the backend's own solution comes back.
+        assert result.lift(sol) is sol
+    # A stale value, even a zero of the other sign, is re-pinned and
+    # the objective re-evaluated over the lifted values.
+    stale = replace(
+        sol,
+        values={**sol.values, lam.index: 0.0, off.index: -pinned},
+        objective=0.0,
+    )
+    lifted = result.lift(stale)
+    assert lifted is not stale
+    assert lifted.values[lam.index] == 1.0
+    assert math.copysign(1.0, lifted.values[off.index]) == math.copysign(
+        1.0, pinned
+    )
+    assert lifted.objective == m.objective.value(lifted.values)
+    only_sign = replace(sol, values={**sol.values, off.index: -pinned})
+    assert result.lift(only_sign) is not only_sign
+
+
 def test_singleton_rows_become_bounds():
     m = Model()
     x = m.add_continuous("x", 0, 100)
