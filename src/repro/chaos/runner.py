@@ -12,7 +12,7 @@ the **invariant ladder** the previous PRs promised in prose:
    faulted run's final placement must equal the clean run's exactly,
    and must be legal by the independent oracle.
 3. *Faults are visible.*  Injected fault counts surface in the
-   telemetry v4 ``repro_run_faults_injected_total`` counter; retried
+   telemetry ``repro_run_faults_injected_total`` counter; retried
    window faults bump ``repro_run_retries_total``; fault actions that
    produce a failed solve attempt leave ``error:``-status spans in
    the trace.  Only rules that fired owe this evidence
@@ -76,7 +76,7 @@ class ChaosCaseResult:
     errors: list[str] = field(default_factory=list)
     #: cumulative fires per site over the whole faulted run.
     fires: dict[str, int] = field(default_factory=dict)
-    #: telemetry v4 counters section of the faulted run.
+    #: telemetry ``counters`` section of the faulted run.
     counters: dict = field(default_factory=dict)
     resume_attempts: int = 0
     error_spans: int = 0

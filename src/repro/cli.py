@@ -55,11 +55,6 @@ _PRESETS = {
     "default": EvalScale,
     "paper": EvalScale.paper,
 }
-_NO_PRESOLVE_HELP = (
-    "disable the window-model presolve reductions (placements are "
-    "byte-identical with presolve on or off only at a 0 MIP gap; at "
-    "the default 0.01 gap the placement changes)"
-)
 
 
 def _positive_int(text: str) -> int:
@@ -134,6 +129,49 @@ def _add_common_design_args(parser: argparse.ArgumentParser) -> None:
         help="placement utilization target",
     )
     parser.add_argument("--seed", type=int, default=1)
+
+
+def _add_flow_config_args(parser: argparse.ArgumentParser) -> None:
+    """The FlowConfig options ``flow`` and ``submit`` share."""
+    group = parser.add_argument_group("optimizer options")
+    group.add_argument("--window-um", type=float, default=1.25)
+    group.add_argument("--lx", type=int, default=4)
+    group.add_argument("--ly", type=int, default=1)
+    group.add_argument(
+        "--time-limit", type=_positive_float, default=4.0,
+        help="per-window MILP time limit in seconds",
+    )
+    group.add_argument(
+        "--jobs", type=_positive_int, default=1,
+        help="window-solve workers; must be >= 1 (1 = serial)",
+    )
+    group.add_argument(
+        "--executor", default="auto", choices=EXECUTOR_KINDS,
+        help="window-solve executor backend; 'auto' resolves to "
+        "'serial' when --jobs is 1 and to 'process' (a process "
+        "pool with --jobs workers) otherwise",
+    )
+    group.add_argument(
+        "--no-presolve", action="store_true",
+        help="disable the window-model presolve reductions (placements "
+        "are byte-identical with presolve on or off only at a 0 MIP "
+        "gap; at the default 0.01 gap the placement changes)",
+    )
+    group.add_argument(
+        "--no-dirty-tracking", action="store_true",
+        help="disable dirty-region window skipping and the "
+        "incremental (delta-accounted) objective",
+    )
+    group.add_argument(
+        "--shards", type=_shards_value, default=1, metavar="N|auto",
+        help="region-shard the die into N row bands for full-chip "
+        "scale-out ('auto' sizes from the design and --jobs; 1 = "
+        "classic unsharded run)",
+    )
+    group.add_argument(
+        "--halo-rows", type=_nonnegative_int, default=2,
+        help="frozen ghost rows around each shard's core band",
+    )
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -535,42 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     flow = sub.add_parser("flow", help="run the full optimization flow")
     _add_common_design_args(flow)
-    flow.add_argument("--window-um", type=float, default=1.25)
-    flow.add_argument("--lx", type=int, default=4)
-    flow.add_argument("--ly", type=int, default=1)
-    flow.add_argument(
-        "--time-limit", type=_positive_float, default=4.0,
-        help="per-window MILP time limit in seconds",
-    )
-    flow.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="window-solve workers; must be >= 1 (1 = serial)",
-    )
-    flow.add_argument(
-        "--executor", default="auto", choices=EXECUTOR_KINDS,
-        help="window-solve executor backend; 'auto' resolves to "
-        "'serial' when --jobs is 1 and to 'process' (a process "
-        "pool with --jobs workers) otherwise",
-    )
-    flow.add_argument(
-        "--no-presolve", action="store_true",
-        help=_NO_PRESOLVE_HELP,
-    )
-    flow.add_argument(
-        "--no-dirty-tracking", action="store_true",
-        help="disable dirty-region window skipping and the "
-        "incremental (delta-accounted) objective",
-    )
-    flow.add_argument(
-        "--shards", type=_shards_value, default=1, metavar="N|auto",
-        help="region-shard the die into N row bands for full-chip "
-        "scale-out ('auto' sizes from the design and --jobs; 1 = "
-        "classic unsharded run)",
-    )
-    flow.add_argument(
-        "--halo-rows", type=_nonnegative_int, default=2,
-        help="frozen ghost rows around each shard's core band",
-    )
+    _add_flow_config_args(flow)
     flow.add_argument(
         "--telemetry", default="",
         help="write runtime telemetry JSON to this path",
@@ -654,34 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="service base URL",
     )
     _add_common_design_args(submit)
-    submit.add_argument("--window-um", type=float, default=1.25)
-    submit.add_argument("--lx", type=int, default=4)
-    submit.add_argument("--ly", type=int, default=1)
-    submit.add_argument(
-        "--time-limit", type=_positive_float, default=4.0,
-        help="per-window MILP time limit in seconds",
-    )
-    submit.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="window-solve workers; must be >= 1 (1 = serial)",
-    )
-    submit.add_argument(
-        "--executor", default="auto", choices=EXECUTOR_KINDS,
-        help="window-solve executor backend; 'auto' resolves to "
-        "'serial' when --jobs is 1 and to 'process' otherwise",
-    )
-    submit.add_argument(
-        "--no-presolve", action="store_true", help=_NO_PRESOLVE_HELP
-    )
-    submit.add_argument("--no-dirty-tracking", action="store_true")
-    submit.add_argument(
-        "--shards", type=_shards_value, default=1, metavar="N|auto",
-        help="region-shard count for the job (int or 'auto')",
-    )
-    submit.add_argument(
-        "--halo-rows", type=_nonnegative_int, default=2,
-        help="frozen ghost rows around each shard's core band",
-    )
+    _add_flow_config_args(submit)
     submit.add_argument(
         "--trace", action="store_true",
         help="ask the service to record a span trace for this job "

@@ -41,7 +41,7 @@ protects against time-limited solves returning a worse incumbent.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.chaos.inject import active_chaos
 from repro.core.dirty import DirtyTracker, dirty_write_for_moves
@@ -70,31 +70,70 @@ from repro.runtime import (
 DRIFT_TOLERANCE = 1e-6
 
 
+def _total(default, entry: str):
+    """A :class:`PassTotals` field the telemetry pass entry carries,
+    under the key ``entry``."""
+    return field(default=default, metadata={"pass_entry": entry})
+
+
+@dataclass(kw_only=True)
+class PassTotals:
+    """The additive totals of DistOpt passes, declared once.
+
+    :class:`DistOptResult`, :class:`~repro.core.vm1opt.VM1OptResult`
+    and the shard layer's ``ShardOutcome`` inherit these fields.
+    Summing passes or shards, copying a shard's totals, its ``done``
+    record and the telemetry pass entry all loop over them; only the
+    rules that are not sums (the sharded view's max and wall-clock
+    terms) are spelled out where they apply.  The declaration order is
+    the key order of the telemetry pass entry.
+    """
+
+    build_seconds: float = _total(0.0, "build_seconds")
+    presolve_seconds: float = _total(0.0, "presolve_seconds")
+    solve_seconds: float = _total(0.0, "solve_seconds")
+    #: wall clock of the dispatch phases the engine achieved.
+    measured_parallel_seconds: float = _total(
+        0.0, "measured_parallel_seconds"
+    )
+    #: per family the slowest window build+presolve+solve path.
+    modeled_parallel_seconds: float = _total(
+        0.0, "modeled_parallel_seconds"
+    )
+    windows_built: int = _total(0, "windows")
+    windows_applied: int = _total(0, "applied")
+    windows_failed: int = _total(0, "failed")
+    windows_timed_out: int = _total(0, "timed_out")
+    #: windows skipped by the dirty tracker before slicing/building.
+    windows_skipped_clean: int = _total(0, "windows_skipped_clean")
+    # Not in the telemetry pass entry:
+    windows_reverted: int = 0
+    moved_cells: int = 0
+    pairs_considered: int = 0
+
+    def add(self, other: "PassTotals") -> None:
+        """Add every total of ``other`` into this one."""
+        for name in TOTAL_FIELDS:
+            setattr(
+                self, name, getattr(self, name) + getattr(other, name)
+            )
+
+
+#: Names of the additive totals, in declaration order.
+TOTAL_FIELDS = tuple(f.name for f in fields(PassTotals))
+
+
 @dataclass
-class DistOptResult:
+class DistOptResult(PassTotals):
     """Outcome of one DistOpt invocation."""
 
     objective: float
-    moved_cells: int = 0
-    windows_built: int = 0
-    windows_applied: int = 0
-    windows_reverted: int = 0
-    windows_failed: int = 0
-    windows_timed_out: int = 0
-    #: windows skipped by the dirty tracker before slicing/building.
-    windows_skipped_clean: int = 0
     #: sum of guarded-apply objective deltas over applied windows.
     objective_delta: float = 0.0
     #: |delta-accounted − fully-recomputed| objective; None unless the
     #: pass ran with ``audit=True``.
     objective_drift: float | None = None
-    pairs_considered: int = 0
     wall_seconds: float = 0.0
-    build_seconds: float = 0.0
-    presolve_seconds: float = 0.0
-    solve_seconds: float = 0.0
-    modeled_parallel_seconds: float = 0.0
-    measured_parallel_seconds: float = 0.0
     family_count: int = 0
     executor: str = "serial"
     jobs: int = 1
@@ -251,20 +290,7 @@ def dist_opt(
     if telemetry is not None:
         if chaos is not None:
             telemetry.record_faults(chaos.drain_counts())
-        telemetry.record_pass(
-            pass_label,
-            wall_seconds=result.wall_seconds,
-            build_seconds=result.build_seconds,
-            presolve_seconds=result.presolve_seconds,
-            solve_seconds=result.solve_seconds,
-            measured_parallel_seconds=result.measured_parallel_seconds,
-            modeled_parallel_seconds=result.modeled_parallel_seconds,
-            windows=result.windows_built,
-            applied=result.windows_applied,
-            failed=result.windows_failed,
-            timed_out=result.windows_timed_out,
-            windows_skipped_clean=result.windows_skipped_clean,
-        )
+        telemetry.record_pass(pass_label, result)
     return result
 
 

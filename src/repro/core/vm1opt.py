@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.chaos.inject import barrier as chaos_barrier
 from repro.core.checkpoint import VM1Checkpoint
 from repro.core.dirty import DirtyTracker
-from repro.core.distopt import DistOptResult, dist_opt
+from repro.core.distopt import DistOptResult, PassTotals, dist_opt
 from repro.core.objective import calculate_objective
 from repro.core.params import OptParams
 from repro.milp.highs_backend import HighsBackend
@@ -29,22 +29,13 @@ _MAX_INNER_ITERATIONS = 8
 
 
 @dataclass
-class VM1OptResult:
-    """Outcome of a full VM1Opt run."""
+class VM1OptResult(PassTotals):
+    """Outcome of a full VM1Opt run; the totals sum over ``passes``."""
 
     initial_objective: float
     final_objective: float
     iterations: int = 0
-    moved_cells: int = 0
     wall_seconds: float = 0.0
-    build_seconds: float = 0.0
-    presolve_seconds: float = 0.0
-    solve_seconds: float = 0.0
-    modeled_parallel_seconds: float = 0.0
-    measured_parallel_seconds: float = 0.0
-    windows_failed: int = 0
-    windows_timed_out: int = 0
-    windows_skipped_clean: int = 0
     passes: list[DistOptResult] = field(default_factory=list)
 
     @property
@@ -306,16 +297,4 @@ def vm1_opt(
 
 def _absorb(result: VM1OptResult, pass_result: DistOptResult) -> None:
     result.passes.append(pass_result)
-    result.moved_cells += pass_result.moved_cells
-    result.build_seconds += pass_result.build_seconds
-    result.presolve_seconds += pass_result.presolve_seconds
-    result.solve_seconds += pass_result.solve_seconds
-    result.windows_skipped_clean += pass_result.windows_skipped_clean
-    result.modeled_parallel_seconds += (
-        pass_result.modeled_parallel_seconds
-    )
-    result.measured_parallel_seconds += (
-        pass_result.measured_parallel_seconds
-    )
-    result.windows_failed += pass_result.windows_failed
-    result.windows_timed_out += pass_result.windows_timed_out
+    result.add(pass_result)

@@ -141,8 +141,8 @@ def run_flow(
         progress: optional callable ``(stage, info)`` invoked at stage
             boundaries (``generate`` / ``place`` / ``route_init`` /
             ``route_final``) and after every DistOpt pass (stage
-            ``pass``, with the pass's ``repro.runtime.telemetry/v2``
-            entry as ``info``).  A ``progress`` callback may raise to
+            ``pass``, with the pass's ``repro.runtime.telemetry/v5``
+            pass entry as ``info``).  A ``progress`` callback may raise to
             abort the run cooperatively (the service uses this for
             cancellation and graceful shutdown); the raise happens
             *after* the pass checkpoint was handed to

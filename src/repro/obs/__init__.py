@@ -3,7 +3,7 @@
 Four pieces, one surface:
 
 * :mod:`repro.obs.trace` — hierarchical spans propagated across
-  thread and process executors (``span()``, ``SpanContext``,
+  thread and process executors (``span()``, ``current_context``,
   ``Tracer``, ``collecting``);
 * :mod:`repro.obs.metrics` — labeled counter/gauge/histogram registry
   rendering both Prometheus text and telemetry JSON;
@@ -36,7 +36,6 @@ from repro.obs.trace import (
     NULL_SPAN,
     TRACE_SCHEMA,
     Span,
-    SpanContext,
     Tracer,
     active,
     collecting,
@@ -62,7 +61,6 @@ __all__ = [
     "MetricsRegistry",
     "SamplingProfiler",
     "Span",
-    "SpanContext",
     "TraceWriter",
     "Tracer",
     "active",

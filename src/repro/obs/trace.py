@@ -11,18 +11,18 @@ Design constraints, in priority order:
 1. **Disabled is free.**  When no tracer is active, :func:`span`
    returns a shared no-op object without allocating — the hot paths
    (one call per DistOpt pass, not per window) stay under the <2%
-   overhead budget enforced by ``benchmarks/check_obs_overhead.py``.
+   overhead budget enforced by ``benchmarks/check_overhead.py obs``.
    Per-window spans cost nothing extra either way: workers synthesize
    them from timings they already measure (see
    :meth:`repro.runtime.task.WindowTask.run`).
-2. **Cross-executor propagation.**  A :class:`SpanContext` is a
-   ``(trace_id, span_id)`` pair small enough to pickle into every
-   :class:`~repro.runtime.task.WindowTask` and shard worker payload.
-   Workers cannot write to the submitting process's sink, so their
-   spans come *back* as plain dicts inside the task result and the
-   parent absorbs them — the same mechanism under serial, thread, and
-   process executors, which is why all three produce the same tree
-   shape.
+2. **Cross-executor propagation.**  A trace context is a plain
+   ``(trace_id, span_id)`` tuple (:func:`current_context`), small
+   enough to pickle into every :class:`~repro.runtime.task.WindowTask`
+   and shard worker payload.  Workers cannot write to the submitting
+   process's sink, so their spans come *back* as plain dicts inside
+   the task result and the parent absorbs them — the same mechanism
+   under serial, thread, and process executors, which is why all
+   three produce the same tree shape.
 3. **Thread isolation.**  The active tracer and span stack are
    thread-local (with a process-global fallback set by
    :func:`enable`), so the job service can trace concurrent jobs into
@@ -51,25 +51,6 @@ def new_id() -> str:
     return uuid.uuid4().hex[:16]
 
 
-@dataclass(frozen=True)
-class SpanContext:
-    """Compact, picklable pointer to a span in some process's trace."""
-
-    trace_id: str
-    span_id: str
-
-    def to_tuple(self) -> tuple[str, str]:
-        return (self.trace_id, self.span_id)
-
-    @classmethod
-    def from_tuple(
-        cls, pair: tuple[str, str] | None
-    ) -> "SpanContext | None":
-        if pair is None:
-            return None
-        return cls(str(pair[0]), str(pair[1]))
-
-
 @dataclass
 class Span:
     """One finished (or in-flight) unit of work."""
@@ -93,10 +74,6 @@ class Span:
         """Attach attributes; chainable."""
         self.attrs.update(attrs)
         return self
-
-    @property
-    def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id)
 
     def to_dict(self) -> dict:
         doc = {
@@ -141,8 +118,8 @@ def make_span_dict(
 ) -> dict:
     """Synthesize a finished span record from timings measured out of
     band.  The window-solve hot path uses this: workers already time
-    build/presolve/solve, so when a :class:`SpanContext` rides the
-    task they mint span dicts after the fact instead of paying for
+    build/presolve/solve, so when a trace context rides the task
+    they mint span dicts after the fact instead of paying for
     live span bookkeeping inside the solve loop."""
     span = Span(
         name=name,

@@ -15,11 +15,15 @@ INFO line per pass so a long run can be watched live with
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.log import subsystem_logger
 from repro.obs.metrics import MetricsRegistry
+
+if TYPE_CHECKING:  # repro.core imports this package
+    from repro.core.distopt import DistOptResult
 
 logger = subsystem_logger("repro.runtime")
 
@@ -171,50 +175,30 @@ class RunTelemetry:
         for site, count in counts.items():
             counter.inc(count, site=site)
 
-    def record_pass(
-        self,
-        label: str,
-        *,
-        wall_seconds: float,
-        build_seconds: float,
-        solve_seconds: float,
-        measured_parallel_seconds: float,
-        modeled_parallel_seconds: float,
-        windows: int,
-        applied: int,
-        failed: int,
-        timed_out: int,
-        presolve_seconds: float = 0.0,
-        windows_skipped_clean: int = 0,
-    ) -> None:
-        entry = {
-            "label": label,
-            "wall_seconds": wall_seconds,
-            "build_seconds": build_seconds,
-            "presolve_seconds": presolve_seconds,
-            "solve_seconds": solve_seconds,
-            "measured_parallel_seconds": measured_parallel_seconds,
-            "modeled_parallel_seconds": modeled_parallel_seconds,
-            "windows": windows,
-            "applied": applied,
-            "failed": failed,
-            "timed_out": timed_out,
-            "windows_skipped_clean": windows_skipped_clean,
-        }
+    def record_pass(self, label: str, pass_result: DistOptResult) -> None:
+        """Append one pass entry: the pass's wall time plus each total
+        :class:`~repro.core.distopt.PassTotals` gives a ``pass_entry``
+        key, under that key."""
+        entry = {"label": label, "wall_seconds": pass_result.wall_seconds}
+        for f in fields(pass_result):
+            key = f.metadata.get("pass_entry")
+            if key is not None:
+                entry[key] = getattr(pass_result, f.name)
         self.passes.append(entry)
         self.registry.counter(
             "repro_run_passes_total",
             "DistOpt passes completed by this run.",
         ).inc()
+        p = pass_result
         logger.info(
             "pass %s: %d windows (%d applied, %d failed, %d timed "
             "out, %d clean-skipped) wall=%.2fs "
             "solve=%.2fs parallel measured=%.2fs modeled=%.2fs "
             "[%s x%d]",
-            label, windows, applied, failed, timed_out,
-            windows_skipped_clean, wall_seconds, solve_seconds,
-            measured_parallel_seconds, modeled_parallel_seconds,
-            self.executor, self.jobs,
+            label, p.windows_built, p.windows_applied, p.windows_failed,
+            p.windows_timed_out, p.windows_skipped_clean, p.wall_seconds,
+            p.solve_seconds, p.measured_parallel_seconds,
+            p.modeled_parallel_seconds, self.executor, self.jobs,
         )
 
     # ------------------------------------------------------ aggregates
@@ -291,6 +275,8 @@ class RunTelemetry:
         entries.  Accepts :class:`repro.obs.Span` objects or span
         dicts.
         """
+        # Not at module level: repro.core imports this package.
+        from repro.core.distopt import TOTAL_FIELDS, DistOptResult
         from repro.obs.trace import Span
 
         objs = [
@@ -344,19 +330,17 @@ class RunTelemetry:
                     )
                 )
             elif s.name == "distopt":
+                totals = {
+                    name: value
+                    for name, value in s.attrs.items()
+                    if name in TOTAL_FIELDS
+                }
                 telemetry.record_pass(
                     str(s.attrs.get("pass_label", "")),
-                    wall_seconds=s.wall_seconds,
-                    build_seconds=0.0,
-                    solve_seconds=0.0,
-                    measured_parallel_seconds=0.0,
-                    modeled_parallel_seconds=0.0,
-                    windows=int(s.attrs.get("windows_built", 0)),
-                    applied=int(s.attrs.get("windows_applied", 0)),
-                    failed=0,
-                    timed_out=0,
-                    windows_skipped_clean=int(
-                        s.attrs.get("windows_skipped_clean", 0)
+                    DistOptResult(
+                        objective=float(s.attrs.get("objective", 0.0)),
+                        wall_seconds=s.wall_seconds,
+                        **totals,
                     ),
                 )
         return telemetry

@@ -10,7 +10,7 @@ a byte-identical final placement.
   (queued/running/cancelled/failed/done) with crash-safe recovery.
 * :mod:`repro.service.manager` — worker threads that claim jobs and
   drive :func:`repro.flow.run_flow` with checkpoint sinks, progress
-  events lifted from ``repro.runtime.telemetry/v2``, cooperative
+  events lifted from ``repro.runtime.telemetry/v5``, cooperative
   cancellation, and graceful drain on shutdown.
 * :mod:`repro.service.http` — stdlib ``http.server`` JSON API
   (submit / status / NDJSON progress stream / result / telemetry /

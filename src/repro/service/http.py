@@ -12,7 +12,7 @@ Endpoints::
                                       until the job reaches a terminal
                                       state)
     GET  /api/jobs/<id>/result        Table-2 row + summary (409 until done)
-    GET  /api/jobs/<id>/telemetry     repro.runtime.telemetry/v2 document
+    GET  /api/jobs/<id>/telemetry     repro.runtime.telemetry/v5 document
     GET  /api/jobs/<id>/artifacts/<name>   e.g. post.def
 
 The server is a ``ThreadingHTTPServer`` with daemon handler threads:

@@ -14,8 +14,8 @@ The flow calls back into the manager after every DistOpt pass (via
 ``run_flow(progress=...)``), *after* that pass's checkpoint hit the
 jobstore.  At that point the manager:
 
-* appends a progress event lifted from the pass's
-  ``repro.runtime.telemetry/v2`` entry;
+* appends a progress event lifted from the pass's telemetry pass
+  entry (``repro.runtime.telemetry/v5``);
 * raises :class:`JobCancelled` if the job's cancel flag is set
   (job -> ``cancelled``);
 * raises :class:`ServiceShutdown` if the service is draining after

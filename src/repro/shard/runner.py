@@ -25,12 +25,13 @@ from __future__ import annotations
 import json
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from repro.chaos.inject import active_chaos
 from repro.chaos.inject import barrier as chaos_barrier
 from repro.core.checkpoint import VM1Checkpoint, atomic_write_text
+from repro.core.distopt import TOTAL_FIELDS, PassTotals
 from repro.core.objective import calculate_objective
 from repro.core.params import OptParams
 from repro.core.vm1opt import VM1OptResult, vm1_opt
@@ -67,8 +68,18 @@ class StitchVerificationError(RuntimeError):
     """The stitched placement failed oracle/production verification."""
 
 
+#: Totals every ``done/v1`` record has carried; the ones added later
+#: read 0 when absent, so an older record still resumes.
+_DONE_V1_TOTALS = frozenset(
+    {
+        "moved_cells", "solve_seconds", "modeled_parallel_seconds",
+        "windows_failed", "windows_timed_out",
+    }
+)
+
+
 @dataclass
-class ShardOutcome:
+class ShardOutcome(PassTotals):
     """What one shard run hands back across the process boundary."""
 
     index: int
@@ -77,15 +88,7 @@ class ShardOutcome:
     initial_objective: float
     final_objective: float
     iterations: int = 0
-    moved_cells: int = 0
     wall_seconds: float = 0.0
-    build_seconds: float = 0.0
-    presolve_seconds: float = 0.0
-    solve_seconds: float = 0.0
-    modeled_parallel_seconds: float = 0.0
-    windows_failed: int = 0
-    windows_timed_out: int = 0
-    windows_skipped_clean: int = 0
     resumed: bool = False
     #: span dicts collected inside the shard worker when the task
     #: carried a trace context; they ride the ``done`` record so a
@@ -104,15 +107,8 @@ class ShardOutcome:
             "initial_objective": self.initial_objective,
             "final_objective": self.final_objective,
             "iterations": self.iterations,
-            "moved_cells": self.moved_cells,
             "wall_seconds": self.wall_seconds,
-            "build_seconds": self.build_seconds,
-            "presolve_seconds": self.presolve_seconds,
-            "solve_seconds": self.solve_seconds,
-            "modeled_parallel_seconds": self.modeled_parallel_seconds,
-            "windows_failed": self.windows_failed,
-            "windows_timed_out": self.windows_timed_out,
-            "windows_skipped_clean": self.windows_skipped_clean,
+            **{name: getattr(self, name) for name in TOTAL_FIELDS},
             "resumed": self.resumed,
             "spans": list(self.spans),
         }
@@ -123,7 +119,7 @@ class ShardOutcome:
             raise ValueError(
                 f"unsupported shard done schema {doc.get('schema')!r}"
             )
-        return cls(
+        outcome = cls(
             index=int(doc["index"]),
             placements={
                 name: (int(x), int(y), str(orient))
@@ -132,24 +128,19 @@ class ShardOutcome:
             initial_objective=float(doc["initial_objective"]),
             final_objective=float(doc["final_objective"]),
             iterations=int(doc["iterations"]),
-            moved_cells=int(doc["moved_cells"]),
             wall_seconds=float(doc["wall_seconds"]),
-            # Absent from done records written before these were
-            # carried; such a record still resumes.
-            build_seconds=float(doc.get("build_seconds", 0)),
-            presolve_seconds=float(doc.get("presolve_seconds", 0)),
-            solve_seconds=float(doc["solve_seconds"]),
-            modeled_parallel_seconds=float(
-                doc["modeled_parallel_seconds"]
-            ),
-            windows_failed=int(doc["windows_failed"]),
-            windows_timed_out=int(doc["windows_timed_out"]),
-            windows_skipped_clean=int(
-                doc.get("windows_skipped_clean", 0)
-            ),
             resumed=bool(doc.get("resumed", False)),
             spans=list(doc.get("spans", [])),
         )
+        for f in fields(PassTotals):
+            value = (
+                doc[f.name]
+                if f.name in _DONE_V1_TOTALS
+                else doc.get(f.name, 0)
+            )
+            # Cast to the field's type, that of its zero default.
+            setattr(outcome, f.name, type(f.default)(value))
+        return outcome
 
 
 @dataclass
@@ -224,7 +215,7 @@ class ShardTask:
         # After the work, before the outcome crosses back: a death
         # here loses the shard's result but not its checkpoints.
         chaos_barrier(f"shard:{self.index}:done")
-        return ShardOutcome(
+        outcome = ShardOutcome(
             index=self.index,
             placements={
                 name: (
@@ -237,18 +228,12 @@ class ShardTask:
             initial_objective=result.initial_objective,
             final_objective=result.final_objective,
             iterations=result.iterations,
-            moved_cells=result.moved_cells,
             wall_seconds=wall,
-            build_seconds=result.build_seconds,
-            presolve_seconds=result.presolve_seconds,
-            solve_seconds=result.solve_seconds,
-            modeled_parallel_seconds=result.modeled_parallel_seconds,
-            windows_failed=result.windows_failed,
-            windows_timed_out=result.windows_timed_out,
-            windows_skipped_clean=result.windows_skipped_clean,
             resumed=resume is not None,
             spans=trace_collector.export(),
         )
+        outcome.add(result)
+        return outcome
 
 
 class ShardCheckpointStore:
@@ -383,53 +368,24 @@ class ShardRunResult:
         result = VM1OptResult(
             initial_objective=self.initial_objective,
             final_objective=self.final_objective,
+            iterations=max(
+                (o.iterations for o in self.outcomes), default=0
+            ),
+            wall_seconds=self.wall_seconds,
         )
-        result.wall_seconds = self.wall_seconds
-        result.iterations = max(
-            (o.iterations for o in self.outcomes), default=0
-        )
-        result.moved_cells = sum(o.moved_cells for o in self.outcomes)
-        result.build_seconds = sum(
-            o.build_seconds for o in self.outcomes
-        )
-        result.presolve_seconds = sum(
-            o.presolve_seconds for o in self.outcomes
-        )
-        result.solve_seconds = sum(
-            o.solve_seconds for o in self.outcomes
-        )
+        for outcome in self.outcomes:
+            result.add(outcome)
         # An unbounded machine runs shards concurrently: the modeled
-        # parallel time is the slowest shard's, plus the seam pass.
+        # parallel time is the slowest shard's and the measured one
+        # the shard phase's wall clock; the seam pass adds to both.
         result.modeled_parallel_seconds = max(
             (o.modeled_parallel_seconds for o in self.outcomes),
             default=0.0,
         )
         result.measured_parallel_seconds = self.shard_wall_seconds
-        result.windows_failed = sum(
-            o.windows_failed for o in self.outcomes
-        )
-        result.windows_timed_out = sum(
-            o.windows_timed_out for o in self.outcomes
-        )
-        result.windows_skipped_clean = sum(
-            o.windows_skipped_clean for o in self.outcomes
-        )
         if self.stitch is not None and self.stitch.seam_pass is not None:
-            seam = self.stitch.seam_pass
-            result.passes.append(seam)
-            result.moved_cells += seam.moved_cells
-            result.build_seconds += seam.build_seconds
-            result.presolve_seconds += seam.presolve_seconds
-            result.solve_seconds += seam.solve_seconds
-            result.windows_failed += seam.windows_failed
-            result.windows_timed_out += seam.windows_timed_out
-            result.windows_skipped_clean += seam.windows_skipped_clean
-            result.modeled_parallel_seconds += (
-                seam.modeled_parallel_seconds
-            )
-            result.measured_parallel_seconds += (
-                seam.measured_parallel_seconds
-            )
+            result.passes.append(self.stitch.seam_pass)
+            result.add(self.stitch.seam_pass)
         return result
 
     def summary(self) -> dict:

@@ -117,7 +117,6 @@ def run_seam_pass(
     plan: ShardPlan,
     *,
     executor=None,
-    telemetry=None,
     presolve: bool = True,
     dirty_tracking: bool = True,
 ) -> DistOptResult:
@@ -146,7 +145,6 @@ def run_seam_pass(
         ly=SEAM_LY,
         allow_flip=False,
         executor=executor,
-        telemetry=telemetry,
         pass_label="seam",
         presolve=presolve,
         window_filter=seam_window_filter(design, plan),

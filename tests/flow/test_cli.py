@@ -90,3 +90,34 @@ def test_flow_help_documents_auto_executor_resolution(capsys):
     out = " ".join(capsys.readouterr().out.split())
     assert "'auto' resolves to 'serial'" in out
     assert "must be >= 1" in out
+
+
+#: Every FlowConfig option ``flow`` and ``submit`` share.
+_FLOW_CONFIG_OPTIONS = (
+    "window_um", "lx", "ly", "time_limit", "jobs", "executor",
+    "no_presolve", "no_dirty_tracking", "shards", "halo_rows",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        [
+            "--window-um", "1.5", "--lx", "3", "--ly", "2",
+            "--time-limit", "2.5", "--jobs", "2",
+            "--executor", "thread", "--no-presolve",
+            "--no-dirty-tracking", "--shards", "auto",
+            "--halo-rows", "0",
+        ],
+    ],
+)
+def test_flow_and_submit_parse_flow_config_options_alike(argv):
+    parser = build_parser()
+    flow = vars(parser.parse_args(["flow", *argv]))
+    submit = vars(parser.parse_args(["submit", *argv]))
+    values = {name: flow[name] for name in _FLOW_CONFIG_OPTIONS}
+    assert values == {name: submit[name] for name in _FLOW_CONFIG_OPTIONS}
+    if argv:
+        assert values["shards"] == "auto"
+        assert values["no_dirty_tracking"] is True

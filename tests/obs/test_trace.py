@@ -5,7 +5,6 @@ import pytest
 from repro.obs.trace import (
     NULL_SPAN,
     Span,
-    SpanContext,
     Tracer,
     active,
     collecting,
@@ -174,12 +173,6 @@ def test_collecting_none_is_inert():
     with collecting(None) as collector:
         assert span("ignored") is NULL_SPAN
     assert collector.export() == []
-
-
-def test_span_context_tuple_round_trip():
-    ctx = SpanContext("t" * 16, "s" * 16)
-    assert SpanContext.from_tuple(ctx.to_tuple()) == ctx
-    assert SpanContext.from_tuple(None) is None
 
 
 def test_tree_shape_is_structural_and_name_sorted():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.distopt import DistOptResult
 from repro.runtime import (
     TELEMETRY_SCHEMA,
     RunTelemetry,
@@ -107,9 +108,12 @@ def test_summary_schema_and_save(tmp_path):
     telemetry.record_window(rec(family=1, solve=0.5, status="failed"))
     telemetry.record_pass(
         "move[u0.i0]",
-        wall_seconds=4.0, build_seconds=0.75, solve_seconds=3.5,
-        measured_parallel_seconds=2.5, modeled_parallel_seconds=2.5,
-        windows=3, applied=1, failed=1, timed_out=0,
+        DistOptResult(
+            objective=0.0, wall_seconds=4.0, build_seconds=0.75,
+            solve_seconds=3.5, measured_parallel_seconds=2.5,
+            modeled_parallel_seconds=2.5, windows_built=3,
+            windows_applied=1, windows_reverted=1, windows_failed=1,
+        ),
     )
     telemetry.wall_seconds = 4.0
 
@@ -131,7 +135,18 @@ def test_summary_schema_and_save(tmp_path):
     assert seconds["modeled_parallel"] == pytest.approx(2.75)
     assert seconds["measured_parallel"] == pytest.approx(2.5)
     assert summary["speedup"]["measured"] == pytest.approx(3.5 / 2.5)
-    assert len(summary["passes"]) == 1
+    # The pass entry keeps its v5 keys; totals it never carried
+    # (reverted windows, moved cells, pairs) stay out of it.
+    assert summary["passes"] == [
+        {
+            "label": "move[u0.i0]", "wall_seconds": 4.0,
+            "build_seconds": 0.75, "presolve_seconds": 0.0,
+            "solve_seconds": 3.5, "measured_parallel_seconds": 2.5,
+            "modeled_parallel_seconds": 2.5, "windows": 3,
+            "applied": 1, "failed": 1, "timed_out": 0,
+            "windows_skipped_clean": 0,
+        }
+    ]
     assert len(summary["windows_detail"]) == 3
 
     path = telemetry.save(tmp_path / "nested" / "telemetry.json")

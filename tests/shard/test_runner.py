@@ -10,12 +10,13 @@ The anchors:
   uninterrupted placement byte for byte (shard-granular crash safety).
 """
 
+import json
 import os
 
 import pytest
 
 from repro.core import OptParams
-from repro.core.distopt import DistOptResult
+from repro.core.distopt import TOTAL_FIELDS, DistOptResult, PassTotals
 from repro.core.vm1opt import vm1_opt
 from repro.library import build_library
 from repro.netlist import generate_design
@@ -243,3 +244,116 @@ def test_write_done_fsyncs_and_leaves_no_temp_file(
         "shard_000.done.json"
     ]
     assert store.load_done(0) == outcome
+
+
+@pytest.fixture(scope="module")
+def vm1_reference():
+    design = fresh_design()
+    with SerialExecutor() as ex:
+        return vm1_opt(design, PARAMS, executor=ex)
+
+
+def _value(name: str, n: int):
+    """``n`` as the type of total ``name`` (int counts, float seconds)."""
+    return type(getattr(PassTotals(), name))(n)
+
+
+@pytest.mark.parametrize("name", TOTAL_FIELDS)
+def test_every_total_is_accounted_once(name, vm1_reference):
+    """Each additive total: ``vm1_opt`` sums it over its passes, the
+    sharded view sums it over shards plus seam (max over shards for
+    the modeled parallel time, the shard wall clock for the measured
+    one), and a shard's done record carries it."""
+    assert getattr(vm1_reference, name) == sum(
+        (getattr(p, name) for p in vm1_reference.passes),
+        _value(name, 0),
+    )
+
+    outcomes = [
+        ShardOutcome(
+            index=index,
+            placements={},
+            initial_objective=10.0,
+            final_objective=9.0,
+            iterations=2 + index,
+            **{name: _value(name, 1 + 3 * index)},
+        )
+        for index in range(2)
+    ]
+    seam = DistOptResult(objective=8.0, **{name: _value(name, 16)})
+    opt = ShardRunResult(
+        num_shards=2,
+        halo_rows=2,
+        initial_objective=20.0,
+        final_objective=8.0,
+        outcomes=outcomes,
+        stitch=StitchResult(seam_pass=seam),
+        shard_wall_seconds=64.0,
+    ).to_vm1_result()
+    shard_part = {
+        "modeled_parallel_seconds": max(1, 4),
+        "measured_parallel_seconds": 64,
+    }.get(name, 1 + 4)
+    assert getattr(opt, name) == shard_part + 16
+    assert opt.iterations == 3
+    others = [n for n in TOTAL_FIELDS if n != name]
+    assert all(
+        getattr(opt, n) == (64 if n == "measured_parallel_seconds" else 0)
+        for n in others
+    )
+
+    doc = json.loads(json.dumps(outcomes[1].to_dict()))
+    assert doc[name] == _value(name, 4)
+    loaded = ShardOutcome.from_dict(doc)
+    assert loaded == outcomes[1]
+    assert type(getattr(loaded, name)) is type(_value(name, 0))
+
+
+#: The keys of a done record written before windows built/applied/
+#: reverted, pairs considered and the measured parallel time were
+#: carried.
+OLDER_DONE_KEYS = {
+    "schema", "index", "placements", "initial_objective",
+    "final_objective", "iterations", "moved_cells", "wall_seconds",
+    "build_seconds", "presolve_seconds", "solve_seconds",
+    "modeled_parallel_seconds", "windows_failed", "windows_timed_out",
+    "windows_skipped_clean", "resumed", "spans",
+}
+
+
+def test_older_done_record_resumes(tmp_path, sharded_reference):
+    snapshot, _ = sharded_reference
+
+    class Stop(RuntimeError):
+        pass
+
+    def bomb(stage, info):
+        if stage == "shard":
+            raise Stop("simulated kill after first shard")
+
+    with pytest.raises(Stop):
+        run_sharded(
+            fresh_design(), PARAMS, shards=2, halo_rows=2,
+            checkpoint_dir=tmp_path, progress=bomb,
+        )
+    store = ShardCheckpointStore(tmp_path)
+    path = store.done_path(0)
+    doc = json.loads(path.read_text())
+    old = {key: doc[key] for key in OLDER_DONE_KEYS}
+    path.write_text(json.dumps(old))
+
+    loaded = store.load_done(0)
+    for name in set(TOTAL_FIELDS) - OLDER_DONE_KEYS:
+        assert getattr(loaded, name) == 0
+    with pytest.raises(KeyError):
+        ShardOutcome.from_dict(
+            {k: v for k, v in old.items() if k != "windows_failed"}
+        )
+
+    resumed = fresh_design()
+    result = run_sharded(
+        resumed, PARAMS, shards=2, halo_rows=2,
+        checkpoint_dir=tmp_path, resume=True,
+    )
+    assert result.outcomes[0] == loaded
+    assert resumed.placement_snapshot() == snapshot
