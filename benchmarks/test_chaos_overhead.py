@@ -20,7 +20,7 @@ wall-clock diff cannot resolve 1% on a shared runner):
 ``overhead <= consultations * per_call / workload_wall`` then bounds
 what the hooks can take from an unfaulted run.  The result lands in
 ``benchmarks/results/BENCH_chaos_overhead.json`` for the CI gate
-(``check_overhead.py chaos``).
+(``check_gate.py chaos``).
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ TIME_LIMIT = 10.0
 #: A solve taking at least this share of the limit counts as limited.
 LIMITED_SHARE = 0.98
 #: Wall-clock floor asserted here; the CI gate
-#: (``check_incremental.py``) uses a looser floor for runner noise.
+#: (``check_gate.py incremental``) uses a looser floor for runner noise.
 MIN_SPEEDUP = 1.5
 
 

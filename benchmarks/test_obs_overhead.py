@@ -18,7 +18,7 @@ benchmark bounds the overhead from two noise-robust measurements:
 upper bound on what the instrumentation can take from an untraced
 run.  The result lands in
 ``benchmarks/results/BENCH_obs_overhead.json`` for the CI gate
-(``check_overhead.py obs``).
+(``check_gate.py obs``).
 """
 
 from __future__ import annotations

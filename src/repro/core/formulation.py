@@ -17,21 +17,24 @@ Pin pairs that can never align/overlap under any candidate combination
 are pruned before a variable is created (sound pruning: only provably
 d_pq = 0 pairs are dropped).
 
-Two solver-facing details ride on the model:
+One solver-facing detail rides on the model, a **deterministic
+tie-break**.  Window optima are massively degenerate (symmetric swaps,
+equal-HPWL shifts), so which optimum a solver returns depends on its
+internal ordering.  Every λ gets a tiny objective perturbation —
+deterministic in the cell name and the candidate index, total weight
+below ``_TIE_BREAK_BUDGET`` — which makes the selected optimum a
+property of the *model*, not of the solve path.  That is what lets
+presolved solves reproduce the plain solve bit for bit, and what makes
+a re-solved fixpoint window reproduce its earlier non-move (the
+soundness argument of :mod:`repro.core.dirty`).
 
-* **Deterministic tie-break** — window optima are massively degenerate
-  (symmetric swaps, equal-HPWL shifts), so which optimum a solver
-  returns depends on its internal ordering.  Every λ gets a tiny
-  objective perturbation — deterministic in the cell name and the
-  candidate index, total weight below ``_TIE_BREAK_BUDGET`` — which
-  makes the selected optimum a property of the *model*, not of the
-  solve path.  That is what lets presolved solves reproduce the plain
-  solve bit for bit, and what makes a re-solved fixpoint window
-  reproduce its earlier non-move (the soundness argument of
-  :mod:`repro.core.dirty`).
-* **Identity warm start** — ``model.warm_start`` carries the
-  always-feasible identity assignment (candidate 0 per cell, all
-  alignment binaries off) for backends that can seed an incumbent.
+Every window model admits the identity assignment: candidate 0 (the
+current placement) for every cell, every alignment binary off and
+every escape binary on.  With the λ pinned there, the model's optimum
+is the window's current local objective plus candidate 0's tie-break
+weight.  A window solve that reports infeasible or unbounded is
+therefore a solver fault (:meth:`repro.runtime.task.WindowTask._run`
+relies on this).
 """
 
 from __future__ import annotations
@@ -193,7 +196,6 @@ def build_window_model(
 
     mode = design.tech.arch.alignment_mode
     d_vars: list[Var] = []
-    v_vars: list[Var] = []
     if mode is not AlignmentMode.NONE and params.alpha > 0:
         span = params.gamma * design.tech.row_height
         for net in nets:
@@ -212,9 +214,8 @@ def build_window_model(
                         model, p, q, span, params.delta, ref_p, ref_q
                     )
                     if built is not None:
-                        d, overlap, escape = built
+                        d, overlap = built
                         d_vars.append(d)
-                        v_vars.append(escape)
                         obj_coefs[d.index] = -float(params.alpha)
                         obj_coefs[overlap.index] = -float(
                             params.epsilon
@@ -222,9 +223,6 @@ def build_window_model(
 
     _perturb_ties(obj_coefs, movable_names, lambda_vars)
     model.minimize(LinExpr(obj_coefs, obj_const))
-    model.warm_start = _identity_warm_start(
-        movable_names, lambda_vars, d_vars, v_vars
-    )
     return WindowProblem(
         window=window,
         model=model,
@@ -391,28 +389,6 @@ def _perturb_ties(
             obj_coefs[lam.index] = (
                 obj_coefs.get(lam.index, 0.0) + step * (k + 1)
             )
-
-
-def _identity_warm_start(
-    movable_names: list[str],
-    lambda_vars: dict[str, list[Var]],
-    d_vars: list[Var],
-    v_vars: list[Var],
-) -> dict[int, float]:
-    """The always-feasible identity assignment for every integer var:
-    candidate 0 (the current placement) per cell, all alignment
-    binaries off, all escape binaries on."""
-    warm: dict[int, float] = {}
-    for name in movable_names:
-        lams = lambda_vars[name]
-        warm[lams[0].index] = 1.0
-        for lam in lams[1:]:
-            warm[lam.index] = 0.0
-    for d in d_vars:
-        warm[d.index] = 0.0
-    for v in v_vars:
-        warm[v.index] = 1.0
-    return warm
 
 
 def probe_rect(design: Design, window: Window):
@@ -713,8 +689,8 @@ def _openm1_pair(
     delta: int,
     ref_p: PinRef,
     ref_q: PinRef,
-) -> tuple[Var, Var, Var] | None:
-    """Constraints (11)-(14); returns (d, o, v) or None when pruned."""
+) -> tuple[Var, Var] | None:
+    """Constraints (11)-(14); returns (d, o) or None when pruned."""
     best_overlap = min(p.hi_max, q.hi_max) - max(p.lo_min, q.lo_min)
     if best_overlap < delta:
         return None
@@ -774,7 +750,7 @@ def _openm1_pair(
     if o_cap:
         coefs[d.index] = -o_cap
     model.add_constraint(Constraint(coefs, Sense.LE, 0.0))
-    return d, o, v
+    return d, o
 
 
 def _interval_gap(

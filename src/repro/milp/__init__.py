@@ -6,14 +6,11 @@ provides:
 * :class:`Model` / :class:`Var` / :class:`LinExpr` — a small algebraic
   modeling API sufficient for the paper's formulations (binary and
   continuous variables, linear constraints, linear objective).
-* :class:`HighsBackend` — the default exact solver, backed by
-  ``scipy.optimize.milp`` (HiGHS branch-and-cut).
-* :class:`BranchBoundBackend` — a pure-Python branch-and-bound solver
-  over HiGHS LP relaxations, used to cross-check HiGHS on small models
-  and as a fallback.
+* :class:`HighsBackend` — the one exact solver, HiGHS branch-and-cut
+  driven through SciPy's bundled binding.
 * :func:`presolve` / :func:`extract` — the window-tuned structural
-  reductions and the shared ``Model`` -> sparse-array conversion both
-  backends solve through.
+  reductions and the ``Model`` -> sparse-array conversion the backend
+  solves through.
 """
 
 from repro.milp.model import Constraint, LinExpr, Model, Sense, Var
@@ -21,7 +18,6 @@ from repro.milp.solution import Solution, SolveStatus
 from repro.milp.extract import ModelArrays, extract
 from repro.milp.presolve import PresolveResult, PresolveStats, presolve
 from repro.milp.highs_backend import HighsBackend
-from repro.milp.branch_bound import BranchBoundBackend
 
 __all__ = [
     "Model",
@@ -37,7 +33,6 @@ __all__ = [
     "PresolveStats",
     "presolve",
     "HighsBackend",
-    "BranchBoundBackend",
 ]
 
 from repro.log import subsystem_logger

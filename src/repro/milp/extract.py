@@ -1,16 +1,11 @@
-"""Shared sparse extraction: ``Model`` -> solver-ready arrays.
+"""Sparse extraction: ``Model`` -> solver-ready arrays.
 
-Both MILP backends need the same conversion — objective vector,
-integrality mask, variable bounds and the constraint matrix — and both
-used to build it independently (branch-and-bound even materialized a
-dense ``np.zeros(n)`` row per constraint, an O(n·m) build that dwarfed
-the solve on small windows).  :func:`extract` performs the conversion
-once, straight into row-major (CSR) arrays, and the result can be
-viewed as a two-sided range constraint (``lo <= A x <= hi``, the form
-``scipy.optimize.milp`` wants), as column-major arrays (the form the
-direct HiGHS driver passes), or split into inequality/equality blocks
-(``A_ub x <= b_ub``, ``A_eq x == b_eq``, the form ``linprog`` wants)
-without another pass over the model.
+:func:`extract` converts a model — objective vector, integrality mask,
+variable bounds and the constraint matrix — in one pass, straight into
+row-major (CSR) arrays.  The result is viewed as a two-sided range
+constraint (``lo <= A x <= hi``, the form ``scipy.optimize.milp``
+wants) or as column-major arrays (the form the direct HiGHS driver
+passes) without another pass over the model.
 """
 
 from __future__ import annotations
@@ -86,44 +81,6 @@ class ModelArrays:
             np.bincount(self.cols, minlength=self.n), out=col_ptr[1:]
         )
         return col_ptr, rows[order], self.vals[order]
-
-    def inequality_form(
-        self,
-    ) -> tuple[
-        sparse.csr_matrix | None,
-        np.ndarray | None,
-        sparse.csr_matrix | None,
-        np.ndarray | None,
-    ]:
-        """Split rows into ``(A_ub, b_ub, A_eq, b_eq)`` blocks.
-
-        ``GE`` rows are negated into ``LE`` form.  Row selection and
-        negation happen in CSR — no densification.
-        """
-        if self.a is None:
-            return None, None, None, None
-        is_eq = np.isfinite(self.lo) & np.isfinite(self.hi)
-        # Among non-EQ rows: GE rows (finite lo) must be negated.
-        eq_idx = np.flatnonzero(is_eq)
-        le_idx = np.flatnonzero(~is_eq & np.isfinite(self.hi))
-        ge_idx = np.flatnonzero(~is_eq & np.isfinite(self.lo))
-
-        a_eq = b_eq = a_ub = b_ub = None
-        if eq_idx.size:
-            a_eq = self.a[eq_idx]
-            b_eq = self.hi[eq_idx]
-        if le_idx.size or ge_idx.size:
-            blocks = []
-            rhs = []
-            if le_idx.size:
-                blocks.append(self.a[le_idx])
-                rhs.append(self.hi[le_idx])
-            if ge_idx.size:
-                blocks.append(-self.a[ge_idx])
-                rhs.append(-self.lo[ge_idx])
-            a_ub = sparse.vstack(blocks, format="csr")
-            b_ub = np.concatenate(rhs)
-        return a_ub, b_ub, a_eq, b_eq
 
 
 def extract(model: Model) -> ModelArrays:

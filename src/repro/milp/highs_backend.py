@@ -27,6 +27,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.milp.extract import extract
 from repro.milp.model import Model
+from repro.milp.presolve import recommend_native_presolve
 from repro.milp.solution import Solution, SolveStatus
 
 try:  # pragma: no cover - exercised implicitly on this SciPy
@@ -156,13 +157,13 @@ class HighsBackend:
             timeout with no incumbent is an ``ERROR`` whose message
             says "time limit".
         mip_rel_gap: relative optimality gap at which to stop.
-        native_presolve: whether HiGHS runs its own presolve.  True /
-            False force it; None (default) keeps it on except for
-            models already reduced by :mod:`repro.milp.presolve` that
-            exceed the binary-count threshold — there the reductions
-            did the structural work and HiGHS' own pass is measured
-            overhead.  The choice is a function of the model alone,
-            so parallel and serial runs stay deterministic.
+
+    HiGHS runs its own presolve, except on models already reduced by
+    :mod:`repro.milp.presolve` that
+    :func:`~repro.milp.presolve.recommend_native_presolve` rules out:
+    there the reductions did the structural work and HiGHS' own pass
+    is measured overhead.  The choice is a function of the model
+    alone, so parallel and serial runs stay deterministic.
     """
 
     name = "highs"
@@ -171,11 +172,9 @@ class HighsBackend:
         self,
         time_limit: float | None = None,
         mip_rel_gap: float = 0.0,
-        native_presolve: bool | None = None,
     ) -> None:
         self.time_limit = time_limit
         self.mip_rel_gap = mip_rel_gap
-        self.native_presolve = native_presolve
 
     @staticmethod
     def _invoke(arrays, options: dict):
@@ -198,17 +197,9 @@ class HighsBackend:
         options: dict = {"mip_rel_gap": self.mip_rel_gap}
         if self.time_limit is not None:
             options["time_limit"] = self.time_limit
-        native = self.native_presolve
-        if native is None:
-            if getattr(model, "presolved", False):
-                from repro.milp.presolve import (
-                    recommend_native_presolve,
-                )
-
-                native = recommend_native_presolve(model)
-            else:
-                native = True
-        if not native:
+        if getattr(
+            model, "presolved", False
+        ) and not recommend_native_presolve(model):
             options["presolve"] = False
 
         status, message, result_x = self._invoke(arrays, options)

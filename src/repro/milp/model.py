@@ -160,10 +160,6 @@ class Model:
         self.vars: list[Var] = []
         self.constraints: list[Constraint] = []
         self.objective: LinExpr = LinExpr()
-        #: Optional known-feasible integer assignment (var index ->
-        #: value) a backend may use as an initial incumbent.  The
-        #: window formulation sets the identity placement here.
-        self.warm_start: dict[int, float] | None = None
 
     def add_var(
         self,

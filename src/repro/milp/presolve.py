@@ -456,12 +456,9 @@ def presolve(
     ]
     reduced.constraints = kept
     reduced.objective = model.objective
-    #: Lets a backend's auto native-presolve policy see that the
+    #: Lets the backend's native-presolve rule see that the
     #: structural reductions already ran on this model.
     reduced.presolved = True
-    warm = getattr(model, "warm_start", None)
-    if warm is not None:
-        reduced.warm_start = warm
     return PresolveResult(
         model=reduced,
         stats=stats,

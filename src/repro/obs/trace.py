@@ -11,7 +11,7 @@ Design constraints, in priority order:
 1. **Disabled is free.**  When no tracer is active, :func:`span`
    returns a shared no-op object without allocating — the hot paths
    (one call per DistOpt pass, not per window) stay under the <2%
-   overhead budget enforced by ``benchmarks/check_overhead.py obs``.
+   overhead budget enforced by ``benchmarks/check_gate.py obs``.
    Per-window spans cost nothing extra either way: workers synthesize
    them from timings they already measure (see
    :meth:`repro.runtime.task.WindowTask.run`).

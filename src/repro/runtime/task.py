@@ -13,7 +13,7 @@ to a worker.  It comes in two flavors:
   moves ``(cell, column, row, flipped)``; the parent re-applies them
   behind the local-objective guard, which is what keeps parallel runs
   byte-identical to serial ones.
-* **model mode** (tools/tests): the task carries a fully-built
+* **model mode** (tests): the task carries a fully-built
   :class:`~repro.milp.model.Model` verbatim and the worker only
   solves it.
 
@@ -32,7 +32,6 @@ from repro.milp.model import Model
 from repro.milp.solution import Solution, SolveStatus
 
 if TYPE_CHECKING:  # circular-import guard: formulation is heavy
-    from repro.core.formulation import WindowProblem
     from repro.core.params import OptParams
     from repro.core.window import Window
     from repro.netlist.design import Design
@@ -42,35 +41,26 @@ if TYPE_CHECKING:  # circular-import guard: formulation is heavy
 class SolverSpec:
     """Recipe for constructing a MILP backend inside a worker.
 
-    Known backends (``highs``, ``branch_bound``) are rebuilt from
-    their parameters; any other backend object is carried along
-    verbatim via ``instance`` and must itself be picklable.
+    The one production backend, ``highs``, is rebuilt from its
+    parameters.  Any other backend object (a test double, say) is
+    carried along verbatim via ``instance`` and must itself be
+    picklable; a name with neither is rejected by :meth:`build`.
     """
 
     backend: str = "highs"
     time_limit: float | None = None
     mip_rel_gap: float = 0.0
-    native_presolve: bool | None = None
     instance: object | None = None
 
     @classmethod
     def from_backend(cls, solver) -> "SolverSpec":
         """Capture a spec from an already-constructed backend."""
-        from repro.milp.branch_bound import BranchBoundBackend
         from repro.milp.highs_backend import HighsBackend
 
         if isinstance(solver, HighsBackend):
             return cls(
-                backend="highs",
                 time_limit=solver.time_limit,
                 mip_rel_gap=solver.mip_rel_gap,
-                native_presolve=solver.native_presolve,
-            )
-        if isinstance(solver, BranchBoundBackend):
-            return cls(
-                backend="branch_bound",
-                time_limit=getattr(solver, "time_limit", None),
-                instance=solver,
             )
         return cls(backend=type(solver).__name__, instance=solver)
 
@@ -84,12 +74,7 @@ class SolverSpec:
             return HighsBackend(
                 time_limit=self.time_limit,
                 mip_rel_gap=self.mip_rel_gap,
-                native_presolve=self.native_presolve,
             )
-        if self.backend == "branch_bound":
-            from repro.milp.branch_bound import BranchBoundBackend
-
-            return BranchBoundBackend(time_limit=self.time_limit)
         raise ValueError(f"unknown solver backend {self.backend!r}")
 
 
@@ -171,7 +156,6 @@ class WindowTask:
         allow_flip: slice mode — enable the flip degree of freedom.
         nets: names of the window's touched nets (model-mode metadata;
             slice mode reports them from the worker-side build).
-        num_movable: movable cell count (model-mode metadata).
         num_pairs: candidate dM1 pin pairs (model-mode metadata).
         presolve: run :func:`repro.milp.presolve.presolve` on the
             model inside the worker (and lift the solution back), so
@@ -201,37 +185,10 @@ class WindowTask:
     ly: int = 0
     allow_flip: bool = False
     nets: tuple[str, ...] = ()
-    num_movable: int = 0
     num_pairs: int = 0
     presolve: bool = True
     trace: tuple[str, str | None] | None = None
     chaos: tuple | None = None
-
-    @classmethod
-    def from_problem(
-        cls,
-        problem: "WindowProblem",
-        *,
-        task_id: int,
-        family: int,
-        solver: SolverSpec,
-        presolve: bool = True,
-        trace: tuple[str, str | None] | None = None,
-    ) -> "WindowTask":
-        """Model-mode task from an already-built window problem."""
-        return cls(
-            task_id=task_id,
-            ix=problem.window.ix,
-            iy=problem.window.iy,
-            family=family,
-            solver=solver,
-            model=problem.model,
-            nets=tuple(problem.nets),
-            num_movable=len(problem.movable),
-            num_pairs=problem.num_pairs,
-            presolve=presolve,
-            trace=trace,
-        )
 
     @classmethod
     def from_slice(

@@ -5,7 +5,11 @@ feasible (the identity placement is always a candidate), (2) never
 return an objective above the initial local objective, (3) produce a
 legal placement, and (4) report an objective that exactly matches the
 re-evaluated placement — the formulation and the evaluator agree.
+(5) With every λ pinned to candidate 0 the model stays feasible and
+its optimum is the initial local objective plus the tie-break weight.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import OptParams, Window, build_window_model
-from repro.core.formulation import apply_solution
+from repro.core.formulation import _TIE_BREAK_BUDGET, apply_solution
 from repro.core.objective import calculate_objective
 from repro.geometry import Rect
 from repro.library import build_library
-from repro.milp import HighsBackend
+from repro.milp import HighsBackend, Model
 from repro.netlist import Design
 from repro.tech import CellArchitecture, make_tech
 
@@ -96,6 +100,18 @@ def test_window_milp_soundness(arch, seed):
     nets = [design.nets[n] for n in problem.nets]
     before = calculate_objective(design, params, nets)
 
+    # (5) the identity assignment is feasible and scores the current
+    # placement: every window solve relies on it.
+    identity = Model("identity")
+    identity.vars = list(problem.model.vars)
+    for lams in problem.lambda_vars.values():
+        identity.vars[lams[0].index] = replace(lams[0], lb=1.0)
+    identity.constraints = problem.model.constraints
+    identity.objective = problem.model.objective
+    pinned = SOLVER.solve(identity)
+    assert pinned.status.has_solution
+    assert before - 1e-6 <= pinned.objective < before + _TIE_BREAK_BUDGET
+
     solution = SOLVER.solve(problem.model)
     # (1) feasible — identity always exists.
     assert solution.status.has_solution
@@ -107,7 +123,5 @@ def test_window_milp_soundness(arch, seed):
     assert design.check_legal() == []
     # (4) model objective == re-evaluated objective, up to the
     # deliberate λ tie-break perturbation (always in [0, budget)).
-    from repro.core.formulation import _TIE_BREAK_BUDGET
-
     drift = solution.objective - after
     assert -1e-6 <= drift < _TIE_BREAK_BUDGET

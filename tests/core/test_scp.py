@@ -139,8 +139,10 @@ def test_zero_perturbation_no_flip_is_exactly_identity(design):
 
 
 def test_identity_always_first_with_perturbation(design):
-    """The identity candidate is index 0 regardless of lx/ly/flip —
-    the warm start and the presolve rely on that ordering."""
+    """The identity candidate is index 0 regardless of lx/ly/flip.
+    The window model's identity assignment (λ on candidate 0), the
+    tie-break's lightest weight and the presolve rely on that
+    ordering."""
     inst = design.instances["u1"]
     for lx, ly, flip in [(1, 0, False), (3, 2, True), (0, 1, True)]:
         cands = enumerate_candidates(

@@ -52,6 +52,30 @@ def test_flow_prints_table(tmp_path, capsys):
     assert (tmp_path / "layout_opt.svg").exists()
 
 
+def test_sharded_flow_warns_that_telemetry_is_not_written(
+    tmp_path, capsys
+):
+    target = tmp_path / "t.json"
+    rc = main(
+        [
+            "flow",
+            "--profile", "aes",
+            "--scale", "0.008",
+            "--window-um", "1.0",
+            "--time-limit", "2.0",
+            "--shards", "2",
+            "--telemetry", str(target),
+            "--json",
+        ]
+    )
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "sharded x2" in err
+    assert f"--telemetry {target} not written" in err
+    assert "sharded run records no telemetry document" in err
+    assert not target.exists()
+
+
 def test_parser_rejects_unknown_arch():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["flow", "--arch", "nope"])

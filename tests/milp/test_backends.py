@@ -1,23 +1,22 @@
-"""Backend correctness: HiGHS vs the pure-Python branch & bound.
+"""Backend correctness: HiGHS vs an exhaustive-enumeration reference.
 
-The two independent solvers must agree on optimal objective values —
-the strongest cheap check we have that the CPLEX-substitute stack is
-sound.  The direct HiGHS driver must also agree bit for bit with the
-public ``scipy.optimize.milp`` path it replaces.
+On small random models HiGHS must reach the optimum that enumerating
+every binary assignment finds — the strongest cheap check we have that
+the CPLEX-substitute stack is sound.  The reference reads the model's
+rows itself and shares no code with the backend.  The direct HiGHS
+driver must also agree bit for bit with the public
+``scipy.optimize.milp`` path it replaces.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from repro.milp import (
-    BranchBoundBackend,
-    HighsBackend,
-    LinExpr,
-    Model,
-    SolveStatus,
-)
+from repro.milp import HighsBackend, LinExpr, Model, Sense, SolveStatus
 from repro.milp import highs_backend
 from repro.milp.extract import extract
 
@@ -37,12 +36,76 @@ def knapsack(values, weights, cap):
     return m
 
 
+def enumerated_optimum(model: Model) -> tuple[SolveStatus, float | None]:
+    """Reference optimum of a small mixed-binary model.
+
+    Every assignment of the binaries is enumerated; for each, the rows
+    of ``model.constraints`` are reduced to the continuous variables
+    and that LP is solved by ``linprog`` (or, without continuous
+    variables, checked directly).  Returns ``(OPTIMAL, objective)``,
+    ``(INFEASIBLE, None)`` or ``(UNBOUNDED, None)``.
+    """
+    binaries = [v for v in model.vars if v.is_integer]
+    assert all(v.lb == 0.0 and v.ub == 1.0 for v in binaries)
+    continuous = [v for v in model.vars if not v.is_integer]
+    column = {v.index: k for k, v in enumerate(continuous)}
+    cost = np.zeros(len(continuous))
+    for idx, coef in model.objective.coefs.items():
+        if idx in column:
+            cost[column[idx]] += coef
+    best = None
+    for bits in itertools.product((0.0, 1.0), repeat=len(binaries)):
+        fixed = {v.index: bit for v, bit in zip(binaries, bits)}
+        # Continuous variables are absent from ``fixed`` and read 0.
+        const = model.objective.value(fixed)
+        a_ub, b_ub, a_eq, b_eq = [], [], [], []
+        for con in model.constraints:
+            row = np.zeros(len(continuous))
+            rhs = con.rhs
+            for idx, coef in con.coefs.items():
+                if idx in column:
+                    row[column[idx]] += coef
+                else:
+                    rhs -= coef * fixed[idx]
+            if con.sense is Sense.EQ:
+                a_eq.append(row)
+                b_eq.append(rhs)
+            elif con.sense is Sense.LE:
+                a_ub.append(row)
+                b_ub.append(rhs)
+            else:
+                a_ub.append(-row)
+                b_ub.append(-rhs)
+        if not continuous:
+            feasible = all(b >= -1e-9 for b in b_ub) and all(
+                abs(b) <= 1e-9 for b in b_eq
+            )
+            value = const if feasible else None
+        else:
+            result = linprog(
+                cost,
+                A_ub=np.array(a_ub) if a_ub else None,
+                b_ub=b_ub or None,
+                A_eq=np.array(a_eq) if a_eq else None,
+                b_eq=b_eq or None,
+                bounds=[(v.lb, v.ub) for v in continuous],
+            )
+            if result.status == 3:
+                return SolveStatus.UNBOUNDED, None
+            assert result.status in (0, 2), result.message
+            value = const + result.fun if result.status == 0 else None
+        if value is not None and (best is None or value < best):
+            best = value
+    if best is None:
+        return SolveStatus.INFEASIBLE, None
+    return SolveStatus.OPTIMAL, best
+
+
 def test_trivial_empty_model():
-    m = Model()
-    for backend in (HighsBackend(), BranchBoundBackend()):
-        sol = backend.solve(m)
-        assert sol.status is SolveStatus.OPTIMAL
-        assert sol.objective == 0.0
+    sol = HighsBackend().solve(Model())
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.objective == 0.0
+    assert enumerated_optimum(Model()) == (SolveStatus.OPTIMAL, 0.0)
 
 
 def test_constant_objective():
@@ -53,10 +116,10 @@ def test_constant_objective():
 
 def test_knapsack_known_optimum():
     m = knapsack([5, 7, 3, 9], [2, 3, 1, 4], 5)
-    for backend in (HighsBackend(), BranchBoundBackend()):
-        sol = backend.solve(m)
-        assert sol.status is SolveStatus.OPTIMAL
-        assert sol.objective == pytest.approx(-12.0)  # items 1+3 or 0+3
+    sol = HighsBackend().solve(m)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(-12.0)  # items 1+3 or 0+3
+    assert enumerated_optimum(m) == (SolveStatus.OPTIMAL, -12.0)
 
 
 def test_infeasible_detected():
@@ -64,8 +127,21 @@ def test_infeasible_detected():
     x = m.add_binary("x")
     m.add_constraint(LinExpr.of(x) >= 0.4)
     m.add_constraint(LinExpr.of(x) <= 0.6)
-    for backend in (HighsBackend(), BranchBoundBackend()):
-        assert backend.solve(m).status is SolveStatus.INFEASIBLE
+    assert HighsBackend().solve(m).status is SolveStatus.INFEASIBLE
+    assert enumerated_optimum(m) == (SolveStatus.INFEASIBLE, None)
+
+
+def test_enumerated_optimum_solves_the_continuous_part():
+    m = Model()
+    x = m.add_binary("x")
+    y = m.add_continuous("y", 0, 10)
+    m.add_constraint((y - 4 * x) >= 1.5)
+    m.add_constraint((x + y).equals(3))
+    m.minimize(2 * x + y)
+    # x = 0: y = 3 (objective 3); x = 1: y >= 5.5 contradicts y = 2.
+    status, objective = enumerated_optimum(m)
+    assert status is SolveStatus.OPTIMAL
+    assert objective == pytest.approx(3.0)
 
 
 def test_equality_with_integers():
@@ -99,8 +175,8 @@ def test_solution_helpers():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_backends_agree_on_random_models(seed):
-    """Property: both solvers find the same optimal objective on
-    random small mixed binary/continuous models."""
+    """Property: HiGHS finds the enumerated optimum (or infeasibility)
+    of random small mixed binary/continuous models."""
     rng = np.random.RandomState(seed)
     n_bin = rng.randint(2, 7)
     n_cont = rng.randint(0, 3)
@@ -118,20 +194,14 @@ def test_backends_agree_on_random_models(seed):
     m.minimize(
         LinExpr.total(int(c) * x for c, x in zip(obj_coefs, xs) if c)
     )
-    s1 = HighsBackend().solve(m)
-    s2 = BranchBoundBackend(time_limit=20).solve(m)
-    assert s1.status == s2.status
-    if s1.status is SolveStatus.OPTIMAL:
+    sol = HighsBackend().solve(m)
+    status, objective = enumerated_optimum(m)
+    assert sol.status is status
+    if status is SolveStatus.OPTIMAL:
         # abs=1e-5: HiGHS reports objectives through its feasibility
         # tolerance, so integer-optimal values can be off by ~1e-6
         # (observed: -3.000001 vs the exact -3.0 on seed=7).
-        assert s1.objective == pytest.approx(s2.objective, abs=1e-5)
-
-
-def test_branch_bound_node_limit_returns_incumbent_status():
-    m = knapsack(list(range(1, 13)), list(range(1, 13)), 20)
-    sol = BranchBoundBackend(node_limit=1).solve(m)
-    assert sol.status in (SolveStatus.FEASIBLE, SolveStatus.OPTIMAL)
+        assert sol.objective == pytest.approx(objective, abs=1e-5)
 
 
 def test_highs_unbounded():

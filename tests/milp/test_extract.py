@@ -1,9 +1,9 @@
-"""Shared sparse extraction: Model -> arrays, both solver views."""
+"""Sparse extraction: Model -> arrays, range and column-major views."""
 
 import numpy as np
 import pytest
 
-from repro.milp import LinExpr, Model
+from repro.milp import Model
 from repro.milp.extract import extract
 
 
@@ -40,40 +40,12 @@ def test_extract_range_form():
     assert arrays.hi == pytest.approx([5.0, np.inf, 3.0])
 
 
-def test_inequality_form_negates_ge_rows():
-    m, _ = mixed_model()
-    a_ub, b_ub, a_eq, b_eq = extract(m).inequality_form()
-    # LE row kept as-is, GE row negated into LE form.
-    assert np.allclose(a_ub.toarray(), [[2, 1, 0], [0, -1, 1]])
-    assert b_ub == pytest.approx([5.0, -1.0])
-    assert np.allclose(a_eq.toarray(), [[1, 1, 1]])
-    assert b_eq == pytest.approx([3.0])
-
-
-def test_inequality_form_is_sparse():
-    m, _ = mixed_model()
-    a_ub, _, a_eq, _ = extract(m).inequality_form()
-    assert a_ub.format == "csr"
-    assert a_eq.format == "csr"
-
-
 def test_extract_unconstrained_model():
     m = Model("free")
     x = m.add_binary("x")
     m.minimize(-1.0 * x)
     arrays = extract(m)
     assert arrays.a is None
-    assert arrays.inequality_form() == (None, None, None, None)
-
-
-def test_inequality_form_single_sense():
-    m = Model("le-only")
-    x = m.add_continuous("x", 0, 10)
-    m.add_constraint(LinExpr.of(x) <= 4)
-    a_ub, b_ub, a_eq, b_eq = extract(m).inequality_form()
-    assert a_ub.shape == (1, 1)
-    assert b_ub == pytest.approx([4.0])
-    assert a_eq is None and b_eq is None
 
 
 def test_csc_view_equals_scipy_tocsc():

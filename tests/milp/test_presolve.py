@@ -7,13 +7,7 @@ solving the original model, with the original objective value.
 
 import pytest
 
-from repro.milp import (
-    BranchBoundBackend,
-    HighsBackend,
-    LinExpr,
-    Model,
-    SolveStatus,
-)
+from repro.milp import HighsBackend, LinExpr, Model, SolveStatus
 from repro.milp.presolve import (
     NATIVE_PRESOLVE_BINARY_THRESHOLD,
     presolve,
@@ -159,7 +153,7 @@ def test_bound_tightening_from_rows():
     assert result.stats.bounds_tightened >= 1
 
 
-@pytest.mark.parametrize("backend_cls", [HighsBackend, BranchBoundBackend])
+@pytest.mark.parametrize("backend_cls", [HighsBackend])
 def test_lift_recovers_original_optimum(backend_cls):
     """Reduced-and-lifted == original, objective and all."""
     m = Model()
@@ -245,15 +239,6 @@ def test_reduced_model_marked_and_stats_consistent():
     assert result.stats.rows_dropped == (
         result.stats.rows_in - result.stats.rows_out
     )
-
-
-def test_warm_start_carried_through():
-    m = Model()
-    x = m.add_binary("x")
-    m.minimize(-1 * x)
-    m.warm_start = {x.index: 1.0}
-    result = presolve(m)
-    assert result.model.warm_start == {x.index: 1.0}
 
 
 def test_native_presolve_recommendation():

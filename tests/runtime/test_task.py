@@ -19,7 +19,6 @@ def make_task(task_id=0, solver=None):
         model=tiny_model(f"t{task_id}"),
         solver=solver or SolverSpec(backend="highs", time_limit=2.0),
         nets=("n1", "n2"),
-        num_movable=3,
         num_pairs=1,
     )
 
@@ -66,44 +65,3 @@ def test_run_never_raises_and_reports_error():
     result = task.run()
     assert not result.ok
     assert "custom" in result.error
-
-
-def test_from_problem_extracts_metadata():
-    from repro.core import OptParams
-    from repro.core.formulation import build_window_model
-    from repro.core.window import partition
-    from repro.library import build_library
-    from repro.netlist import generate_design
-    from repro.placement import place_design
-    from repro.tech import CellArchitecture, make_tech
-
-    tech = make_tech(CellArchitecture.CLOSED_M1)
-    lib = build_library(tech)
-    design = generate_design("m0", tech, lib, scale=0.01, seed=2)
-    place_design(design, seed=1)
-    params = OptParams.for_arch(tech.arch, time_limit=2.0)
-    problem = None
-    for window in partition(design, 0, 0, 1250, 1080):
-        problem = build_window_model(
-            design, window, params, lx=2, ly=1, allow_flip=False
-        )
-        if problem is not None:
-            break
-    assert problem is not None
-    task = WindowTask.from_problem(
-        problem, task_id=7, family=3,
-        solver=SolverSpec(backend="highs", time_limit=2.0),
-    )
-    assert task.task_id == 7
-    assert task.family == 3
-    assert (task.ix, task.iy) == (problem.window.ix, problem.window.iy)
-    assert task.num_movable == len(problem.movable)
-    assert task.nets == tuple(problem.nets)
-    # The task is the shippable half: the model crosses the pickle
-    # boundary intact.
-    clone = pickle.loads(pickle.dumps(task))
-    assert len(clone.model.vars) == len(problem.model.vars)
-    assert len(clone.model.constraints) == len(
-        problem.model.constraints
-    )
-    assert clone.run().ok
