@@ -23,6 +23,7 @@ from repro.core import OptParams
 from repro.core.distopt import dist_opt
 from repro.library import build_library
 from repro.netlist import generate_design
+from repro.obs.trace import Tracer, tracer_scope
 from repro.placement import place_design
 from repro.runtime import (
     MultiprocessExecutor,
@@ -49,16 +50,18 @@ def _fresh_design(tech, lib):
 
 def _run(executor, tech, lib, params):
     design = _fresh_design(tech, lib)
-    telemetry = RunTelemetry(
-        executor=executor.name, jobs=executor.jobs
-    )
+    # Every run records its pass in memory, so the timed work is the
+    # same for all of them; the telemetry section is the serial run's.
+    tracer = Tracer()
     started = time.perf_counter()
-    result = dist_opt(
-        design, params, tx=0, ty=0, bw=1250, bh=1080, lx=3, ly=1,
-        allow_flip=False, executor=executor, telemetry=telemetry,
-    )
+    with tracer_scope(tracer):
+        result = dist_opt(
+            design, params, tx=0, ty=0, bw=1250, bh=1080, lx=3, ly=1,
+            allow_flip=False, executor=executor,
+        )
     wall = time.perf_counter() - started
-    telemetry.wall_seconds = wall
+    telemetry = RunTelemetry.from_spans(tracer.spans)
+    telemetry.trace_id = None  # an in-memory record, not a trace
     return design.placement_snapshot(), result, telemetry, wall
 
 

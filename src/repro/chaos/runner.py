@@ -12,8 +12,9 @@ the **invariant ladder** the previous PRs promised in prose:
    faulted run's final placement must equal the clean run's exactly,
    and must be legal by the independent oracle.
 3. *Faults are visible.*  Injected fault counts surface in the
-   telemetry ``repro_run_faults_injected_total`` counter; retried
-   window faults bump ``repro_run_retries_total``; fault actions that
+   ``repro_run_faults_injected_total`` counter of the telemetry
+   document built from the faulted run's spans; retried window faults
+   bump its ``repro_run_retries_total``; fault actions that
    produce a failed solve attempt leave ``error:``-status spans in
    the trace.  Only rules that fired owe this evidence
    (:meth:`~repro.chaos.inject.ChaosController.fired_rules`): a
@@ -76,7 +77,7 @@ class ChaosCaseResult:
     errors: list[str] = field(default_factory=list)
     #: cumulative fires per site over the whole faulted run.
     fires: dict[str, int] = field(default_factory=dict)
-    #: telemetry ``counters`` section of the faulted run.
+    #: ``counters`` section of the faulted run's span-built telemetry.
     counters: dict = field(default_factory=dict)
     resume_attempts: int = 0
     error_spans: int = 0
@@ -136,7 +137,6 @@ def run_chaos_case(
     clean_snapshot = clean_design.placement_snapshot()
 
     controller = ChaosController(plan=plan)
-    telemetry = RunTelemetry(executor=executor_kind, jobs=jobs)
     tracer = Tracer()
     result = ChaosCaseResult(plan=plan, converged=False)
     faulted_design = _case_design(profile, scale, seed)
@@ -151,7 +151,6 @@ def run_chaos_case(
                         faulted_design,
                         params,
                         executor=executor,
-                        telemetry=telemetry,
                         checkpoint_sink=checkpoints.append,
                         resume=resume,
                     )
@@ -171,12 +170,12 @@ def run_chaos_case(
                         profile, scale, seed
                     )
                     resume = checkpoints[-1] if checkpoints else None
-    # Drain fires the per-pass drains never saw (barrier faults fire
-    # between passes; the last pass's drain precedes them).
-    telemetry.record_faults(controller.drain_counts())
-
     result.fires = controller.fires_by_site()
-    result.counters = telemetry.registry.to_dict()
+    # Every attempt's spans: passes and runs carry the fault counts
+    # they drained, window roots their attempts.
+    result.counters = RunTelemetry.from_spans(tracer.spans).summary()[
+        "counters"
+    ]
     result.error_spans = sum(
         1
         for span in tracer.spans

@@ -253,12 +253,6 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     if args.telemetry and result.telemetry is not None:
         path = result.telemetry.save(args.telemetry)
         print(f"telemetry -> {path}", file=sys.stderr)
-    elif args.telemetry:
-        print(
-            f"warning: --telemetry {args.telemetry} not written: a "
-            f"sharded run records no telemetry document",
-            file=sys.stderr,
-        )
     row = table2_row(result)
     if args.json:
         print(json.dumps(row, indent=1, default=str))

@@ -32,6 +32,13 @@ unbounded parallel machine would see now that the whole path runs in
 a worker) and ``measured_parallel_seconds`` (the wall clock the engine
 actually achieved for the dispatch phases).
 
+Under an active tracer the pass is recorded as spans, which
+:class:`~repro.runtime.RunTelemetry` is a view of: the ``distopt``
+span carries every :class:`PassTotals` field and the pass's fault
+counts, each window root span the apply verdict (see
+:func:`_absorb_spans`), each dirty-tracker skip a ``skipped_clean``
+span.
+
 Every applied window solution is guarded: the local objective
 (HPWL − α·alignments over the window's touched nets) is recomputed
 after the move and the move is reverted if it did not improve — this
@@ -53,14 +60,12 @@ from repro.milp.highs_backend import HighsBackend
 from repro.milp.solution import SolveStatus
 from repro.netlist.design import Design
 from repro.obs.trace import active as active_tracer
-from repro.obs.trace import current_context, span
+from repro.obs.trace import current_context, make_span_dict, span
 from repro.runtime import (
     FamilyScheduler,
-    RunTelemetry,
     ScheduleConfig,
     SerialExecutor,
     SolverSpec,
-    WindowRecord,
     WindowTask,
     WindowTaskResult,
 )
@@ -118,6 +123,10 @@ class PassTotals:
                 self, name, getattr(self, name) + getattr(other, name)
             )
 
+    def totals(self) -> dict:
+        """Every total, by field name (span attrs, ``done`` records)."""
+        return {name: getattr(self, name) for name in TOTAL_FIELDS}
+
 
 #: Names of the additive totals, in declaration order.
 TOTAL_FIELDS = tuple(f.name for f in fields(PassTotals))
@@ -153,7 +162,6 @@ def dist_opt(
     solver=None,
     executor=None,
     schedule: ScheduleConfig | None = None,
-    telemetry: RunTelemetry | None = None,
     pass_label: str = "distopt",
     presolve: bool = True,
     window_filter=None,
@@ -177,9 +185,8 @@ def dist_opt(
             fresh :class:`SerialExecutor` (the pre-engine behavior).
         schedule: dispatch policy (timeout/retry); defaults to
             :meth:`ScheduleConfig.for_time_limit` of the solver limit.
-        telemetry: optional :class:`RunTelemetry` accumulating
-            per-window records across passes.
-        pass_label: label stamped on this pass's telemetry records.
+        pass_label: label stamped on this pass's ``distopt`` span
+            (the telemetry records' pass label).
         presolve: run the :mod:`repro.milp.presolve` reductions on
             every window model inside the worker (solutions are lifted
             back before they cross the process boundary).
@@ -254,7 +261,6 @@ def dist_opt(
                 next_task_id = _run_family(
                     design, params, family, family_index,
                     spec=spec, scheduler=scheduler, result=result,
-                    telemetry=telemetry, pass_label=pass_label,
                     lx=lx, ly=ly, allow_flip=allow_flip,
                     next_task_id=next_task_id,
                     presolve=presolve, dirty=dirty,
@@ -279,18 +285,10 @@ def dist_opt(
                         f"recompute {full!r} "
                         f"(tolerance {DRIFT_TOLERANCE:g})"
                     )
-        pass_span.set(
-            objective=result.objective,
-            windows_built=result.windows_built,
-            windows_applied=result.windows_applied,
-            windows_skipped_clean=result.windows_skipped_clean,
-            moved_cells=result.moved_cells,
-        )
-    result.wall_seconds = time.perf_counter() - started
-    if telemetry is not None:
         if chaos is not None:
-            telemetry.record_faults(chaos.drain_counts())
-        telemetry.record_pass(pass_label, result)
+            pass_span.set(faults=chaos.drain_counts())
+        pass_span.set(objective=result.objective, **result.totals())
+    result.wall_seconds = time.perf_counter() - started
     return result
 
 
@@ -319,8 +317,6 @@ def _run_family(
     spec: SolverSpec,
     scheduler: FamilyScheduler,
     result: DistOptResult,
-    telemetry: RunTelemetry | None,
-    pass_label: str,
     lx: int,
     ly: int,
     allow_flip: bool,
@@ -334,6 +330,7 @@ def _run_family(
     tasks: list[WindowTask] = []
     # task id -> (dirty key, probe rect) for the fixpoint mark.
     marks: dict[int, tuple] = {}
+    tracer = active_tracer() if trace_ctx is not None else None
     for window in family:
         key = probe = None
         if dirty is not None:
@@ -344,16 +341,23 @@ def _run_family(
                 # neighborhood since: re-solving would provably
                 # reproduce the same non-move (see repro.core.dirty).
                 result.windows_skipped_clean += 1
-                if telemetry is not None:
-                    telemetry.record_window(
-                        WindowRecord(
-                            pass_label=pass_label,
-                            family=family_index,
-                            ix=window.ix,
-                            iy=window.iy,
-                            status="skipped_clean",
+                if tracer is not None:
+                    # Not a ``window`` span: nothing was built.
+                    tracer.absorb([
+                        make_span_dict(
+                            "skipped_clean",
+                            trace_id=trace_ctx[0],
+                            parent_id=trace_ctx[1],
+                            started_at=time.time(),
+                            wall_seconds=0.0,
+                            attrs={
+                                "family": family_index,
+                                "ix": window.ix,
+                                "iy": window.iy,
+                                "outcome": "skipped_clean",
+                            },
                         )
-                    )
+                    ])
                 continue
         sliced = window_slice(design, window)
         if sliced is None:
@@ -394,7 +398,6 @@ def _run_family(
     family_cell_rects: list = []
     family_nets: list[str] = []
     family_net_rects: list = []
-    tracer = active_tracer() if trace_ctx is not None else None
     for task in tasks:  # canonical order — determinism contract
         outcome = outcomes[task.task_id]
         slowest_path = max(
@@ -414,7 +417,7 @@ def _run_family(
             # The worker-side build found nothing optimizable —
             # silently dropped, like the parent-side build returning
             # None used to be.
-            _absorb_spans(tracer, outcome, "empty")
+            _absorb_spans(tracer, task, outcome, "empty", 0)
             continue
         if outcome.built:
             result.windows_built += 1
@@ -422,7 +425,7 @@ def _run_family(
         status, moved, delta, write = _apply_outcome(
             design, params, outcome, result
         )
-        _absorb_spans(tracer, outcome, status)
+        _absorb_spans(tracer, task, outcome, status, moved)
         result.moved_cells += moved
         if status == "applied":
             result.objective_delta += delta
@@ -440,25 +443,6 @@ def _run_family(
             # reads is written.  Applied windows are NOT marked — the
             # next pass enumerates candidates around the new positions.
             dirty.mark_clean(*marks[task.task_id], nets=outcome.nets)
-        if telemetry is not None:
-            telemetry.record_window(
-                WindowRecord(
-                    pass_label=pass_label,
-                    family=family_index,
-                    ix=task.ix,
-                    iy=task.iy,
-                    build_seconds=outcome.build_seconds,
-                    queue_seconds=outcome.queue_seconds,
-                    presolve_seconds=outcome.presolve_seconds,
-                    solve_seconds=outcome.solve_seconds,
-                    status=status,
-                    attempts=outcome.attempts,
-                    moved_cells=moved,
-                    num_pairs=outcome.num_pairs,
-                    error=outcome.error or outcome.apply_error,
-                    degraded=outcome.degraded,
-                )
-            )
     result.modeled_parallel_seconds += slowest_path
     if dirty is not None and (family_cell_rects or family_nets):
         # Batched per family, after its applies: this matches the
@@ -473,22 +457,42 @@ def _run_family(
     return next_task_id
 
 
-def _absorb_spans(tracer, outcome: WindowTaskResult, status: str) -> None:
+def _absorb_spans(
+    tracer,
+    task: WindowTask,
+    outcome: WindowTaskResult,
+    status: str,
+    moved: int,
+) -> None:
     """Fold a worker's synthesized spans into the pass tracer, stamping
-    the apply verdict (only the submitting side knows it) onto the
-    window root span.  Runs in canonical task order, so the trace file
-    is deterministic under any executor."""
+    what only the submitting side knows onto the window root span: the
+    apply verdict, attempts, queue wait, moved cells, error and serial
+    fallback.  An outcome that came back without spans (a timed-out
+    task, a failed executor) gets a bare root, so the trace holds
+    every window.  Runs in canonical task order, so the trace file is
+    deterministic under any executor."""
     if tracer is None:
         return
     if outcome.retry_spans:
         # Failed attempts' spans first (already ``error:`` status) —
         # a retried-then-recovered window keeps its failure history.
         tracer.absorb(outcome.retry_spans)
-    if not outcome.spans:
-        return
-    root = outcome.spans[0]
-    root.setdefault("attrs", {})["outcome"] = status
-    tracer.absorb(outcome.spans)
+    spans = outcome.spans or (
+        task.window_span(
+            "error:timeout" if outcome.timed_out else "error:executor",
+            started_at=time.time(),
+            wall_seconds=0.0,
+        ),
+    )
+    spans[0].setdefault("attrs", {}).update(
+        outcome=status,
+        attempts=outcome.attempts,
+        queue_seconds=outcome.queue_seconds,
+        moved_cells=moved,
+        error=outcome.error or outcome.apply_error,
+        degraded=outcome.degraded,
+    )
+    tracer.absorb(spans)
 
 
 def _apply_outcome(

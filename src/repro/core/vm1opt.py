@@ -10,8 +10,10 @@ objective improvement drops below θ.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
+from repro.chaos.inject import active_chaos
 from repro.chaos.inject import barrier as chaos_barrier
 from repro.core.checkpoint import VM1Checkpoint
 from repro.core.dirty import DirtyTracker
@@ -20,7 +22,7 @@ from repro.core.objective import calculate_objective
 from repro.core.params import OptParams
 from repro.milp.highs_backend import HighsBackend
 from repro.netlist.design import Design
-from repro.obs.trace import current_context, span
+from repro.obs.trace import current_context, recording, span
 from repro.runtime import RunTelemetry, ScheduleConfig, SerialExecutor
 
 #: Hard cap on inner iterations per parameter set (safety net; the
@@ -75,8 +77,10 @@ def vm1_opt(
         executor: :mod:`repro.runtime` executor shared by all DistOpt
             passes (default: a fresh :class:`SerialExecutor`).
         schedule: dispatch policy (per-task timeout, retries).
-        telemetry: optional :class:`RunTelemetry` accumulating
-            per-window records across the whole run.
+        telemetry: optional :class:`RunTelemetry`, filled at the end
+            from the run's ``vm1_opt`` span subtree (recorded into an
+            in-memory tracer when no tracer is active; see
+            :class:`repro.obs.trace.recording`).
         progress: optional callable ``(label, DistOptResult)`` invoked
             after every DistOpt pass.
         enable_flip: run the f=1 (flip) DistOpt pass after each move
@@ -174,17 +178,18 @@ def vm1_opt(
             )
         )
 
-    run_span = span(
+    chaos = active_chaos()
+    recorder = recording() if telemetry is not None else nullcontext()
+    with recorder, span(
         "vm1_opt",
         sequence_len=len(params.sequence),
         executor=executor.name,
         jobs=executor.jobs,
         resumed=resume is not None,
-    )
-    with run_span as run_span_obj:
+    ) as run_span_obj:
         trace_ctx = current_context()
-        chaos_barrier("vm1:start")
         try:
+            chaos_barrier("vm1:start")
             for u_index, u in enumerate(params.sequence):
                 if u_index < resume_u:
                     continue
@@ -222,7 +227,6 @@ def vm1_opt(
                             solver=solver,
                             executor=executor,
                             schedule=schedule,
-                            telemetry=telemetry,
                             pass_label=f"move[{label}]",
                             presolve=presolve,
                             dirty=dirty,
@@ -251,7 +255,6 @@ def vm1_opt(
                             solver=solver,
                             executor=executor,
                             schedule=schedule,
-                            telemetry=telemetry,
                             pass_label=f"flip[{label}]",
                             presolve=presolve,
                             dirty=dirty,
@@ -281,17 +284,22 @@ def vm1_opt(
         finally:
             if owns_executor:
                 executor.close()
+            if chaos is not None:
+                # Barrier faults fire between passes, after the pass
+                # before them drained its counts.
+                run_span_obj.set(faults=chaos.drain_counts())
 
         result.final_objective = objective
         run_span_obj.set(
             initial_objective=initial,
             final_objective=objective,
             iterations=result.iterations,
-            moved_cells=result.moved_cells,
+            **result.totals(),
         )
     result.wall_seconds = time.perf_counter() - started
     if telemetry is not None:
-        telemetry.wall_seconds = result.wall_seconds
+        telemetry.load_spans(recorder.spans_under(run_span_obj))
+        telemetry.trace_id = recorder.trace_id
     return result
 
 

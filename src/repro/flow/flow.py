@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 
 from repro.core.params import OptParams, ParamSet
 from repro.core.vm1opt import VM1OptResult, vm1_opt
-from repro.obs.trace import active as active_tracer
-from repro.obs.trace import span
+from repro.obs.trace import recording, span
 from repro.runtime import RunTelemetry, make_executor
+from repro.runtime.telemetry import pass_entry
 from repro.library import Library, build_library
 from repro.netlist import Design, generate_design
 from repro.placement import place_design
@@ -116,6 +116,8 @@ class FlowResult:
     final_route: RouteMetrics | None = None
     final_timing: TimingReport | None = None
     final_power: PowerReport | None = None
+    #: the ``opt`` stage's telemetry, sharded or not (None only when
+    #: the flow did not optimize).
     telemetry: RunTelemetry | None = None
     place_seconds: float = 0.0
     total_seconds: float = 0.0
@@ -169,9 +171,13 @@ def run_flow(
     A sharded run reports extra ``progress`` stages (``shard_plan`` /
     ``shard`` / ``seam`` / ``stitch``) instead of per-pass entries,
     and fills ``FlowResult.shard``.
+
+    The flow records spans into an in-memory tracer when no tracer is
+    active, and ``FlowResult.telemetry`` is the view of its ``opt``
+    subtree (see :class:`repro.obs.trace.recording`).
     """
     started = time.perf_counter()
-    with span(
+    with recording() as recorder, span(
         "flow",
         profile=str(config.profile),
         arch=config.arch.value,
@@ -258,7 +264,7 @@ def run_flow(
             num_shards = resolve_shard_count(
                 design, config.shards, config.jobs, config.halo_rows
             )
-            with span("opt", shards=num_shards):
+            with span("opt", shards=num_shards) as opt_span:
                 if num_shards >= 2:
                     result.shard = run_sharded(
                         design,
@@ -274,16 +280,27 @@ def run_flow(
                         progress=progress,
                     )
                     result.opt = result.shard.to_vm1_result()
+                    opt_span.set(
+                        executor=result.shard.shard_executor,
+                        jobs=result.shard.shard_workers,
+                    )
                 else:
                     result.opt = _run_unsharded(
                         config,
                         design,
                         params,
-                        result,
+                        opt_span,
+                        recorder,
                         progress=progress,
                         checkpoint_sink=checkpoint_sink,
                         resume=resume,
                     )
+                opt_span.set(**result.opt.totals())
+            spans = recorder.spans_under(opt_span)
+            if result.shard is not None:
+                spans += result.shard.replayed_spans
+            result.telemetry = RunTelemetry.from_spans(spans)
+            result.telemetry.trace_id = recorder.trace_id
             with span("route_final") as stage:
                 final_router = DetailedRouter(design, config.router)
                 result.final_route = final_router.route()
@@ -317,7 +334,8 @@ def _run_unsharded(
     config: FlowConfig,
     design: Design,
     params: OptParams,
-    result: FlowResult,
+    opt_span,
+    recorder: recording,
     *,
     progress,
     checkpoint_sink,
@@ -330,37 +348,30 @@ def _run_unsharded(
     suite pins.
     """
     with make_executor(config.executor, config.jobs) as executor:
-        telemetry = RunTelemetry(
-            executor=executor.name, jobs=executor.jobs
-        )
-        tracer = active_tracer()
-        if tracer is not None:
-            telemetry.trace_id = tracer.trace_id
+        opt_span.set(executor=executor.name, jobs=executor.jobs)
         vm1_progress = None
         if progress is not None:
 
-            def vm1_progress(kind, pass_result):
-                entry = (
-                    dict(telemetry.passes[-1])
-                    if telemetry.passes
-                    else {}
+            def vm1_progress(kind, _pass_result):
+                # The event is the telemetry pass entry of the
+                # ``distopt`` span that just finished.
+                last = next(
+                    s
+                    for s in reversed(recorder.tracer.spans)
+                    if s.name == "distopt"
                 )
-                entry["kind"] = kind
-                progress("pass", entry)
+                progress("pass", {**pass_entry(last), "kind": kind})
 
-        opt = vm1_opt(
+        return vm1_opt(
             design,
             params,
             executor=executor,
-            telemetry=telemetry,
             progress=vm1_progress,
             presolve=config.presolve,
             dirty_tracking=config.dirty_tracking,
             checkpoint_sink=checkpoint_sink,
             resume=resume,
         )
-        result.telemetry = telemetry
-    return opt
 
 
 def _pct(init: float, final: float) -> float:

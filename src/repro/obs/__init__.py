@@ -6,14 +6,14 @@ Four pieces, one surface:
   thread and process executors (``span()``, ``current_context``,
   ``Tracer``, ``collecting``);
 * :mod:`repro.obs.metrics` — labeled counter/gauge/histogram registry
-  rendering both Prometheus text and telemetry JSON;
+  rendering both Prometheus text and JSON;
 * :mod:`repro.obs.export` — append-only NDJSON trace sink plus the
   self-contained HTML timeline report;
 * :mod:`repro.obs.profile` — opt-in sampling profiler attachable to
   any span.
 
-See DESIGN.md §12 for the architecture and the v3→v4 telemetry
-migration.
+See DESIGN.md §12 for the architecture; the run telemetry document
+is a view of the span tree (:mod:`repro.runtime.telemetry`).
 """
 
 from repro.log import subsystem_logger
@@ -25,7 +25,6 @@ from repro.obs.export import (
     write_report,
 )
 from repro.obs.metrics import (
-    REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -54,7 +53,6 @@ logger = subsystem_logger("repro.obs")
 __all__ = [
     "TRACE_SCHEMA",
     "NULL_SPAN",
-    "REGISTRY",
     "Counter",
     "Gauge",
     "Histogram",

@@ -1,23 +1,20 @@
 """Labeled counters, gauges, and histograms with two renderings.
 
-One :class:`MetricsRegistry` is the single source of truth a process
-(or a component — the job manager and each :class:`RunTelemetry` own
-their own) reports from.  The *same* registry renders both:
+One :class:`MetricsRegistry` is the single source of truth a component
+(the job manager owns one) reports from.  The *same* registry renders
+both:
 
 * :meth:`MetricsRegistry.render_prometheus` — the text exposition the
   service serves at ``/metrics`` (HELP/TYPE lines, escaped labels,
   metrics and series in stable sorted order), replacing the
   hand-concatenated strings that used to live in ``service/http.py``;
-* :meth:`MetricsRegistry.to_dict` — the JSON shape embedded in
-  telemetry documents (schema v4's ``counters`` section).
+* :meth:`MetricsRegistry.to_dict` — the same series as JSON (name ->
+  scalar, label -> value map, or histogram digest).
 
 Metric handles are get-or-create: asking twice for the same name
 returns the same object, and asking with a conflicting type or label
 set raises — a typo never silently forks a series.  All mutation is
 lock-protected, so pool worker threads can bump shared series.
-
-A process-wide default registry (:data:`REGISTRY`) exists for code
-without a natural owner; prefer passing a registry explicitly.
 """
 
 from __future__ import annotations
@@ -324,13 +321,9 @@ class MetricsRegistry:
 
     def to_dict(self) -> dict:
         """JSON form: name -> value (scalar, label -> value map, or
-        histogram digest) — the telemetry ``counters`` section."""
+        histogram digest)."""
         with self._lock:
             metrics = [
                 self._metrics[name] for name in sorted(self._metrics)
             ]
         return {metric.name: metric.to_value() for metric in metrics}
-
-
-#: Process-wide default registry for code without a natural owner.
-REGISTRY = MetricsRegistry()

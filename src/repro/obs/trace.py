@@ -9,11 +9,14 @@ a ``trace_id``; the parent links form the tree rendered by
 Design constraints, in priority order:
 
 1. **Disabled is free.**  When no tracer is active, :func:`span`
-   returns a shared no-op object without allocating — the hot paths
-   (one call per DistOpt pass, not per window) stay under the <2%
-   overhead budget enforced by ``benchmarks/check_gate.py obs``.
-   Per-window spans cost nothing extra either way: workers synthesize
-   them from timings they already measure (see
+   returns a shared no-op object without allocating, so library calls
+   (``dist_opt``, ``vm1_opt`` without ``telemetry=``) stay under the
+   <2% overhead budget enforced by ``benchmarks/check_gate.py obs``.
+   Spans are also the run record: every ``run_flow`` (and
+   ``vm1_opt(telemetry=...)``) records into an in-memory tracer via
+   :class:`recording` when none is active, and its telemetry document
+   is a view of those spans.  Per-window spans stay cheap: workers
+   synthesize them from timings they already measure (see
    :meth:`repro.runtime.task.WindowTask.run`).
 2. **Cross-executor propagation.**  A trace context is a plain
    ``(trace_id, span_id)`` tuple (:func:`current_context`), small
@@ -447,6 +450,40 @@ class collecting:
         if self.tracer is None:
             return []
         return self.tracer.export()
+
+
+class recording:
+    """Record one run's spans: under the active tracer when there is
+    one, else under a fresh in-memory :class:`Tracer` active on this
+    thread for the block.  In-memory spans only feed the run's
+    telemetry; they are not a trace, so ``trace_id`` is ``None``."""
+
+    def __enter__(self) -> "recording":
+        self.tracer = active()
+        self.trace_id = self.tracer.trace_id if self.tracer else None
+        self._scope = None
+        if self.tracer is None:
+            self.tracer = Tracer()
+            self._scope = tracer_scope(self.tracer)
+            self._scope.__enter__()
+        self._start = len(self.tracer.spans)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._scope is not None:
+            self._scope.__exit__(*exc_info)
+
+    def spans_under(self, root: Span) -> list[Span]:
+        """``root`` and its descendants recorded during the block, in
+        recorded order."""
+        spans = self.tracer.spans[self._start:]
+        children = span_children(spans)
+        keep, stack = {root.span_id}, [root.span_id]
+        while stack:
+            for child in children.get(stack.pop(), ()):
+                keep.add(child.span_id)
+                stack.append(child.span_id)
+        return [s for s in spans if s.span_id in keep]
 
 
 def span_children(spans: list[Span]) -> dict[str | None, list[Span]]:

@@ -12,8 +12,9 @@ machinery that actually does it:
   (GIL-releasing solvers), :class:`MultiprocessExecutor`.
 * :mod:`repro.runtime.scheduler` — family-by-family dispatch with
   per-task timeout, bounded retry, and graceful degradation.
-* :mod:`repro.runtime.telemetry` — structured logging, per-window
-  build/queue/solve records, and the speedup-vs-model JSON report.
+* :mod:`repro.runtime.telemetry` — the v5 telemetry document as a
+  view of a run's span tree: per-window build/queue/solve records,
+  per-pass entries, and the speedup-vs-model report.
 
 Determinism contract: solutions are applied in canonical window order
 regardless of completion order, so a parallel run produces a placement
@@ -35,7 +36,6 @@ from repro.runtime.telemetry import (
     TELEMETRY_SCHEMA,
     RunTelemetry,
     WindowRecord,
-    modeled_parallel_seconds,
 )
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "WindowTaskResult",
     "RunTelemetry",
     "WindowRecord",
-    "modeled_parallel_seconds",
     "TELEMETRY_SCHEMA",
 ]
 

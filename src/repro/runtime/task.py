@@ -263,6 +263,29 @@ class WindowTask:
             result.solution = PoisonPill()
         return result
 
+    def window_span(self, status: str, **timing) -> dict:
+        """This task's ``window`` root span dict under its trace
+        context (``timing``: :func:`~repro.obs.trace.make_span_dict`'s
+        timing keywords).  The submitting side mints a bare one for an
+        outcome that came back without spans."""
+        from repro.obs.trace import make_span_dict
+
+        trace_id, parent_id = self.trace
+        doc = make_span_dict(
+            "window",
+            trace_id=trace_id,
+            parent_id=parent_id,
+            attrs={
+                "task_id": self.task_id,
+                "ix": self.ix,
+                "iy": self.iy,
+                "family": self.family,
+            },
+            **timing,
+        )
+        doc["status"] = status
+        return doc
+
     def _make_spans(
         self,
         result: WindowTaskResult,
@@ -280,30 +303,22 @@ class WindowTask:
         """
         from repro.obs.trace import make_span_dict, new_id
 
-        trace_id, parent_id = self.trace
+        trace_id = self.trace[0]
         window_id = new_id()
         status = "ok"
         if result.error:
             status = "error:solve"
         elif result.apply_error:
             status = "error:apply"
-        window_span = make_span_dict(
-            "window",
-            trace_id=trace_id,
-            parent_id=parent_id,
-            started_at=started_at,
-            wall_seconds=time.time() - started_at,
-            cpu_seconds=cpu_seconds,
-            span_id=window_id,
-            attrs={
-                "task_id": self.task_id,
-                "ix": self.ix,
-                "iy": self.iy,
-                "family": self.family,
-            },
-        )
-        window_span["status"] = status
-        spans = [window_span]
+        spans = [
+            self.window_span(
+                status,
+                started_at=started_at,
+                wall_seconds=time.time() - started_at,
+                cpu_seconds=cpu_seconds,
+                span_id=window_id,
+            )
+        ]
         cursor = started_at
         if self.model is None:
             spans.append(

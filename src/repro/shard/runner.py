@@ -31,7 +31,7 @@ from pathlib import Path
 from repro.chaos.inject import active_chaos
 from repro.chaos.inject import barrier as chaos_barrier
 from repro.core.checkpoint import VM1Checkpoint, atomic_write_text
-from repro.core.distopt import TOTAL_FIELDS, PassTotals
+from repro.core.distopt import PassTotals
 from repro.core.objective import calculate_objective
 from repro.core.params import OptParams
 from repro.core.vm1opt import VM1OptResult, vm1_opt
@@ -108,7 +108,7 @@ class ShardOutcome(PassTotals):
             "final_objective": self.final_objective,
             "iterations": self.iterations,
             "wall_seconds": self.wall_seconds,
-            **{name: getattr(self, name) for name in TOTAL_FIELDS},
+            **self.totals(),
             "resumed": self.resumed,
             "spans": list(self.spans),
         }
@@ -352,6 +352,11 @@ class ShardRunResult:
     inner_executor: str = "serial"
     inner_jobs: int = 1
     resumed_shards: int = 0
+    #: span dicts of the shards fast-forwarded from ``done`` records,
+    #: in shard order.  The attempt that ran them already traced them,
+    #: so they are not absorbed again, but they are part of this run's
+    #: telemetry.
+    replayed_spans: list = field(default_factory=list)
 
     @property
     def improvement(self) -> float:
@@ -574,12 +579,14 @@ def run_sharded(
         )
 
     outcomes: dict[int, ShardOutcome] = {}
+    replayed: list = []
     tasks: list[ShardTask] = []
     for shard in plan.shards:
         if store is not None and resuming:
             done = store.load_done(shard.index)
             if done is not None:
                 outcomes[shard.index] = done
+                replayed.extend(done.spans)
                 continue
         sub = extract_shard_design(design, shard)
         owned = tuple(
@@ -641,8 +648,8 @@ def run_sharded(
                 if tracer is not None and outcome.spans:
                     # Submission (= shard) order: deterministic trace
                     # files under any executor.  Done-record outcomes
-                    # are NOT re-absorbed on resume — their spans were
-                    # already written by the attempt that ran them.
+                    # are NOT re-absorbed on resume (see
+                    # ``ShardRunResult.replayed_spans``).
                     tracer.absorb(outcome.spans)
                 if store is not None:
                     store.write_done(outcome)
@@ -716,6 +723,7 @@ def run_sharded(
         inner_executor=inner_kind,
         inner_jobs=inner_jobs,
         resumed_shards=resumed_shards,
+        replayed_spans=replayed,
     )
     result.wall_seconds = time.perf_counter() - started
     if progress is not None:

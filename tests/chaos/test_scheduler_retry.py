@@ -5,7 +5,9 @@ worker's death on every remaining window."""
 from concurrent.futures import Future
 
 from repro.chaos import ChaosController, FaultPlan, FaultRule
+from repro.core.distopt import _absorb_spans
 from repro.milp.solution import SolveStatus
+from repro.obs.trace import Tracer
 from repro.runtime import (
     FamilyScheduler,
     RunTelemetry,
@@ -14,7 +16,6 @@ from repro.runtime import (
     SolverSpec,
     WindowTask,
 )
-from repro.runtime.telemetry import WindowRecord
 
 from tests.runtime._fakes import tiny_model
 
@@ -25,9 +26,19 @@ def make_tasks(n=3):
         WindowTask(
             task_id=i, ix=i, iy=0, family=0,
             model=tiny_model(f"m{i}"), solver=spec,
+            trace=("trace0", "pass0"),
         )
         for i in range(n)
     ]
+
+
+def span_counters(tasks, results) -> dict:
+    """The telemetry counters of ``results`` once their spans are
+    absorbed the way DistOpt absorbs them."""
+    tracer = Tracer()
+    for task in tasks:
+        _absorb_spans(tracer, task, results[task.task_id], "applied", 0)
+    return RunTelemetry.from_spans(tracer.spans).summary()["counters"]
 
 
 def test_one_transient_failure_result_used_one_retry():
@@ -46,7 +57,8 @@ def test_one_transient_failure_result_used_one_retry():
     scheduler = FamilyScheduler(
         SerialExecutor(), ScheduleConfig(max_retries=1), chaos=chaos
     )
-    results = scheduler.run_family(make_tasks(3))
+    tasks = make_tasks(3)
+    results = scheduler.run_family(tasks)
     assert len(results) == 3
     # every task ends with a usable (OPTIMAL) result — the injected
     # failure was transient and its retry ran clean
@@ -56,16 +68,7 @@ def test_one_transient_failure_result_used_one_retry():
     attempts = sorted(r.attempts for r in results.values())
     assert attempts == [1, 1, 2]
 
-    telemetry = RunTelemetry(executor="serial", jobs=1)
-    for tid in sorted(results):
-        telemetry.record_window(
-            WindowRecord(
-                pass_label="p0", family=0, ix=tid, iy=0,
-                status="applied",
-                attempts=results[tid].attempts,
-            )
-        )
-    counters = telemetry.registry.to_dict()
+    counters = span_counters(tasks, results)
     assert counters.get("repro_run_retries_total") == 1
 
 
@@ -95,18 +98,9 @@ def test_broken_pool_degrades_inline_instead_of_reraising():
 
 def test_degraded_windows_counted_in_telemetry():
     scheduler = FamilyScheduler(_BrokenExecutor(), ScheduleConfig())
-    results = scheduler.run_family(make_tasks(2))
-    telemetry = RunTelemetry(executor="process", jobs=2)
-    for tid in sorted(results):
-        telemetry.record_window(
-            WindowRecord(
-                pass_label="p0", family=0, ix=tid, iy=0,
-                status="applied",
-                attempts=results[tid].attempts,
-                degraded=results[tid].degraded,
-            )
-        )
-    counters = telemetry.registry.to_dict()
+    tasks = make_tasks(2)
+    results = scheduler.run_family(tasks)
+    counters = span_counters(tasks, results)
     degradations = counters.get("repro_run_degradations_total", {})
     assert degradations.get("serial_fallback") == 2
 

@@ -27,6 +27,7 @@ from repro.core.objective import calculate_objective
 from repro.core.vm1opt import vm1_opt
 from repro.library import build_library
 from repro.netlist import generate_design
+from repro.obs.trace import Tracer, tracer_scope
 from repro.placement import place_design
 from repro.runtime import RunTelemetry, WindowTaskResult
 from repro.tech import CellArchitecture, make_tech
@@ -227,11 +228,10 @@ def test_converged_pass_is_skipped_clean_without_building():
     assert result.moved_cells == 0
 
     snap = design.placement_snapshot()
-    telemetry = RunTelemetry()
-    extra = dist_opt(
-        design, params, objective=objective,
-        telemetry=telemetry, **kwargs,
-    )
+    tracer = Tracer()
+    with tracer_scope(tracer):
+        extra = dist_opt(design, params, objective=objective, **kwargs)
+    telemetry = RunTelemetry.from_spans(tracer.spans)
     assert extra.windows_built == 0
     assert extra.windows_skipped_clean > 0
     assert extra.windows_skipped_clean >= (

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime import TELEMETRY_SCHEMA
 
 
 def test_help_lists_subcommands(capsys):
@@ -52,9 +53,19 @@ def test_flow_prints_table(tmp_path, capsys):
     assert (tmp_path / "layout_opt.svg").exists()
 
 
-def test_sharded_flow_warns_that_telemetry_is_not_written(
-    tmp_path, capsys
-):
+def test_sharded_flow_writes_telemetry(tmp_path, capsys, monkeypatch):
+    """A sharded flow's document is the view of its ``opt`` subtree:
+    every shard and seam window, with the sharded run's totals."""
+    import repro.cli as cli
+
+    real_run_flow = cli.run_flow
+    results = []
+
+    def run_flow(config):
+        results.append(real_run_flow(config))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_flow", run_flow)
     target = tmp_path / "t.json"
     rc = main(
         [
@@ -64,18 +75,91 @@ def test_sharded_flow_warns_that_telemetry_is_not_written(
             "--window-um", "1.0",
             "--time-limit", "2.0",
             "--shards", "2",
+            "--jobs", "2",
             "--telemetry", str(target),
             "--json",
         ]
     )
     assert rc == 0
-    err = capsys.readouterr().err
-    assert "sharded x2" in err
-    assert f"--telemetry {target} not written" in err
-    assert "sharded run records no telemetry document" in err
-    assert not target.exists()
+    assert "sharded x2" in capsys.readouterr().err
+    doc = json.loads(target.read_text())
+    assert doc["schema"] == TELEMETRY_SCHEMA
+    opt = results[0].opt
+    windows = doc["windows"]
+    assert windows["total"] > 0
+    assert windows["total"] - windows["skipped_clean"] == (
+        opt.windows_built
+    )
+    assert windows["skipped_clean"] == opt.windows_skipped_clean
+    assert windows["applied"] == opt.windows_applied
+    assert windows["reverted"] == opt.windows_reverted
+    # Every shard pass and the seam pass.
+    assert sum(p["windows"] for p in doc["passes"]) == opt.windows_built
+    for key, total in (
+        ("build", "build_seconds"),
+        ("solve", "solve_seconds"),
+        ("measured_parallel", "measured_parallel_seconds"),
+        ("modeled_parallel", "modeled_parallel_seconds"),
+    ):
+        assert doc["seconds"][key] == getattr(opt, total)
 
 
+#: Timing values of a telemetry document, masked before two runs'
+#: (or a run's and its trace's) documents are compared.
+_TIMED_PASS_KEYS = (
+    "wall_seconds", "build_seconds", "presolve_seconds",
+    "solve_seconds", "measured_parallel_seconds",
+    "modeled_parallel_seconds",
+)
+_TIMED_WINDOW_KEYS = (
+    "build_seconds", "queue_seconds", "presolve_seconds",
+    "solve_seconds",
+)
+
+
+def untimed(doc: dict) -> dict:
+    doc = json.loads(json.dumps(doc))
+    del doc["seconds"], doc["speedup"]
+    for entry in doc["passes"]:
+        for key in _TIMED_PASS_KEYS:
+            entry[key] = None
+    for record in doc["windows_detail"]:
+        for key in _TIMED_WINDOW_KEYS:
+            record[key] = None
+    doc["counters"]["repro_run_window_solve_seconds"]["sum"] = None
+    return doc
+
+
+@pytest.mark.parametrize(
+    "executor", [[], ["--executor", "process", "--jobs", "2"]],
+    ids=["serial", "process"],
+)
+def test_trace_summary_matches_the_runs_telemetry(
+    tmp_path, capsys, executor
+):
+    trace = tmp_path / "trace.ndjson"
+    telemetry = tmp_path / "telemetry.json"
+    rc = main(
+        [
+            "flow",
+            "--profile", "aes",
+            "--scale", "0.008",
+            "--window-um", "1.0",
+            "--time-limit", "2.0",
+            *executor,
+            "--trace", str(trace),
+            "--telemetry", str(telemetry),
+            "--json",
+        ]
+    )
+    assert rc == 0
+    capsys.readouterr()
+    assert main(["trace", "summary", str(trace)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    live = json.loads(telemetry.read_text())
+    assert live["windows"]["total"] > 0
+    assert live["trace"] is not None
+    assert untimed(summary) == untimed(live)
 def test_parser_rejects_unknown_arch():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["flow", "--arch", "nope"])

@@ -95,3 +95,45 @@ def test_explicit_params_override():
     # alpha=0: still a valid flow; dM1 may or may not change.
     assert r.final_route is not None
     assert r.design.check_legal() == []
+
+
+def test_resumed_sharded_flow_counts_fast_forwarded_shards(tmp_path):
+    """A resumed sharded flow's document also holds the windows of the
+    shard fast-forwarded from its done record: its counts and seconds
+    are ``FlowResult.opt``'s, which include that shard's totals."""
+    config = FlowConfig(
+        profile="aes",
+        scale=0.008,
+        window_um=1.0,
+        time_limit=2.0,
+        shards=2,
+        executor="serial",
+    )
+
+    class Stop(RuntimeError):
+        pass
+
+    def stop_after_first_shard(stage, info):
+        if stage == "shard":
+            raise Stop
+
+    with pytest.raises(Stop):
+        run_flow(
+            config,
+            progress=stop_after_first_shard,
+            shard_checkpoint_dir=tmp_path,
+        )
+    resumed = run_flow(
+        config, shard_checkpoint_dir=tmp_path, shard_resume=True
+    )
+    replayed = resumed.shard.outcomes[0]
+    assert replayed.resumed is False and replayed.windows_built > 0
+    opt = resumed.opt
+    doc = resumed.telemetry.summary()
+    windows = doc["windows"]
+    assert windows["total"] - windows["skipped_clean"] == (
+        opt.windows_built
+    )
+    assert windows["skipped_clean"] == opt.windows_skipped_clean
+    assert windows["applied"] == opt.windows_applied
+    assert doc["seconds"]["solve"] == opt.solve_seconds

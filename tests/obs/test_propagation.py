@@ -138,6 +138,55 @@ def test_checkpoint_carries_context_and_resume_rejoins_trace():
     assert shape[0][0] == "vm1_opt"
 
 
+@pytest.mark.parametrize(
+    "kind, rule, schedule, status",
+    [
+        # A crashed worker: the scheduler sees an executor failure.
+        ("serial", dict(action="crash", nth=1), {}, "failed"),
+        # A hung worker: the per-task deadline fires first.
+        (
+            "thread",
+            dict(action="hang", nth=1, seconds=1.0),
+            dict(task_timeout=0.2),
+            "timed_out",
+        ),
+    ],
+    ids=["crash", "timeout"],
+)
+def test_trace_holds_windows_that_came_back_without_spans(
+    kind, rule, schedule, status
+):
+    """Outcomes the scheduler builds itself (no worker spans) still
+    leave a ``window`` span with the status the document records."""
+    from repro.chaos import ChaosController, FaultPlan, FaultRule
+    from repro.runtime import RunTelemetry, ScheduleConfig
+
+    design = _fresh_design()
+    params = OptParams.for_arch(design.tech.arch, time_limit=2.0)
+    chaos = ChaosController(
+        plan=FaultPlan(
+            seed=0, faults=(FaultRule(site="runtime.worker", **rule),)
+        )
+    )
+    tracer = Tracer()
+    with tracer_scope(tracer), make_executor(kind, 2) as executor:
+        result = dist_opt(
+            design, params, tx=0, ty=0, bw=1250, bh=1080, lx=2, ly=1,
+            allow_flip=False, executor=executor, chaos=chaos,
+            schedule=ScheduleConfig(max_retries=0, **schedule),
+        )
+    lost = result.windows_failed + result.windows_timed_out
+    assert lost == 1
+    spans = [
+        s for s in tracer.spans
+        if s.name == "window" and s.attrs.get("outcome") == status
+    ]
+    assert len(spans) == 1
+    assert spans[0].status.startswith("error:")
+    records = RunTelemetry.from_spans(tracer.spans).records
+    assert [r.status for r in records].count(status) == 1
+
+
 def test_untraced_run_ships_no_spans():
     design = _fresh_design()
     params = OptParams.for_arch(design.tech.arch, time_limit=2.0)

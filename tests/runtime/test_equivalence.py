@@ -14,6 +14,7 @@ from repro.core.distopt import dist_opt
 from repro.core.vm1opt import vm1_opt
 from repro.library import build_library
 from repro.netlist import generate_design
+from repro.obs.trace import Tracer, tracer_scope
 from repro.placement import place_design
 from repro.runtime import (
     MultiprocessExecutor,
@@ -33,15 +34,16 @@ def fresh_design():
     return design
 
 
-def run_one_pass(executor, telemetry=None):
+def run_one_pass(executor, tracer=None):
     design = fresh_design()
     # Generous limit: these window MILPs solve in milliseconds, and a
     # limit that actually fires would make outcomes timing-dependent.
     params = OptParams.for_arch(TECH.arch, time_limit=30.0)
-    result = dist_opt(
-        design, params, tx=0, ty=0, bw=1250, bh=1080, lx=3, ly=1,
-        allow_flip=False, executor=executor, telemetry=telemetry,
-    )
+    with tracer_scope(tracer):
+        result = dist_opt(
+            design, params, tx=0, ty=0, bw=1250, bh=1080, lx=3, ly=1,
+            allow_flip=False, executor=executor,
+        )
     return design.placement_snapshot(), result
 
 
@@ -52,10 +54,10 @@ def serial_run():
 
 def test_multiprocess_matches_serial_exactly(serial_run):
     serial_snapshot, serial_result = serial_run
-    telemetry = RunTelemetry(executor="process", jobs=2)
+    tracer = Tracer()
     with MultiprocessExecutor(jobs=2) as executor:
         parallel_snapshot, parallel_result = run_one_pass(
-            executor, telemetry
+            executor, tracer
         )
     assert parallel_snapshot == serial_snapshot
     assert parallel_result.objective == serial_result.objective
@@ -66,7 +68,9 @@ def test_multiprocess_matches_serial_exactly(serial_run):
     )
     assert parallel_result.executor == "process"
     assert parallel_result.jobs == 2
-    assert telemetry.summary()["windows"]["failed"] == 0
+    summary = RunTelemetry.from_spans(tracer.spans).summary()
+    assert (summary["executor"], summary["jobs"]) == ("process", 2)
+    assert summary["windows"]["failed"] == 0
 
 
 def test_thread_matches_serial_exactly(serial_run):

@@ -123,6 +123,18 @@ def test_job_end_to_end_over_http(service):
     assert events[-1]["state"] == "done"
 
 
+def test_sharded_job_answers_telemetry(service):
+    _, client = service
+    job_id = client.submit(dict(QUICK_SPEC, shards=2, jobs=2))
+    final = client.wait(job_id, timeout=180)
+    assert final["state"] == "done", final.get("error")
+    assert client.result(job_id)["shard"]["num_shards"] == 2
+    telemetry = client.telemetry(job_id)
+    assert telemetry["schema"] == TELEMETRY_SCHEMA
+    assert telemetry["windows"]["total"] > 0
+    assert telemetry["trace"] is None  # recorded in memory, untraced
+
+
 def test_events_follow_streams_until_terminal(service):
     _, client = service
     job_id = client.submit(dict(QUICK_SPEC))
