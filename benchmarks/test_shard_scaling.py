@@ -1,12 +1,13 @@
 """Macrobenchmark: sharded full-chip optimization vs single-shard.
 
 Generates the 10k-cell Rent-connectivity reference design
-(``repro.shard.synth``), optimizes it unsharded (``shards=1``,
-``jobs=1``) and region-sharded (``shards=4``, process-parallel), and
-writes ``benchmarks/results/BENCH_shard_scale.json`` with wall-clock,
+(``repro.shard.synth``), optimizes it unsharded (``vm1_opt`` through
+``make_executor`` with ``jobs=1``, as ``run_flow`` runs ``shards=1``)
+and region-sharded (``shards=4``, process-parallel), and writes
+``benchmarks/results/BENCH_shard_scale.json`` with wall-clock,
 speedup, per-variant objective, stitched-vs-single objective delta,
-and peak RSS.  The stitched placement must verify legal in both
-variants; the CI ``shard-smoke`` job uploads the report.
+and peak RSS.  The placement must verify legal in both variants; the
+CI ``shard-smoke`` job uploads the report.
 
 On a machine with fewer than 2 usable cores the speedup measurement is
 meaningless; the JSON is still written with an explicit
@@ -22,11 +23,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import OptParams, ParamSet
+from repro.check.oracle import check_legal
+from repro.core import OptParams, ParamSet, vm1_opt
 from repro.library import build_library
 from repro.netlist import Design
 from repro.placement import place_design
-from repro.runtime import available_cores
+from repro.runtime import available_cores, make_executor
 from repro.shard import generate_scaled_design, run_sharded
 from repro.tech import CellArchitecture, make_tech
 
@@ -66,7 +68,39 @@ def _peak_rss_mb() -> float:
     return max(own, kids) / 1024.0  # Linux reports KiB
 
 
-def _run_variant(shards: int, jobs: int) -> dict:
+def _variant(
+    result, *, shards: int, jobs: int, wall: float, legal: bool,
+    shard_executor: str, inner_executor: str,
+) -> dict:
+    return {
+        "shards": shards,
+        "jobs": jobs,
+        "wall_seconds": wall,
+        "initial_objective": result.initial_objective,
+        "final_objective": result.final_objective,
+        "improvement": result.improvement,
+        "peak_rss_mb": _peak_rss_mb(),
+        "shard_executor": shard_executor,
+        "inner_executor": inner_executor,
+        "legal": legal,
+    }
+
+
+def _run_single() -> dict:
+    design = _reference_design()
+    started = time.perf_counter()
+    with make_executor("auto", 1) as executor:
+        result = vm1_opt(design, _params(), executor=executor)
+    wall = time.perf_counter() - started
+    legal = not check_legal(design)
+    assert legal, "unsharded placement must verify legal"
+    return _variant(
+        result, shards=1, jobs=1, wall=wall, legal=legal,
+        shard_executor="none", inner_executor=executor.name,
+    )
+
+
+def _run_sharded(shards: int, jobs: int) -> dict:
     design = _reference_design()
     started = time.perf_counter()
     result = run_sharded(
@@ -77,20 +111,12 @@ def _run_variant(shards: int, jobs: int) -> dict:
         jobs=jobs,
     )
     wall = time.perf_counter() - started
-    legal = result.stitch.legal if result.stitch else True
-    assert legal, "stitched placement must verify legal"
-    return {
-        "shards": result.num_shards,
-        "jobs": jobs,
-        "wall_seconds": wall,
-        "initial_objective": result.initial_objective,
-        "final_objective": result.final_objective,
-        "improvement": result.improvement,
-        "peak_rss_mb": _peak_rss_mb(),
-        "shard_executor": result.shard_executor,
-        "inner_executor": result.inner_executor,
-        "legal": legal,
-    }
+    return _variant(
+        result, shards=result.num_shards, jobs=jobs, wall=wall,
+        legal=result.stitch.legal,
+        shard_executor=result.shard_executor,
+        inner_executor=result.inner_executor,
+    )
 
 
 def test_shard_scaling():
@@ -111,8 +137,8 @@ def test_shard_scaling():
         ) + "\n")
         pytest.skip("shard scaling benchmark needs >= 2 cores")
 
-    single = _run_variant(shards=1, jobs=1)
-    sharded = _run_variant(shards=SHARDS, jobs=min(SHARDS, cores))
+    single = _run_single()
+    sharded = _run_sharded(shards=SHARDS, jobs=min(SHARDS, cores))
     speedup = single["wall_seconds"] / sharded["wall_seconds"]
     delta = abs(
         sharded["final_objective"] - single["final_objective"]

@@ -110,6 +110,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _utilization(text: str) -> float:
+    """argparse type: a placement utilization in (0, 1]."""
+    value = _positive_float(text)
+    if value > 1:
+        raise argparse.ArgumentTypeError(
+            f"must be in (0, 1] (got {value})"
+        )
+    return value
+
+
 def _add_common_design_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile", default="aes",
@@ -125,7 +135,7 @@ def _add_common_design_args(parser: argparse.ArgumentParser) -> None:
         help="instance-count scale (1.0 = paper size)",
     )
     parser.add_argument(
-        "--utilization", type=float, default=0.75,
+        "--utilization", type=_utilization, default=0.75,
         help="placement utilization target",
     )
     parser.add_argument("--seed", type=int, default=1)
@@ -134,9 +144,9 @@ def _add_common_design_args(parser: argparse.ArgumentParser) -> None:
 def _add_flow_config_args(parser: argparse.ArgumentParser) -> None:
     """The FlowConfig options ``flow`` and ``submit`` share."""
     group = parser.add_argument_group("optimizer options")
-    group.add_argument("--window-um", type=float, default=1.25)
-    group.add_argument("--lx", type=int, default=4)
-    group.add_argument("--ly", type=int, default=1)
+    group.add_argument("--window-um", type=_positive_float, default=1.25)
+    group.add_argument("--lx", type=_nonnegative_int, default=4)
+    group.add_argument("--ly", type=_nonnegative_int, default=1)
     group.add_argument(
         "--time-limit", type=_positive_float, default=4.0,
         help="per-window MILP time limit in seconds",

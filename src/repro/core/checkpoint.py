@@ -12,9 +12,9 @@ vm1_opt` needs to continue after the last *completed* DistOpt pass:
   ``objective`` (after the checkpointed pass), and
   ``initial_objective`` / ``iterations`` for result bookkeeping;
 * the full placement (every instance's ``x/y/orientation``);
-* the :class:`~repro.core.dirty.DirtyTracker` state (clean-window
-  marks + accumulated dirty regions), so a resumed run's incremental
-  engine skips exactly what the uninterrupted run would skip.  The
+* the :class:`~repro.core.dirty.DirtyTracker` state (its
+  clean-window marks), so a resumed run's incremental engine skips
+  exactly what the uninterrupted run would skip.  The
   ``dirty`` document key is optional: a checkpoint without it resumes
   with everything presumed dirty, which is always sound — identical
   placements, merely slower first pass.

@@ -52,18 +52,8 @@ with a matched mechanism:
   bounding boxes as spatial dirt, and a handful of applies on
   well-connected nets wiped out nearly every mark on the die per pass.
 
-Two operating modes:
-
-* **default-dirty** (fresh tracker): nothing is marked, so the first
-  pass builds everything; marks accumulate as windows settle.  This is
-  the VM1Opt mode.
-* **default-clean** (``seed_dirty=...``): everything is presumed clean
-  except the seeded regions.  The shard layer seeds the stitch seam
-  bands so a seam pass treats only boundary neighborhoods as dirty.
-  Unmarked windows have no recorded net set, so in this mode applied
-  moves also accumulate their nets' *bounding boxes* as spatial dirt
-  (conservative, like the seams themselves) on top of the exact
-  per-mark invalidation.
+A fresh tracker has no marks, so the first pass builds everything;
+marks accumulate as windows settle.
 """
 
 from __future__ import annotations
@@ -112,13 +102,10 @@ class DirtyWrite(NamedTuple):
     ``cell_rects`` — per moved cell, the union of its old and new
     bounding boxes (spatial invalidation).  ``nets`` — the names of
     every net touching a moved cell (exact invalidation).
-    ``net_rects`` — those nets' post-move bounding boxes, used only as
-    background dirt in the tracker's default-clean mode.
     """
 
     cell_rects: tuple[Rect4, ...]
     nets: tuple[str, ...]
-    net_rects: tuple[Rect4, ...]
 
 
 class DirtyTracker:
@@ -128,14 +115,13 @@ class DirtyTracker:
     Protocol (per window, before slicing)::
 
         key = DirtyTracker.window_key(window, lx, ly, allow_flip)
-        probe = probe_rect(design, window)
-        if tracker.is_clean(key, probe):
+        if tracker.is_clean(key):
             ...skip the window entirely...
 
     After a window verifies as a fixpoint (solved ``OPTIMAL`` with no
-    surviving move), ``mark_clean(key, probe, nets=...)`` with the net
-    names its build read.  After each family's applies,
-    ``note_dirty(cell_rects, nets=..., net_rects=...)`` with the
+    surviving move), ``mark_clean(key, probe_rect(design, window),
+    nets=...)`` with the net names its build read.  After each
+    family's applies, ``note_dirty(cell_rects, nets=...)`` with the
     family's :class:`DirtyWrite` — marks whose probe intersects a cell
     rect or whose net set shares a name are dropped.  Batching per
     family matches the engine's build-before-apply ordering, so a skip
@@ -143,12 +129,7 @@ class DirtyTracker:
     observed.
     """
 
-    def __init__(
-        self,
-        *,
-        seed_dirty: Iterable | None = None,
-        max_marks: int = DEFAULT_MAX_MARKS,
-    ) -> None:
+    def __init__(self, *, max_marks: int = DEFAULT_MAX_MARKS) -> None:
         if max_marks < 1:
             raise ValueError(
                 f"max_marks must be >= 1, got {max_marks}"
@@ -158,12 +139,6 @@ class DirtyTracker:
         self._clean: dict[DirtyKey, tuple[Rect4, frozenset[str]]] = {}
         #: net name -> keys of marks that read it.
         self._net_index: dict[str, set[DirtyKey]] = {}
-        #: default-clean mode: unmarked windows are clean unless their
-        #: probe intersects an accumulated dirty rect.
-        self._background_clean = seed_dirty is not None
-        self._dirty: list[Rect4] = [
-            _rect4(r) for r in (seed_dirty or ())
-        ]
         self.skips = 0
         self.marks = 0
         self.invalidations = 0
@@ -185,18 +160,12 @@ class DirtyTracker:
             lx, ly, allow_flip,
         )
 
-    def is_clean(self, key: DirtyKey, probe) -> bool:
+    def is_clean(self, key: DirtyKey) -> bool:
         """True when the window may be skipped without building."""
         if key in self._clean:
             self.skips += 1
             return True
-        if not self._background_clean:
-            return False
-        p = _rect4(probe)
-        if any(_intersects(p, rect) for rect in self._dirty):
-            return False
-        self.skips += 1
-        return True
+        return False
 
     # ----------------------------------------------------------- update
     def mark_clean(
@@ -216,27 +185,17 @@ class DirtyTracker:
         self.marks += 1
 
     def note_dirty(
-        self,
-        rects: Iterable,
-        *,
-        nets: Iterable[str] = (),
-        net_rects: Iterable = (),
+        self, rects: Iterable, *, nets: Iterable[str] = ()
     ) -> int:
         """Record one write set; drops every clean mark it touches.
 
         ``rects`` are the moved cells' old∪new boxes — they drop marks
         spatially (probe intersection).  ``nets`` are the changed net
         names — they drop marks by exact identity through the net
-        index.  ``net_rects`` only matter in default-clean mode, where
-        they accumulate as background dirt for *unmarked* windows
-        (whose read sets are unknown).  Returns the number of marks
-        dropped.
+        index.  Returns the number of marks dropped.
         """
         dirty = [_rect4(r) for r in rects]
         names = [n for n in nets if n in self._net_index]
-        if self._background_clean:
-            self._dirty.extend(dirty)
-            self._dirty.extend(_rect4(r) for r in net_rects)
         if not dirty and not names:
             return 0
         dropped = {
@@ -267,33 +226,30 @@ class DirtyTracker:
 
     # ------------------------------------------------ checkpoint state
     def export_state(self) -> list:
-        """JSON-serializable snapshot (marks + mode + dirty rects).
+        """JSON-serializable snapshot: the marks, each
+        ``[key, probe, sorted net names]``.
 
         Counters are per-run observability, not solver state, and are
         not exported.
         """
         return [
-            int(self._background_clean),
-            [list(rect) for rect in self._dirty],
-            [
-                [list(key), list(probe), sorted(net_set)]
-                for key, (probe, net_set) in sorted(
-                    self._clean.items()
-                )
-            ],
+            [list(key), list(probe), sorted(net_set)]
+            for key, (probe, net_set) in sorted(self._clean.items())
         ]
 
     def import_state(self, state: list) -> None:
         """Replace tracker state with an :meth:`export_state` snapshot.
 
-        An empty/missing snapshot leaves the tracker default-dirty —
+        An empty/missing snapshot leaves the tracker without marks —
         resuming without dirty state is always sound, just slower.
+        Snapshots from before the tracker had one mode read
+        ``[0, [], marks]``: a mode flag and background dirt rects,
+        which were always off and empty in a checkpoint, ahead of the
+        marks.
         """
         if not state:
             return
-        background, dirty, marks = state
-        self._background_clean = bool(background)
-        self._dirty = [_rect4(rect) for rect in dirty]
+        marks = state[2] if isinstance(state[0], int) else state
         clean: dict[DirtyKey, tuple[Rect4, frozenset[str]]] = {}
         for raw_key, raw_probe, raw_nets in marks:
             key: DirtyKey = (
@@ -328,9 +284,9 @@ def dirty_write_for_moves(
     ``moved`` names the cells whose placement actually changed;
     ``snapshot`` maps every movable cell to its pre-apply
     ``(x, y, orientation)``.  Emits, per moved cell, the union of its
-    old and new bounding boxes, plus the names (and, for background
-    mode, post-move bounding boxes) of every net touching a moved
-    cell — see the module docstring for how each part invalidates.
+    old and new bounding boxes, plus the names of every net touching a
+    moved cell — see the module docstring for how each part
+    invalidates.
     """
     moved = list(moved)
     cell_rects: list[Rect4] = []
@@ -343,15 +299,7 @@ def dirty_write_for_moves(
             max(old_x, inst.x) + inst.width,
             max(old_y, inst.y) + inst.height,
         ))
-    nets: list[str] = []
-    net_rects: list[Rect4] = []
-    for net in design.nets_of_instances(set(moved)):
-        nets.append(net.name)
-        bbox = design.net_bbox(net)
-        if bbox is not None:
-            net_rects.append(
-                (bbox.xlo, bbox.ylo, bbox.xhi, bbox.yhi)
-            )
-    return DirtyWrite(
-        tuple(cell_rects), tuple(nets), tuple(net_rects)
+    nets = tuple(
+        net.name for net in design.nets_of_instances(set(moved))
     )
+    return DirtyWrite(tuple(cell_rects), nets)

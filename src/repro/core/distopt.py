@@ -65,7 +65,6 @@ from repro.runtime import (
     FamilyScheduler,
     ScheduleConfig,
     SerialExecutor,
-    SolverSpec,
     WindowTask,
     WindowTaskResult,
 )
@@ -230,7 +229,6 @@ def dist_opt(
     if chaos is None:
         chaos = active_chaos()
     scheduler = FamilyScheduler(executor, schedule, chaos=chaos)
-    spec = SolverSpec.from_backend(solver)
 
     started = time.perf_counter()
     result = DistOptResult(
@@ -260,7 +258,7 @@ def dist_opt(
             for family_index, family in enumerate(families):
                 next_task_id = _run_family(
                     design, params, family, family_index,
-                    spec=spec, scheduler=scheduler, result=result,
+                    solver=solver, scheduler=scheduler, result=result,
                     lx=lx, ly=ly, allow_flip=allow_flip,
                     next_task_id=next_task_id,
                     presolve=presolve, dirty=dirty,
@@ -314,7 +312,7 @@ def _run_family(
     family,
     family_index: int,
     *,
-    spec: SolverSpec,
+    solver,
     scheduler: FamilyScheduler,
     result: DistOptResult,
     lx: int,
@@ -335,8 +333,7 @@ def _run_family(
         key = probe = None
         if dirty is not None:
             key = DirtyTracker.window_key(window, lx, ly, allow_flip)
-            probe = probe_rect(design, window)
-            if dirty.is_clean(key, probe):
+            if dirty.is_clean(key):
                 # Previously verified fixpoint, nothing written in its
                 # neighborhood since: re-solving would provably
                 # reproduce the same non-move (see repro.core.dirty).
@@ -359,6 +356,7 @@ def _run_family(
                         )
                     ])
                 continue
+            probe = probe_rect(design, window)
         sliced = window_slice(design, window)
         if sliced is None:
             # No movable cells, so the build reads no nets at all —
@@ -374,7 +372,7 @@ def _run_family(
             _task_params(params, sliced),
             task_id=next_task_id,
             family=family_index,
-            solver=spec,
+            solver=solver,
             lx=lx,
             ly=ly,
             allow_flip=allow_flip,
@@ -397,7 +395,6 @@ def _run_family(
     slowest_path = 0.0
     family_cell_rects: list = []
     family_nets: list[str] = []
-    family_net_rects: list = []
     for task in tasks:  # canonical order — determinism contract
         outcome = outcomes[task.task_id]
         slowest_path = max(
@@ -431,7 +428,6 @@ def _run_family(
             result.objective_delta += delta
             family_cell_rects.extend(write.cell_rects)
             family_nets.extend(write.nets)
-            family_net_rects.extend(write.net_rects)
         is_fixpoint = (
             status in ("no_move", "reverted")
             and outcome.solution is not None
@@ -449,11 +445,7 @@ def _run_family(
         # slice-before-apply ordering of the engine itself, so a
         # skipped window never observes a placement state a non-skip
         # run would not also have observed.
-        dirty.note_dirty(
-            family_cell_rects,
-            nets=family_nets,
-            net_rects=family_net_rects,
-        )
+        dirty.note_dirty(family_cell_rects, nets=family_nets)
     return next_task_id
 
 

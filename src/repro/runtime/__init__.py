@@ -5,8 +5,8 @@ families precisely so they can be *distributed*; this package is the
 machinery that actually does it:
 
 * :mod:`repro.runtime.task` — :class:`WindowTask`, the picklable
-  window subproblem that crosses a process boundary, and
-  :class:`SolverSpec`, the backend recipe rebuilt in the worker.
+  window subproblem that crosses a process boundary together with the
+  MILP backend that solves it.
 * :mod:`repro.runtime.executors` — interchangeable backends:
   :class:`SerialExecutor` (inline, default), :class:`ThreadExecutor`
   (GIL-releasing solvers), :class:`MultiprocessExecutor`.
@@ -31,7 +31,7 @@ from repro.runtime.executors import (
     make_executor,
 )
 from repro.runtime.scheduler import FamilyScheduler, ScheduleConfig
-from repro.runtime.task import SolverSpec, WindowTask, WindowTaskResult
+from repro.runtime.task import WindowTask, WindowTaskResult
 from repro.runtime.telemetry import (
     TELEMETRY_SCHEMA,
     RunTelemetry,
@@ -48,7 +48,6 @@ __all__ = [
     "available_cores",
     "FamilyScheduler",
     "ScheduleConfig",
-    "SolverSpec",
     "WindowTask",
     "WindowTaskResult",
     "RunTelemetry",

@@ -17,8 +17,9 @@ to a worker.  It comes in two flavors:
   :class:`~repro.milp.model.Model` verbatim and the worker only
   solves it.
 
-Either way a :class:`SolverSpec` describes how to construct the MILP
-backend on the far side of the process boundary, and only plain data
+Either way the task carries its MILP backend itself — any object
+with a ``solve(model)`` method that pickles, such as
+:class:`~repro.milp.highs_backend.HighsBackend` — and only plain data
 crosses back.
 """
 
@@ -35,47 +36,6 @@ if TYPE_CHECKING:  # circular-import guard: formulation is heavy
     from repro.core.params import OptParams
     from repro.core.window import Window
     from repro.netlist.design import Design
-
-
-@dataclass(frozen=True)
-class SolverSpec:
-    """Recipe for constructing a MILP backend inside a worker.
-
-    The one production backend, ``highs``, is rebuilt from its
-    parameters.  Any other backend object (a test double, say) is
-    carried along verbatim via ``instance`` and must itself be
-    picklable; a name with neither is rejected by :meth:`build`.
-    """
-
-    backend: str = "highs"
-    time_limit: float | None = None
-    mip_rel_gap: float = 0.0
-    instance: object | None = None
-
-    @classmethod
-    def from_backend(cls, solver) -> "SolverSpec":
-        """Capture a spec from an already-constructed backend."""
-        from repro.milp.highs_backend import HighsBackend
-
-        if isinstance(solver, HighsBackend):
-            return cls(
-                time_limit=solver.time_limit,
-                mip_rel_gap=solver.mip_rel_gap,
-            )
-        return cls(backend=type(solver).__name__, instance=solver)
-
-    def build(self):
-        """Construct (or return) the backend this spec describes."""
-        if self.instance is not None:
-            return self.instance
-        if self.backend == "highs":
-            from repro.milp.highs_backend import HighsBackend
-
-            return HighsBackend(
-                time_limit=self.time_limit,
-                mip_rel_gap=self.mip_rel_gap,
-            )
-        raise ValueError(f"unknown solver backend {self.backend!r}")
 
 
 @dataclass
@@ -143,7 +103,8 @@ class WindowTask:
             order, which is what makes parallel runs deterministic.
         ix/iy: window grid coordinates (for telemetry/debugging).
         family: independent-family index the window belongs to.
-        solver: backend recipe used by the worker.
+        solver: the MILP backend the worker solves with; it crosses
+            the process boundary pickled, as is.
         model: a pre-built window MILP (model mode); ``None`` selects
             slice mode, where ``design``/``window``/``params`` +
             ``lx``/``ly``/``allow_flip`` describe the build to run
@@ -176,7 +137,7 @@ class WindowTask:
     ix: int
     iy: int
     family: int
-    solver: SolverSpec
+    solver: object
     model: Model | None = None
     design: "Design | None" = None
     window: "Window | None" = None
@@ -199,7 +160,7 @@ class WindowTask:
         *,
         task_id: int,
         family: int,
-        solver: SolverSpec,
+        solver,
         lx: int,
         ly: int,
         allow_flip: bool,
@@ -378,7 +339,6 @@ class WindowTask:
                 from repro.chaos.inject import maybe_raise_worker
 
                 maybe_raise_worker(self.chaos)
-            backend = self.solver.build()
             model = self.model
             if model is None:
                 from repro.core.formulation import build_window_model
@@ -412,7 +372,7 @@ class WindowTask:
                 reduction = _presolve(model)
                 presolve_seconds = time.perf_counter() - t0
                 model = reduction.model
-            solution = backend.solve(model)
+            solution = self.solver.solve(model)
             if reduction is not None:
                 solution = reduction.lift(solution)
             if self.chaos is not None:

@@ -355,18 +355,17 @@ class JobStore:
     ) -> Path:
         path = self.checkpoint_path(job_id)
         text = checkpoint.dumps()
+        chaos = self.chaos
         if (
-            self.chaos is not None
-            and self.chaos.check("jobstore.checkpoint", job_id)
-            is not None
+            chaos is not None
+            and chaos.check("jobstore.checkpoint", job_id) is not None
         ):
-            # Torn checkpoint: bypass the atomic path and leave a
-            # truncated document, as if the kernel never flushed the
-            # tail.  ``load_checkpoint`` must treat it as absent.
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text[: len(text) // 2])
-            return path
-        atomic_write_text(path, text, chaos=self.chaos)
+            # Torn checkpoint: leave a truncated document, as if the
+            # kernel never flushed the tail.  ``load_checkpoint`` must
+            # treat it as absent.  The torn write draws nothing at the
+            # ``fs.fsync`` site.
+            text, chaos = text[: len(text) // 2], None
+        atomic_write_text(path, text, chaos=chaos)
         return path
 
     def load_checkpoint(self, job_id: str) -> VM1Checkpoint | None:

@@ -166,6 +166,11 @@ def flow_config_from_spec(spec: dict) -> FlowConfig:
         raise ValueError("spec field 'jobs' must be >= 1")
     if clean.get("time_limit", 1.0) <= 0:
         raise ValueError("spec field 'time_limit' must be > 0")
+    if clean.get("window_um", 1.25) <= 0:
+        raise ValueError("spec field 'window_um' must be > 0")
+    for key in ("lx", "ly"):
+        if clean.get(key, 0) < 0:
+            raise ValueError(f"spec field {key!r} must be >= 0")
     if clean.get("executor", "auto") not in EXECUTOR_KINDS:
         raise ValueError(
             f"spec field 'executor': expected one of "

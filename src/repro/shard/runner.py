@@ -1,5 +1,11 @@
 """Shard execution engine: full-chip VM1Opt as independent shard runs.
 
+:func:`run_sharded` only shards: it takes two or more row bands, and
+``run_flow`` sends a one-shard run straight to ``vm1_opt`` instead.
+Each shard worker runs the unsharded optimizer's own ``vm1_opt``, and
+the seam pass after the merge is one more DistOpt restricted to the
+windows that straddle a seam (:mod:`repro.shard.stitch`).
+
 One :class:`ShardTask` is the unit of distribution — a pickled shard
 sub-design plus optimizer parameters — executed through the existing
 :mod:`repro.runtime` executors (the executors call ``task.run()``, so
@@ -147,7 +153,6 @@ class ShardOutcome(PassTotals):
 class ShardTask:
     """Picklable shard work unit; ``run()`` executes in any executor."""
 
-    task_id: int
     index: int
     design_blob: bytes = field(repr=False)
     owned: tuple[str, ...]
@@ -344,7 +349,6 @@ class ShardRunResult:
     nets: NetClassification | None = None
     outcomes: list[ShardOutcome] = field(default_factory=list)
     stitch: StitchResult | None = None
-    direct: VM1OptResult | None = None  # the shards == 1 fast path
     wall_seconds: float = 0.0
     shard_wall_seconds: float = 0.0
     shard_executor: str = "serial"
@@ -368,8 +372,6 @@ class ShardRunResult:
 
     def to_vm1_result(self) -> VM1OptResult:
         """Aggregate view compatible with the unsharded flow result."""
-        if self.direct is not None:
-            return self.direct
         result = VM1OptResult(
             initial_objective=self.initial_objective,
             final_objective=self.final_objective,
@@ -462,59 +464,36 @@ def run_sharded(
     dirty_tracking: bool = True,
     checkpoint_dir: str | Path | None = None,
     resume: bool = False,
-    seam: bool = True,
-    verify: bool = True,
     progress=None,
 ) -> ShardRunResult:
     """Optimize ``design`` in place via region shards + stitching.
 
-    ``shards == 1`` bypasses the shard layer entirely and calls
-    :func:`repro.core.vm1opt.vm1_opt` directly — by construction the
-    result is byte-identical to an unsharded run (no halo, no seam
-    pass), which is the reproducibility anchor the tests pin.
+    The shard runs are followed by the seam pass and an oracle check
+    of the stitched placement, which raises
+    :class:`StitchVerificationError` on any violation.
 
     Args:
         design: legal placed design; optimized in place.
         params: optimizer parameters (shared by shards + seam pass).
-        shards: shard count (resolve ``"auto"`` first via
-            :func:`repro.shard.partition.resolve_shard_count`).
+        shards: shard count, at least 2 (resolve ``"auto"`` first via
+            :func:`repro.shard.partition.resolve_shard_count`; an
+            unsharded run is a plain :func:`~repro.core.vm1opt.
+            vm1_opt`).
         halo_rows: frozen ghost rows around each core band.
         jobs: total worker budget (see :func:`plan_workers`).
         executor: shard-level executor kind (``auto``/``serial``/
             ``thread``/``process``).
-        presolve / dirty_tracking: forwarded to
-            every ``vm1_opt`` (and the seam pass — dirty regions are
-            seeded from the stitch boundaries).
+        presolve / dirty_tracking: forwarded to every shard's
+            ``vm1_opt``; the seam pass takes ``presolve`` too.
         checkpoint_dir: when given, shard-granular crash-safe state is
             kept here (see :class:`ShardCheckpointStore`).
         resume: continue from ``checkpoint_dir`` state if compatible.
-        seam: run the boundary-window reconciliation pass.
-        verify: oracle-verify the stitched placement (raises
-            :class:`StitchVerificationError` on any violation).
         progress: optional callable ``(stage, info)`` with stages
             ``shard_plan`` / ``shard`` / ``seam`` / ``stitch``.
     """
     started = time.perf_counter()
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if shards == 1:
-        initial_final = _run_single(
-            design, params, jobs, executor,
-            presolve=presolve, dirty_tracking=dirty_tracking,
-        )
-        result = ShardRunResult(
-            num_shards=1,
-            halo_rows=halo_rows,
-            initial_objective=initial_final.initial_objective,
-            final_objective=initial_final.final_objective,
-            direct=initial_final,
-            shard_executor="serial",
-            shard_workers=1,
-            inner_executor=executor,
-            inner_jobs=jobs,
-        )
-        result.wall_seconds = time.perf_counter() - started
-        return result
+    if shards < 2:
+        raise ValueError(f"shards must be >= 2, got {shards}")
 
     # Shipped into every shard worker; the workers' "shard" spans (and
     # their whole vm1_opt subtrees) parent under the span active here
@@ -597,7 +576,6 @@ def run_sharded(
         )
         tasks.append(
             ShardTask(
-                task_id=shard.index,
                 index=shard.index,
                 design_blob=pickle.dumps(
                     sub, protocol=pickle.HIGHEST_PROTOCOL
@@ -678,34 +656,31 @@ def run_sharded(
     stitch = StitchResult(
         cells_merged=merge_shard_placements(design, merged)
     )
-    if seam:
-        with span("seam"), make_executor(
-            "auto" if jobs > 1 else "serial", jobs
-        ) as seam_executor:
-            stitch.seam_pass = run_seam_pass(
-                design,
-                params,
-                plan,
-                executor=seam_executor,
-                presolve=presolve,
-                dirty_tracking=dirty_tracking,
-            )
-        stitch.seam_windows = stitch.seam_pass.windows_built
-        if progress is not None:
-            progress(
-                "seam",
-                {
-                    "windows": stitch.seam_pass.windows_built,
-                    "applied": stitch.seam_pass.windows_applied,
-                    "moved_cells": stitch.seam_pass.moved_cells,
-                    "windows_skipped_clean": (
-                        stitch.seam_pass.windows_skipped_clean
-                    ),
-                },
-            )
-    if verify:
-        with span("stitch_verify"):
-            stitch.verify_errors = verify_stitched(design)
+    with span("seam"), make_executor(
+        "auto" if jobs > 1 else "serial", jobs
+    ) as seam_executor:
+        stitch.seam_pass = run_seam_pass(
+            design,
+            params,
+            plan,
+            executor=seam_executor,
+            presolve=presolve,
+        )
+    stitch.seam_windows = stitch.seam_pass.windows_built
+    if progress is not None:
+        progress(
+            "seam",
+            {
+                "windows": stitch.seam_pass.windows_built,
+                "applied": stitch.seam_pass.windows_applied,
+                "moved_cells": stitch.seam_pass.moved_cells,
+                "windows_skipped_clean": (
+                    stitch.seam_pass.windows_skipped_clean
+                ),
+            },
+        )
+    with span("stitch_verify"):
+        stitch.verify_errors = verify_stitched(design)
 
     final = calculate_objective(design, params)
     result = ShardRunResult(
@@ -728,29 +703,10 @@ def run_sharded(
     result.wall_seconds = time.perf_counter() - started
     if progress is not None:
         progress("stitch", result.summary())
-    if verify and not stitch.legal:
+    if not stitch.legal:
         raise StitchVerificationError(
             f"stitched placement failed verification: "
             f"{stitch.verify_errors[:5]}"
         )
     return result
 
-
-def _run_single(
-    design: Design,
-    params: OptParams,
-    jobs: int,
-    executor: str,
-    *,
-    presolve: bool,
-    dirty_tracking: bool = True,
-) -> VM1OptResult:
-    """The shards == 1 fast path: plain (byte-identical) vm1_opt."""
-    with make_executor(executor, jobs) as ex:
-        return vm1_opt(
-            design,
-            params,
-            executor=ex,
-            presolve=presolve,
-            dirty_tracking=dirty_tracking,
-        )

@@ -9,11 +9,14 @@ the merged placement is overlap-free by construction.
 What merging cannot fix is seam *quality*: cells in the boundary rows
 were optimized against frozen ghost neighbors, so improving moves that
 need both sides of a seam to cooperate were out of reach.  The seam
-pass runs one more DistOpt over the full design restricted to the
-windows that straddle a seam (within the halo margin), letting both
+pass is plain DistOpt (Algorithm 2) over the full design with one
+restriction, :func:`seam_window_filter`: only the windows that
+straddle a seam (within the halo margin) are optimized, letting both
 sides co-optimize with the real, post-shard positions.  It reuses the
 standard window machinery — independent families, guarded applies —
 so it can only improve the objective and always preserves legality.
+It carries no dirty tracker: a single pass has no earlier fixpoints
+to skip, and every window the filter admits is built.
 
 The stitched result is finally verified with the independent
 :mod:`repro.check` oracle (plus the production checker); a non-empty
@@ -25,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.check.oracle import check_legal as oracle_check_legal
-from repro.core.dirty import DirtyTracker
 from repro.core.distopt import DistOptResult, dist_opt
 from repro.core.params import OptParams
 from repro.core.window import Window
@@ -87,30 +89,6 @@ def seam_window_filter(design: Design, plan: ShardPlan):
     return accept
 
 
-def seam_dirty_tracker(
-    design: Design, plan: ShardPlan
-) -> DirtyTracker:
-    """A default-clean tracker seeded with the seam bands.
-
-    After a sharded run, only the seam neighborhoods hold placements
-    that were optimized against stale (frozen-ghost) context — the
-    shard interiors are genuine fixpoints of their own runs.  Seeding
-    the stitch boundaries as the only dirty regions encodes exactly
-    the restriction :func:`seam_window_filter` applies, as dirty-state
-    the incremental engine can also maintain *through* the pass
-    (applied seam moves extend the dirty set).
-    """
-    rh = design.tech.row_height
-    margin = max(1, plan.halo_rows) * rh
-    die = design.die
-    return DirtyTracker(
-        seed_dirty=[
-            (die.xlo, y - margin, die.xhi, y + margin)
-            for y in plan.seam_ys
-        ]
-    )
-
-
 def run_seam_pass(
     design: Design,
     params: OptParams,
@@ -118,17 +96,13 @@ def run_seam_pass(
     *,
     executor=None,
     presolve: bool = True,
-    dirty_tracking: bool = True,
 ) -> DistOptResult:
     """One boundary-window DistOpt pass over every seam.
 
     Window geometry comes from the last parameter set of ``params``
     (the finest grid the shards themselves finished with); the grid is
     phase-shifted by half a window vertically so that windows straddle
-    the seams instead of abutting them.  With ``dirty_tracking`` the
-    pass also carries a :func:`seam_dirty_tracker` seeded from the
-    stitch boundaries, so any window the filter admits whose probe
-    neighborhood lies outside every seam band is skipped pre-build.
+    the seams instead of abutting them.
     """
     tech = design.tech
     u = params.sequence[-1]
@@ -148,11 +122,6 @@ def run_seam_pass(
         pass_label="seam",
         presolve=presolve,
         window_filter=seam_window_filter(design, plan),
-        dirty=(
-            seam_dirty_tracker(design, plan)
-            if dirty_tracking
-            else None
-        ),
     )
 
 

@@ -5,8 +5,9 @@ import pickle
 import pytest
 
 from repro.chaos import ChaosFault, PoisonPill
+from repro.milp.highs_backend import HighsBackend
 from repro.milp.solution import SolveStatus
-from repro.runtime import SolverSpec, WindowTask
+from repro.runtime import WindowTask
 
 from tests.runtime._fakes import tiny_model
 
@@ -14,7 +15,7 @@ from tests.runtime._fakes import tiny_model
 def task(chaos=None, trace=None):
     return WindowTask(
         task_id=0, ix=0, iy=0, family=0,
-        model=tiny_model(), solver=SolverSpec(backend="highs"),
+        model=tiny_model(), solver=HighsBackend(),
         trace=trace, chaos=chaos,
     )
 

@@ -6,6 +6,7 @@ from concurrent.futures import Future
 
 from repro.chaos import ChaosController, FaultPlan, FaultRule
 from repro.core.distopt import _absorb_spans
+from repro.milp.highs_backend import HighsBackend
 from repro.milp.solution import SolveStatus
 from repro.obs.trace import Tracer
 from repro.runtime import (
@@ -13,7 +14,6 @@ from repro.runtime import (
     RunTelemetry,
     ScheduleConfig,
     SerialExecutor,
-    SolverSpec,
     WindowTask,
 )
 
@@ -21,11 +21,11 @@ from tests.runtime._fakes import tiny_model
 
 
 def make_tasks(n=3):
-    spec = SolverSpec(backend="highs", time_limit=5.0)
+    backend = HighsBackend(time_limit=5.0)
     return [
         WindowTask(
             task_id=i, ix=i, iy=0, family=0,
-            model=tiny_model(f"m{i}"), solver=spec,
+            model=tiny_model(f"m{i}"), solver=backend,
             trace=("trace0", "pass0"),
         )
         for i in range(n)
@@ -116,11 +116,11 @@ def test_retry_spans_survive_on_recovered_result():
             ),
         )
     )
-    spec = SolverSpec(backend="highs", time_limit=5.0)
+    backend = HighsBackend(time_limit=5.0)
     tasks = [
         WindowTask(
             task_id=0, ix=0, iy=0, family=0,
-            model=tiny_model(), solver=spec,
+            model=tiny_model(), solver=backend,
             trace=("trace0", None),
         )
     ]

@@ -7,9 +7,11 @@ import pytest
 from repro.core import (
     CHECKPOINT_SCHEMA,
     OptParams,
+    ParamSet,
     VM1Checkpoint,
     vm1_opt,
 )
+from repro.core.dirty import DirtyTracker
 from repro.library import build_library
 from repro.netlist import generate_design
 from repro.placement import place_design
@@ -89,3 +91,34 @@ def test_resume_reproduces_placement_byte_identical(
     assert resumed.final_objective == pytest.approx(
         result.final_objective
     )
+
+
+def test_mode_prefixed_dirty_state_imports_and_resumes():
+    """Checkpoints written while the dirty tracker had a second mode
+    store its state as ``[0, [], marks]``: a mode flag and background
+    dirt rects, always off and empty in a checkpoint.  The marks
+    import, and the run resumes to the uninterrupted placement."""
+    params = OptParams.for_arch(
+        CellArchitecture.CLOSED_M1,
+        sequence=(ParamSet.square(1.0, 3, 1),),
+        time_limit=2.0,
+    )
+    checkpoints = []
+    design = _fresh_design()
+    result = vm1_opt(design, params, checkpoint_sink=checkpoints.append)
+    final_placement = design.placement_snapshot()
+
+    doc = max(checkpoints[:-1], key=lambda c: len(c.dirty_state)).to_dict()
+    marks = doc["dirty"]
+    assert marks
+    doc["dirty"] = [0, [], marks]
+    cp = VM1Checkpoint.from_dict(json.loads(json.dumps(doc)))
+
+    tracker = DirtyTracker()
+    cp.restore(_fresh_design(), tracker)
+    assert tracker.export_state() == marks
+
+    design = _fresh_design()
+    resumed = vm1_opt(design, params, resume=cp)
+    assert design.placement_snapshot() == final_placement
+    assert resumed.iterations == result.iterations

@@ -1,7 +1,8 @@
 """DirtyTracker unit tests: intersection geometry, mark/invalidate
-protocol (spatial cell rects + exact net identity), seeded
-background-clean mode, checkpoint state round-trip, and the eviction
-cap."""
+protocol (spatial cell rects + exact net identity), checkpoint state
+round-trip, and the eviction cap."""
+
+import json
 
 import pytest
 
@@ -40,7 +41,7 @@ def test_degenerate_rects_still_intersect():
 # ------------------------------------------------- mark / skip / dirty
 def test_unmarked_is_dirty_by_default():
     tracker = DirtyTracker()
-    assert not tracker.is_clean(key(0), (0, 0, 100, 100))
+    assert not tracker.is_clean(key(0))
     assert len(tracker) == 0
 
 
@@ -48,16 +49,16 @@ def test_mark_then_skip_then_invalidate():
     tracker = DirtyTracker()
     probe = (0, 0, 100, 100)
     tracker.mark_clean(key(0), probe)
-    assert tracker.is_clean(key(0), probe)
+    assert tracker.is_clean(key(0))
     assert tracker.skips == 1
 
     # A write far away leaves the mark alone.
     assert tracker.note_dirty([(500, 500, 600, 600)]) == 0
-    assert tracker.is_clean(key(0), probe)
+    assert tracker.is_clean(key(0))
 
     # A write touching the probe (closed test: shared edge) drops it.
     assert tracker.note_dirty([(100, 0, 200, 50)]) == 1
-    assert not tracker.is_clean(key(0), probe)
+    assert not tracker.is_clean(key(0))
     assert tracker.invalidations == 1
 
 
@@ -74,18 +75,18 @@ def test_net_identity_invalidation_is_exact():
 
     # A spatially-distant write on n3: only the n3 reader dies.
     assert tracker.note_dirty([], nets=("n3",)) == 1
-    assert tracker.is_clean(key(0), (0, 0, 100, 100))
-    assert not tracker.is_clean(key(1), (1000, 0, 1100, 100))
-    assert tracker.is_clean(key(2), (2000, 0, 2100, 100))
+    assert tracker.is_clean(key(0))
+    assert not tracker.is_clean(key(1))
+    assert tracker.is_clean(key(2))
 
     # A shared net drops every reader at once.
     tracker.mark_clean(
         key(1), (1000, 0, 1100, 100), nets=("n2", "n3")
     )
     assert tracker.note_dirty([], nets=("n2",)) == 2
-    assert not tracker.is_clean(key(0), (0, 0, 100, 100))
-    assert not tracker.is_clean(key(1), (1000, 0, 1100, 100))
-    assert tracker.is_clean(key(2), (2000, 0, 2100, 100))
+    assert not tracker.is_clean(key(0))
+    assert not tracker.is_clean(key(1))
+    assert tracker.is_clean(key(2))
 
     # Unknown net names are a no-op.
     assert tracker.note_dirty([], nets=("never-seen",)) == 0
@@ -113,8 +114,8 @@ def test_key_identity_includes_perturbation_and_flip():
     move_key = rect + (3, 1, False)
     flip_key = rect + (0, 0, True)
     tracker.mark_clean(move_key, probe)
-    assert tracker.is_clean(move_key, probe)
-    assert not tracker.is_clean(flip_key, probe)
+    assert tracker.is_clean(move_key)
+    assert not tracker.is_clean(flip_key)
 
 
 def test_note_dirty_empty_is_noop():
@@ -122,6 +123,15 @@ def test_note_dirty_empty_is_noop():
     tracker.mark_clean(key(0), (0, 0, 100, 100))
     assert tracker.note_dirty([]) == 0
     assert len(tracker) == 1
+
+
+def test_default_mode_does_not_accumulate_background_dirt():
+    tracker = DirtyTracker()
+    tracker.note_dirty([(0, 0, 10, 10)], nets=("n1",))
+    tracker.mark_clean(key(0), (0, 0, 100, 100), nets=("n1",))
+    # Earlier dirt (rects and nets alike) is not replayed against a
+    # new mark: only writes after the mark drop it.
+    assert tracker.is_clean(key(0))
 
 
 # ------------------------------------------------------- eviction cap
@@ -133,9 +143,9 @@ def test_eviction_cap_fifo():
     assert len(tracker) == 2
     assert tracker.evictions == 1
     # Oldest mark evicted; eviction is sound — just re-verifies later.
-    assert not tracker.is_clean(key(0), (0, 0, 10, 10))
-    assert tracker.is_clean(key(1), (100, 0, 110, 10))
-    assert tracker.is_clean(key(2), (200, 0, 210, 10))
+    assert not tracker.is_clean(key(0))
+    assert tracker.is_clean(key(1))
+    assert tracker.is_clean(key(2))
 
 
 def test_remark_refreshes_fifo_position():
@@ -146,8 +156,8 @@ def test_remark_refreshes_fifo_position():
     assert tracker.evictions == 0
     tracker.mark_clean(key(2), (200, 0, 210, 10))
     # key(1) was the stalest — it goes, key(0) survives.
-    assert tracker.is_clean(key(0), (0, 0, 10, 10))
-    assert not tracker.is_clean(key(1), (100, 0, 110, 10))
+    assert tracker.is_clean(key(0))
+    assert not tracker.is_clean(key(1))
 
 
 def test_max_marks_validated():
@@ -156,88 +166,32 @@ def test_max_marks_validated():
     assert DirtyTracker().max_marks == DEFAULT_MAX_MARKS
 
 
-# ------------------------------------------------ background-clean mode
-def test_seeded_mode_clean_unless_probe_hits_seed():
-    seam = (0, 90, 1000, 110)
-    tracker = DirtyTracker(seed_dirty=[seam])
-    # Probe away from the seam band: clean without any mark.
-    assert tracker.is_clean(key(0), (0, 0, 100, 80))
-    # Probe overlapping the band: dirty.
-    assert not tracker.is_clean(key(1), (0, 50, 100, 95))
-    # Probe touching the band edge: closed test — dirty.
-    assert not tracker.is_clean(key(2), (0, 0, 100, 90))
-
-
-def test_seeded_mode_accumulates_applied_rects():
-    tracker = DirtyTracker(seed_dirty=[(0, 90, 1000, 110)])
-    quiet = (500, 200, 600, 300)
-    assert tracker.is_clean(key(0), quiet)
-    # An apply lands next to the quiet probe: subsequent skips there
-    # must stop even though no seed rect is nearby.
-    tracker.note_dirty([(590, 250, 650, 260)])
-    assert not tracker.is_clean(key(0), quiet)
-
-
-def test_seeded_mode_accumulates_net_rects_as_background_dirt():
-    """Unmarked windows have no recorded net set, so in default-clean
-    mode the applied nets' bounding boxes must dirty them spatially."""
-    tracker = DirtyTracker(seed_dirty=[(0, 90, 1000, 110)])
-    quiet = (5000, 5000, 5100, 5100)
-    assert tracker.is_clean(key(0), quiet)
-    tracker.note_dirty(
-        [(0, 200, 10, 210)],
-        nets=("n1",),
-        net_rects=((4000, 4000, 5050, 5050),),
-    )
-    assert not tracker.is_clean(key(1), quiet)
-
-
-def test_default_mode_does_not_accumulate_background_dirt():
-    tracker = DirtyTracker()
-    tracker.note_dirty(
-        [(0, 0, 10, 10)],
-        nets=("n1",),
-        net_rects=((0, 0, 500, 500),),
-    )
-    tracker.mark_clean(key(0), (0, 0, 100, 100), nets=("n1",))
-    # Only explicit marks matter outside background mode: the earlier
-    # dirt (rects and nets alike) is not replayed against a new mark.
-    assert tracker.is_clean(key(0), (0, 0, 100, 100))
-
-
 # ----------------------------------------------- checkpoint round-trip
 def test_export_import_round_trip():
-    tracker = DirtyTracker(seed_dirty=[(0, 90, 1000, 110)])
+    tracker = DirtyTracker()
     tracker.mark_clean(key(0), (0, 0, 100, 80), nets=("n1", "n2"))
-    tracker.note_dirty([(500, 200, 600, 300)])
+    tracker.mark_clean(key(1), (500, 0, 600, 80))
 
-    state = tracker.export_state()
     # Simulate a JSON checkpoint round-trip: tuples become lists.
-    import json
-
-    state = json.loads(json.dumps(state))
+    state = json.loads(json.dumps(tracker.export_state()))
 
     restored = DirtyTracker()
     restored.import_state(state)
-    assert len(restored) == len(tracker)
-    assert restored.is_clean(key(0), (0, 0, 100, 80))
-    # Background mode and dirty rects survive.
-    assert not restored.is_clean(key(9), (550, 250, 560, 260))
-    assert restored.is_clean(key(8), (0, 400, 100, 500))
+    assert restored.export_state() == tracker.export_state()
+    assert restored.is_clean(key(0))
+    assert restored.is_clean(key(1))
     # The mark's net read-set survives: a net write still drops it.
-    # (In background mode callers always pass the net's bbox as
-    # net_rects too — that is what keeps the now-unmarked window
-    # dirty, since its probe contains one of the net's pins.)
-    assert restored.note_dirty(
-        [], nets=("n2",), net_rects=((0, 0, 150, 85),)
-    ) == 1
-    assert not restored.is_clean(key(0), (0, 0, 100, 80))
+    assert restored.note_dirty([], nets=("n2",)) == 1
+    assert not restored.is_clean(key(0))
+    # So does its probe: a write touching it drops the other mark.
+    assert restored.note_dirty([(550, 40, 560, 50)]) == 1
+    assert not restored.is_clean(key(1))
 
 
 def test_import_empty_state_stays_default_dirty():
     tracker = DirtyTracker()
     tracker.import_state([])
-    assert not tracker.is_clean(key(0), (0, 0, 100, 100))
+    assert not tracker.is_clean(key(0))
 
 
 def test_export_is_deterministic():
@@ -254,6 +208,9 @@ def test_export_is_deterministic():
 
 # ------------------------------------------------- dirty_write_for_moves
 def test_dirty_write_covers_cell_boxes_net_names_and_net_boxes():
+    """A write carries each moved cell's old∪new box and the names of
+    its nets, and no net boxes: the tracker invalidates nets by
+    identity, never by their extent."""
     from repro.library import build_library
     from repro.netlist import generate_design
     from repro.placement import place_design
@@ -276,15 +233,11 @@ def test_dirty_write_covers_cell_boxes_net_names_and_net_boxes():
     nets = list(design.nets_of_instances({name}))
     assert len(write.cell_rects) == 1
     assert len(write.nets) == len(nets)
-    assert len(write.net_rects) == len(nets)
 
     # The cell rect spans the old and new cell bboxes.
     cell_rect = write.cell_rects[0]
     assert cell_rect[0] == min(old[0], inst.x)
     assert cell_rect[2] == max(old[0], inst.x) + inst.width
-    # Net names are exactly the moved cell's nets; net boxes are the
-    # post-move net bboxes (background-mode spatial dirt).
+    # Net names are exactly the moved cell's nets.
     assert write.nets == tuple(net.name for net in nets)
-    for rect, net in zip(write.net_rects, nets):
-        bbox = design.net_bbox(net)
-        assert rect == (bbox.xlo, bbox.ylo, bbox.xhi, bbox.yhi)
+    assert write._fields == ("cell_rects", "nets")

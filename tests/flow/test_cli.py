@@ -191,6 +191,27 @@ def test_parser_rejects_nonpositive_numbers(args):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "--utilization", "0"],
+        ["flow", "--utilization", "0"],
+        ["flow", "--utilization", "1.5"],
+        ["flow", "--window-um", "0"],
+        ["flow", "--window-um", "-1"],
+        ["flow", "--lx", "-1"],
+        ["flow", "--ly", "-2"],
+    ],
+)
+def test_parser_rejects_out_of_range_flow_options(args):
+    """Past the parser, utilization outside (0, 1] ends in a
+    traceback, a window size <= 0 runs a flow that moves nothing, and
+    a negative lx/ly runs with a negative perturbation range."""
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args(args)
+    assert err.value.code == 2
+
+
 def test_flow_help_documents_auto_executor_resolution(capsys):
     with pytest.raises(SystemExit) as err:
         main(["flow", "--help"])

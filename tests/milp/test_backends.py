@@ -294,14 +294,14 @@ def test_time_limit_without_incumbent_is_a_time_limit_error():
 
 
 def test_time_limit_without_incumbent_marks_the_task_timed_out():
-    from repro.runtime.task import SolverSpec, WindowTask
+    from repro.runtime.task import WindowTask
 
     task = WindowTask(
         task_id=0,
         ix=0,
         iy=0,
         family=0,
-        solver=SolverSpec(time_limit=1e-9),
+        solver=HighsBackend(time_limit=1e-9),
         model=hard_equality_knapsack(),
         presolve=False,
     )

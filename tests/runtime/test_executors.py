@@ -4,11 +4,11 @@ import time
 
 import pytest
 
+from repro.milp.highs_backend import HighsBackend
 from repro.runtime import (
     EXECUTOR_KINDS,
     MultiprocessExecutor,
     SerialExecutor,
-    SolverSpec,
     ThreadExecutor,
     WindowTask,
     make_executor,
@@ -18,26 +18,24 @@ from tests.runtime._fakes import SleepyBackend, tiny_model
 
 
 def batch(n=4):
-    spec = SolverSpec(backend="highs", time_limit=5.0)
+    backend = HighsBackend(time_limit=5.0)
     return [
         WindowTask(
             task_id=i, ix=i, iy=0, family=0,
             model=tiny_model(f"m{i}", reward=-(i + 1.0)),
-            solver=spec,
+            solver=backend,
         )
         for i in range(n)
     ]
 
 
 def sleepy_batch(n, sleep_seconds=0.3):
-    spec = SolverSpec(
-        backend="sleepy", instance=SleepyBackend(sleep_seconds)
-    )
+    backend = SleepyBackend(sleep_seconds)
     return [
         WindowTask(
             task_id=i, ix=i, iy=0, family=0,
             model=tiny_model(f"s{i}"),
-            solver=spec,
+            solver=backend,
         )
         for i in range(n)
     ]

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.milp.highs_backend import HighsBackend
 from repro.runtime import (
     FamilyScheduler,
     ScheduleConfig,
     SerialExecutor,
-    SolverSpec,
     ThreadExecutor,
     WindowTask,
 )
@@ -20,22 +20,21 @@ from tests.runtime._fakes import (
 
 
 def make_tasks(backend, n=3):
-    spec = SolverSpec.from_backend(backend)
     return [
         WindowTask(
             task_id=i, ix=i, iy=0, family=0,
-            model=tiny_model(f"m{i}"), solver=spec,
+            model=tiny_model(f"m{i}"), solver=backend,
         )
         for i in range(n)
     ]
 
 
 def test_results_keyed_by_canonical_task_id():
-    spec = SolverSpec(backend="highs", time_limit=5.0)
+    backend = HighsBackend(time_limit=5.0)
     tasks = [
         WindowTask(
             task_id=i, ix=i, iy=0, family=0,
-            model=tiny_model(f"m{i}"), solver=spec,
+            model=tiny_model(f"m{i}"), solver=backend,
         )
         for i in range(4)
     ]

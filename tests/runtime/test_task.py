@@ -2,12 +2,14 @@
 
 import pickle
 
-import pytest
-
 from repro.milp.highs_backend import HighsBackend
-from repro.runtime import SolverSpec, WindowTask
+from repro.runtime import WindowTask
 
-from tests.runtime._fakes import FixedSolveTimeBackend, tiny_model
+from tests.runtime._fakes import (
+    AlwaysErrorBackend,
+    FixedSolveTimeBackend,
+    tiny_model,
+)
 
 
 def make_task(task_id=0, solver=None):
@@ -17,32 +19,30 @@ def make_task(task_id=0, solver=None):
         iy=2,
         family=0,
         model=tiny_model(f"t{task_id}"),
-        solver=solver or SolverSpec(backend="highs", time_limit=2.0),
+        solver=solver or HighsBackend(time_limit=2.0),
         nets=("n1", "n2"),
         num_pairs=1,
     )
 
 
 def test_solver_spec_roundtrip_highs():
-    spec = SolverSpec.from_backend(
-        HighsBackend(time_limit=3.5, mip_rel_gap=0.01)
-    )
-    assert spec.backend == "highs"
-    backend = spec.build()
-    assert isinstance(backend, HighsBackend)
+    """A pickled task's HiGHS backend keeps its options."""
+    task = make_task(solver=HighsBackend(time_limit=3.5, mip_rel_gap=0.01))
+    backend = pickle.loads(pickle.dumps(task)).solver
+    assert type(backend) is HighsBackend
     assert backend.time_limit == 3.5
     assert backend.mip_rel_gap == 0.01
 
 
 def test_solver_spec_wraps_unknown_backend():
+    """Any other backend rides along as itself."""
     fake = FixedSolveTimeBackend(0.25)
-    spec = SolverSpec.from_backend(fake)
-    assert spec.build() is fake
-
-
-def test_solver_spec_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        SolverSpec(backend="cplex").build()
+    task = make_task(solver=fake)
+    assert task.solver is fake
+    assert task.run().solution.solve_seconds == 0.25
+    clone = pickle.loads(pickle.dumps(task)).solver
+    assert type(clone) is FixedSolveTimeBackend
+    assert clone.solve_seconds == 0.25
 
 
 def test_task_pickle_roundtrip_solves_identically():
@@ -57,11 +57,9 @@ def test_task_pickle_roundtrip_solves_identically():
 
 
 def test_run_never_raises_and_reports_error():
-    task = make_task(
-        solver=SolverSpec(backend="custom", instance=None)
-    )
-    # build() raises ValueError for the unknown name; run() must fold
-    # it into the result instead of propagating.
+    task = make_task(solver=AlwaysErrorBackend())
+    # The backend raises; run() must fold it into the result instead
+    # of propagating.
     result = task.run()
     assert not result.ok
-    assert "custom" in result.error
+    assert "solver is down" in result.error

@@ -67,6 +67,10 @@ def test_spec_full_roundtrip():
         ({"presolve": "yes"}, "presolve"),
         ({"frobnicate": 1}, "unknown spec field"),
         ({"window_cache": False}, "unknown spec field"),
+        ({"window_um": 0}, "window_um"),
+        ({"window_um": -1.0}, "window_um"),
+        ({"lx": -1}, "lx"),
+        ({"ly": -2}, "ly"),
     ],
 )
 def test_spec_rejects_bad_values(bad, match):

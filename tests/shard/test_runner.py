@@ -2,8 +2,6 @@
 
 The anchors:
 
-* ``shards=1`` is byte-identical to a plain ``vm1_opt`` run (the fast
-  path bypasses the shard layer entirely);
 * a sharded run produces a legal, oracle-verified stitched placement
   with every shard's objective monotone non-increasing;
 * killing a run between shards and resuming reproduces the
@@ -51,18 +49,6 @@ def sharded_reference():
     design = fresh_design()
     result = run_sharded(design, PARAMS, shards=2, halo_rows=2)
     return design.placement_snapshot(), result
-
-
-def test_single_shard_is_byte_identical_to_direct():
-    direct = fresh_design()
-    with SerialExecutor() as ex:
-        vm1_opt(direct, PARAMS, executor=ex)
-    via_shard = fresh_design()
-    result = run_sharded(via_shard, PARAMS, shards=1)
-    assert via_shard.placement_snapshot() == direct.placement_snapshot()
-    assert result.num_shards == 1
-    assert result.direct is not None
-    assert result.to_vm1_result() is result.direct
 
 
 def test_sharded_run_is_legal_and_monotone(sharded_reference):
@@ -155,6 +141,10 @@ def test_run_sharded_rejects_bad_counts():
     design = fresh_design()
     with pytest.raises(ValueError):
         run_sharded(design, PARAMS, shards=0)
+    # An unsharded run is plain ``vm1_opt``, which ``run_flow`` calls
+    # directly; ``run_sharded`` only shards.
+    with pytest.raises(ValueError, match=">= 2"):
+        run_sharded(design, PARAMS, shards=1)
     with pytest.raises((ValueError, ShardPlanError)):
         run_sharded(design, PARAMS, shards=design.num_rows)
 

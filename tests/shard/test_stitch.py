@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.core import OptParams
+from repro.core import OptParams, ParamSet
 from repro.core.window import partition
 from repro.library import build_library
 from repro.netlist import generate_design
 from repro.placement import place_design
 from repro.shard.partition import plan_shards
+from repro.shard.runner import run_sharded
 from repro.shard.stitch import (
     merge_shard_placements,
     seam_window_filter,
@@ -89,3 +90,38 @@ def test_verify_stitched_reports_both_checkers(design):
 def test_seam_params_exist():
     params = OptParams.for_arch(TECH.arch)
     assert params.sequence, "seam pass reads the last ParamSet"
+
+
+@pytest.mark.parametrize(
+    "arch, shards",
+    [(CellArchitecture.OPEN_M1, 2), (CellArchitecture.CLOSED_M1, 3)],
+)
+def test_seam_pass_builds_every_admitted_window(arch, shards):
+    """The seam pass is plain DistOpt over the windows
+    :func:`seam_window_filter` admits: it builds every one of them and
+    skips none."""
+    tech = make_tech(arch)
+    design = generate_design(
+        "aes", tech, build_library(tech), scale=0.02, seed=2
+    )
+    place_design(design, seed=1)
+    params = OptParams.for_arch(
+        arch, sequence=(ParamSet.square(1.0, 3, 1),), time_limit=2.0
+    )
+    result = run_sharded(design, params, shards=shards, halo_rows=2)
+
+    # The seam grid: the last parameter set's windows, shifted half a
+    # window (in whole rows) vertically.
+    u = params.sequence[-1]
+    bh = tech.dbu(u.bh_um)
+    ty = (bh // 2 // tech.row_height) * tech.row_height
+    accept = seam_window_filter(design, result.plan)
+    admitted = [
+        w
+        for w in partition(design, 0, ty, tech.dbu(u.bw_um), bh)
+        if accept(w)
+    ]
+    seam = result.stitch.seam_pass
+    assert len(admitted) >= 10
+    assert seam.windows_built == len(admitted)
+    assert seam.windows_skipped_clean == 0
