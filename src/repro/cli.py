@@ -654,8 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=_positive_int, default=1,
-        help="concurrent jobs; window-solve parallelism is per-job "
-        "(the spec's executor/jobs)",
+        help="concurrent jobs, each run in its own forked process; "
+        "window-solve parallelism is per-job (the spec's "
+        "executor/jobs)",
     )
     serve.set_defaults(func=_cmd_serve)
 

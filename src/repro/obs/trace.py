@@ -259,8 +259,8 @@ def active() -> Tracer | None:
 class tracer_scope:
     """Activate ``tracer`` for the current thread only.
 
-    The job service runs concurrent jobs on worker threads; each wraps
-    its flow in a ``tracer_scope`` so spans land in per-job sinks.
+    A service job process wraps its flow in one, so its spans land in
+    its own tracer and never in the service tracer the fork copied.
     ``tracer=None`` masks a process-global tracer for the scope.
     """
 

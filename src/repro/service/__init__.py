@@ -9,9 +9,10 @@ a byte-identical final placement.
 * :mod:`repro.service.jobstore` — atomic on-disk job journal
   (queued/running/cancelled/failed/done) with crash-safe recovery.
 * :mod:`repro.service.manager` — worker threads that claim jobs and
-  drive :func:`repro.flow.run_flow` with checkpoint sinks, progress
-  events lifted from ``repro.runtime.telemetry/v5``, cooperative
-  cancellation, and graceful drain on shutdown.
+  run each in a forked job process driving :func:`repro.flow.run_flow`;
+  the thread journals its checkpoints and progress events (lifted from
+  ``repro.runtime.telemetry/v5``) and answers them with cooperative
+  cancellation or graceful drain on shutdown.
 * :mod:`repro.service.http` — stdlib ``http.server`` JSON API
   (submit / status / NDJSON progress stream / result / telemetry /
   ``/healthz`` / ``/metrics``).

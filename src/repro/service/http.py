@@ -218,7 +218,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _route_post(self) -> None:
         parsed = urlparse(self.path)
         parts = [p for p in parsed.path.split("/") if p]
-        store = self.server.store
         if parts[:2] == ["api", "jobs"] and len(parts) == 2:
             if self.server.manager.draining:
                 self._error(503, "service is draining")
@@ -238,7 +237,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             except ValueError as exc:
                 self._error(400, str(exc))
                 return
-            record = store.submit(kind, spec)
+            record = self.server.manager.submit(kind, spec)
             self._send_json(201, record.to_dict())
             return
         if (

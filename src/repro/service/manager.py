@@ -1,42 +1,82 @@
-"""Job manager: claims queued jobs and runs them through the flow.
+"""Job manager: claims queued jobs and runs each in its own process.
 
 A :class:`JobManager` owns a small pool of worker *threads* (the
-concurrency cap); each worker claims the oldest queued job from the
-:class:`~repro.service.jobstore.JobStore` and executes it with
-:func:`repro.flow.run_flow`.  Window-level parallelism stays inside
+concurrency cap).  A worker claims the oldest queued job from the
+:class:`~repro.service.jobstore.JobStore`, forks one child process for
+it (``multiprocessing.get_context("fork")``) and joins that process
+before it claims the next job.  The child runs
+:func:`repro.flow.run_flow`, so concurrent jobs no longer share one
+interpreter lock: model build, presolve, apply, placement and routing
+of two jobs run on two cores.  Window-level parallelism stays inside
 the job — each flow gets its own :mod:`repro.runtime` executor as
 configured by the job spec (``executor`` / ``jobs``), so the service's
 total worker budget is ``manager workers x per-job solver jobs``.
 
+One journal writer
+------------------
+The job process never writes the journal.  It sends the worker
+thread, over a pipe, each pass checkpoint, each progress event, and
+at the end the result document, the telemetry summary and the
+``post.def`` text (or how the flow stopped).  The worker thread writes
+all of it through the store, so ``job.json``, ``events.ndjson`` and
+``checkpoint.json`` keep one writer and the store's fault-injection
+sites see every write.  The job process also leaves alone the copies
+of the store, the service tracer and any fault controller that the
+fork gave it.  Job processes are direct children of the service,
+reaped by the worker thread that started them, so the service's
+CPU-time and peak-RSS accounting of its children counts them.
+
 Cooperative control points
 --------------------------
-The flow calls back into the manager after every DistOpt pass (via
-``run_flow(progress=...)``), *after* that pass's checkpoint hit the
-jobstore.  At that point the manager:
+The flow calls back after every DistOpt pass (``run_flow(progress=...)``),
+*after* that pass's checkpoint was sent.  The job process then waits
+for the worker thread, which:
 
 * appends a progress event lifted from the pass's telemetry pass
   entry (``repro.runtime.telemetry/v5``);
-* raises :class:`JobCancelled` if the job's cancel flag is set
-  (job -> ``cancelled``);
-* raises :class:`ServiceShutdown` if the service is draining after
-  SIGTERM/SIGINT (job -> back to ``queued`` with its checkpoint, so
-  the next service start resumes it).
+* answers *cancel* if the job's cancel flag is set — the job process
+  raises :class:`JobCancelled` (job -> ``cancelled``);
+* answers *shutdown* if the service is draining after SIGTERM/SIGINT —
+  the job process raises :class:`ServiceShutdown` (job -> back to
+  ``queued`` with its checkpoint, so the next service start resumes
+  it);
+* answers *go* otherwise.
 
 Either raise unwinds through ``run_flow``'s executor context, which
 *drains* the window-solve pool — in-flight solves finish and every
-worker process/thread is joined before the job thread returns, so a
-graceful shutdown never orphans workers.
+worker process/thread is joined before the job process exits, so a
+graceful shutdown never orphans workers.  The job process ignores
+SIGINT and SIGTERM: a signal to the whole process group reaches the
+service, which stops the job at its next pass boundary.  A job
+process whose service died exits at its next message without a
+journal write, and one that dies without its final message is a
+failed job.
+
+Tracing
+-------
+A spec with ``"trace": true`` makes the job process write
+``<job_dir>/trace.ndjson`` as its spans finish.  Otherwise, when a
+tracer is active on the worker thread (``repro.obs.trace.enable``),
+the job process records under that tracer's context and sends its
+spans back with its final message; the worker thread absorbs them, in
+order, as one ``flow`` tree.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 import threading
 import time
 import traceback
-from contextlib import nullcontext
+from dataclasses import dataclass
+from pathlib import Path
 
+from repro.core.checkpoint import VM1Checkpoint
 from repro.flow import FlowConfig, run_flow, table2_row
 from repro.lefdef import write_def
+from repro.obs import trace as obs_trace
 from repro.obs.export import TraceWriter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, tracer_scope
@@ -69,11 +109,21 @@ _LIFECYCLE_EVENTS = (
 
 
 class JobCancelled(Exception):
-    """Raised inside a job thread when its cancel flag is set."""
+    """Raised inside a job process when its cancel flag is set."""
 
 
 class ServiceShutdown(Exception):
-    """Raised inside a job thread when the service is draining."""
+    """Raised inside a job process when the service is draining."""
+
+
+class JobProcessError(Exception):
+    """A job process ended without a result: its flow raised, or the
+    process died before reporting.  ``str()`` is the job's ``error``."""
+
+    def __init__(self, error: str, details: str = "") -> None:
+        super().__init__(error)
+        #: the flow's traceback, when the job process sent one.
+        self.details = details
 
 
 def _shards(value) -> "int | str":
@@ -187,8 +237,158 @@ def flow_config_from_spec(spec: dict) -> FlowConfig:
     return FlowConfig(**clean)
 
 
+# ------------------------------------------------------- job process
+#: Seconds between liveness checks while one end of a job's pipe waits
+#: for the other.  A worker thread notices a job process that died, and
+#: a job process notices that its service died, within this long even
+#: when a sibling job process holds a copy of the pipe.
+_LIVENESS_POLL_S = 0.5
+
+
+@dataclass(frozen=True)
+class _JobRun:
+    """One attempt of a job, as decided by the worker thread before it
+    forks the job process."""
+
+    job_id: str
+    config: FlowConfig
+    resume: VM1Checkpoint | None
+    shard_dir: Path
+    shard_resume: bool
+    #: ``<job_dir>/trace.ndjson`` for a spec with ``"trace": true``.
+    trace_path: Path | None
+    #: context of the service tracer that absorbs the job's spans.
+    trace_ctx: tuple[str, str | None] | None
+    service_pid: int
+
+
+class _ServiceGone(BaseException):
+    """The service died: unwind the flow (its executor drains) and exit
+    without reporting.  Not an ``Exception``, so no handler in the flow
+    takes it for a failure to recover from."""
+
+
+class _ServiceLink:
+    """The job process's end of its pipe to the worker thread."""
+
+    def __init__(self, conn, service_pid: int) -> None:
+        self.conn = conn
+        self.service_pid = service_pid
+
+    def _check(self) -> None:
+        # An orphan is re-parented, so this also notices a dead service
+        # whose end of the pipe a sibling job process still holds.
+        if os.getppid() != self.service_pid:
+            raise _ServiceGone
+
+    def send(self, message) -> None:
+        self._check()
+        try:
+            self.conn.send(message)
+        except OSError:
+            raise _ServiceGone from None
+
+    def ask(self, message) -> str:
+        self.send(message)
+        while not self.conn.poll(_LIVENESS_POLL_S):
+            self._check()
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            raise _ServiceGone from None
+
+
+def _job_process(run: _JobRun, conn, service_end) -> None:
+    """Body of a job process: run the flow, report over ``conn``."""
+    service_end.close()
+    # A signal to the whole process group reaches the service, which
+    # stops this job at its next pass boundary.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    link = _ServiceLink(conn, run.service_pid)
+    tracer = writer = None
+    if run.trace_path is not None:
+        # A resumed attempt re-joins the interrupted attempt's trace —
+        # the checkpoint carries its (trace_id, root span id), so one
+        # coherent tree spans both.
+        seed = run.resume.trace if run.resume is not None else None
+        writer = TraceWriter(run.trace_path)
+        tracer = Tracer(
+            trace_id=seed[0] if seed else None,
+            root_parent_id=seed[1] if seed else None,
+            sink=writer,
+        )
+    elif run.trace_ctx is not None:
+        tracer = Tracer(
+            trace_id=run.trace_ctx[0], root_parent_id=run.trace_ctx[1]
+        )
+
+    def progress(stage: str, info: dict) -> None:
+        answer = link.ask(("progress", stage, info))
+        if answer == "cancel":
+            raise JobCancelled(run.job_id)
+        if answer == "shutdown":
+            raise ServiceShutdown(run.job_id)
+
+    def checkpoint_sink(cp: VM1Checkpoint) -> None:
+        link.send(("checkpoint", cp))
+
+    try:
+        # tracer_scope(None) masks a service tracer the fork copied.
+        with tracer_scope(tracer):
+            result = run_flow(
+                run.config,
+                progress=progress,
+                checkpoint_sink=checkpoint_sink,
+                resume=run.resume,
+                shard_checkpoint_dir=run.shard_dir,
+                shard_resume=run.shard_resume,
+            )
+        end = ("done", _deliverables(run, result))
+    except _ServiceGone:
+        return
+    except JobCancelled:
+        end = ("cancelled", None)
+    except ServiceShutdown:
+        end = ("interrupted", None)
+    except Exception as exc:  # noqa: BLE001 — the job's error
+        end = ("failed", (repr(exc), traceback.format_exc()))
+    finally:
+        if writer is not None:
+            writer.close()
+    spans = tracer.export() if run.trace_ctx is not None else []
+    try:
+        link.send(("end", *end, spans))
+    except _ServiceGone:
+        pass
+
+
+def _deliverables(run: _JobRun, result) -> tuple[dict, dict | None, str]:
+    """Result document, telemetry summary and ``post.def`` text of a
+    finished flow."""
+    result_doc = {
+        "schema": RESULT_SCHEMA,
+        "job_id": run.job_id,
+        "table2": table2_row(result),
+        "num_instances": result.num_instances,
+        "place_seconds": result.place_seconds,
+        "total_seconds": result.total_seconds,
+        "resumed": run.resume is not None or (
+            run.shard_resume and result.shard is not None
+        ),
+    }
+    if result.shard is not None:
+        result_doc["shard"] = result.shard.summary()
+    telemetry = (
+        result.telemetry.summary() if result.telemetry is not None
+        else None
+    )
+    return result_doc, telemetry, write_def(result.design)
+
+
 class JobManager:
-    """Claims queued jobs and executes them on worker threads."""
+    """Claims queued jobs on worker threads and runs each in a job
+    process forked by the thread that claimed it."""
 
     def __init__(
         self,
@@ -288,6 +488,14 @@ class JobManager:
     def draining(self) -> bool:
         return self._stop.is_set()
 
+    # --------------------------------------------------------- submit
+    def submit(self, kind: str, spec: dict) -> JobRecord:
+        """Journal a new queued job and wake an idle worker to claim
+        it (without the wake it waits for the next poll tick)."""
+        record = self.store.submit(kind, spec)
+        self._wake.set()
+        return record
+
     # --------------------------------------------------------- cancel
     def request_cancel(self, job_id: str) -> JobRecord:
         """Cancel a job: queued jobs finalize at claim time, running
@@ -350,15 +558,10 @@ class JobManager:
             logger.info(
                 "job %s interrupted by shutdown — re-queued", job_id
             )
+        except JobProcessError as exc:
+            self._fail(job_id, str(exc), exc.details)
         except Exception as exc:  # noqa: BLE001 — job isolation
-            self._lifecycle.inc(event="jobs_failed")
-            self.store.mark_failed(job_id, error=repr(exc))
-            logger.warning(
-                "job %s failed: %s\n%s",
-                job_id,
-                exc,
-                traceback.format_exc(),
-            )
+            self._fail(job_id, repr(exc), traceback.format_exc())
         else:
             self._lifecycle.inc(event="jobs_done")
             self.store.mark_done(job_id)
@@ -366,6 +569,11 @@ class JobManager:
         finally:
             with self._active_lock:
                 self._active.pop(job_id, None)
+
+    def _fail(self, job_id: str, error: str, details: str) -> None:
+        self._lifecycle.inc(event="jobs_failed")
+        self.store.mark_failed(job_id, error=error)
+        logger.warning("job %s failed: %s\n%s", job_id, error, details)
 
     def _run_flow_job(
         self, record: JobRecord, cancel: threading.Event
@@ -383,109 +591,139 @@ class JobManager:
                     "phase": resume.phase,
                 },
             )
-
-        def progress(stage: str, info: dict) -> None:
-            if stage == "pass":
-                self._lifecycle.inc(event="passes")
-            elif stage == "shard":
-                self._lifecycle.inc(event="shards_completed")
-            elif stage == "seam":
-                self._lifecycle.inc(event="seam_passes")
-            if stage in ("pass", "seam"):
-                self._lifecycle.inc(
-                    int(info.get("windows_skipped_clean", 0) or 0),
-                    event="windows_skipped_clean",
-                )
-            self.store.append_event(
-                job_id, {"type": stage, **info}
-            )
-            # Control points come *after* the event (and after the
-            # pass checkpoint already hit the store), so an abort here
-            # is always resumable.
-            if cancel.is_set():
-                raise JobCancelled(job_id)
-            if self._stop.is_set():
-                raise ServiceShutdown(job_id)
-
-        # Per-job span trace (spec {"trace": true}): appended to
-        # <job_dir>/trace.ndjson.  A resumed attempt re-joins the
-        # interrupted attempt's trace — the checkpoint carries its
-        # (trace_id, root span id), so one coherent tree spans both.
-        tracer = writer = None
-        if record.spec.get("trace"):
-            writer = TraceWriter(
-                self.store.job_dir(job_id) / "trace.ndjson"
-            )
-            seed = resume.trace if resume is not None else None
-            tracer = Tracer(
-                trace_id=seed[0] if seed else None,
-                root_parent_id=seed[1] if seed else None,
-                sink=writer,
-            )
-
+        job_dir = self.store.job_dir(job_id)
         # Sharded jobs keep their crash-safe state per shard inside the
         # job directory; a plan fingerprint from an interrupted attempt
         # means "resume" (finished shards fast-forward).
-        shard_dir = self.store.job_dir(job_id) / "shards"
-        shard_resume = (shard_dir / "plan.json").exists()
-
-        def checkpoint_sink(cp) -> None:
-            # A checkpoint is an optimization, not ground truth: a
-            # failed write (full disk, fsync error) must not kill a
-            # healthy job.  Count it, journal it, keep running — the
-            # worst case is resuming from the previous checkpoint.
-            try:
-                self.store.write_checkpoint(job_id, cp)
-            except OSError as exc:
-                self._lifecycle.inc(event="checkpoint_write_failures")
-                self.store.append_event(
-                    job_id,
-                    {
-                        "type": "checkpoint_write_failed",
-                        "error": str(exc),
-                    },
-                )
-                logger.warning(
-                    "job %s: checkpoint write failed (%s) — "
-                    "continuing without it",
-                    job_id, exc,
-                )
-
-        try:
-            with tracer_scope(tracer) if tracer is not None else (
-                nullcontext()
-            ):
-                result = run_flow(
-                    config,
-                    progress=progress,
-                    checkpoint_sink=checkpoint_sink,
-                    resume=resume,
-                    shard_checkpoint_dir=shard_dir,
-                    shard_resume=shard_resume,
-                )
-        finally:
-            if writer is not None:
-                writer.close()
-
-        row = table2_row(result)
-        result_doc = {
-            "schema": RESULT_SCHEMA,
-            "job_id": job_id,
-            "table2": row,
-            "num_instances": result.num_instances,
-            "place_seconds": result.place_seconds,
-            "total_seconds": result.total_seconds,
-            "resumed": resume is not None or (
-                shard_resume and result.shard is not None
+        shard_dir = job_dir / "shards"
+        # A per-job trace (spec {"trace": true}) is written by the job
+        # process; otherwise the spans come back to the tracer active
+        # here, if any.
+        traced = bool(record.spec.get("trace"))
+        tracer = None if traced else obs_trace.active()
+        run = _JobRun(
+            job_id=job_id,
+            config=config,
+            resume=resume,
+            shard_dir=shard_dir,
+            shard_resume=(shard_dir / "plan.json").exists(),
+            trace_path=job_dir / "trace.ndjson" if traced else None,
+            trace_ctx=(
+                obs_trace.current_context() if tracer is not None
+                else None
             ),
-        }
-        if result.shard is not None:
-            result_doc["shard"] = result.shard.summary()
-        self.store.write_result(job_id, result_doc)
-        if result.telemetry is not None:
-            self.store.write_telemetry(
-                job_id, result.telemetry.summary()
-            )
-        self.store.write_artifact(
-            job_id, "post.def", write_def(result.design)
+            service_pid=os.getpid(),
         )
+        status, data, spans = self._run_job_process(run, cancel)
+        if tracer is not None:
+            tracer.absorb(spans)
+        if status == "cancelled":
+            raise JobCancelled(job_id)
+        if status == "interrupted":
+            raise ServiceShutdown(job_id)
+        if status == "failed":
+            raise JobProcessError(*data)
+        result_doc, telemetry, def_text = data
+        self.store.write_result(job_id, result_doc)
+        if telemetry is not None:
+            self.store.write_telemetry(job_id, telemetry)
+        self.store.write_artifact(job_id, "post.def", def_text)
+
+    def _run_job_process(
+        self, run: _JobRun, cancel: threading.Event
+    ) -> tuple:
+        """Fork the job process of ``run``, answer it until its final
+        message and reap it; returns ``(status, data, spans)``."""
+        context = multiprocessing.get_context("fork")
+        service_end, job_end = context.Pipe()
+        process = context.Process(
+            target=_job_process,
+            args=(run, job_end, service_end),
+            name=f"repro-job-{run.job_id}",
+        )
+        process.start()
+        job_end.close()
+        end = None
+        try:
+            end = self._answer(run.job_id, process, service_end, cancel)
+        finally:
+            if end is None and process.is_alive():
+                # A journal write failed on this side: stop the job
+                # process instead of leaving it waiting for an answer.
+                process.kill()
+            service_end.close()
+            # Reaped before the job is marked finished, so whoever sees
+            # the final state also sees the process's CPU time in this
+            # process's children rusage.
+            process.join()
+        return end[1:]
+
+    def _answer(
+        self, job_id: str, process, conn, cancel: threading.Event
+    ) -> tuple:
+        """Journal what the job process sends, answer its progress
+        events, and return its final message."""
+        while True:
+            if not conn.poll(_LIVENESS_POLL_S):
+                if process.is_alive() or conn.poll(0):
+                    continue
+                raise self._died(process)
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                raise self._died(process) from None
+            if message[0] == "checkpoint":
+                self._write_checkpoint(job_id, message[1])
+            elif message[0] == "progress":
+                self._record_progress(job_id, message[1], message[2])
+                # Answered *after* the event (and after the pass
+                # checkpoint already hit the store), so an abort is
+                # always resumable.
+                conn.send(
+                    "cancel" if cancel.is_set()
+                    else "shutdown" if self._stop.is_set()
+                    else "go"
+                )
+            else:
+                return message
+
+    @staticmethod
+    def _died(process) -> JobProcessError:
+        process.join()
+        return JobProcessError(
+            f"job process died before reporting "
+            f"(exitcode {process.exitcode})"
+        )
+
+    def _record_progress(self, job_id: str, stage: str, info: dict) -> None:
+        if stage == "pass":
+            self._lifecycle.inc(event="passes")
+        elif stage == "shard":
+            self._lifecycle.inc(event="shards_completed")
+        elif stage == "seam":
+            self._lifecycle.inc(event="seam_passes")
+        if stage in ("pass", "seam"):
+            self._lifecycle.inc(
+                int(info.get("windows_skipped_clean", 0) or 0),
+                event="windows_skipped_clean",
+            )
+        self.store.append_event(job_id, {"type": stage, **info})
+
+    def _write_checkpoint(self, job_id: str, cp: VM1Checkpoint) -> None:
+        # A checkpoint is an optimization, not ground truth: a failed
+        # write (full disk, fsync error) must not kill a healthy job.
+        # Count it, journal it, keep running — the worst case is
+        # resuming from the previous checkpoint.
+        try:
+            self.store.write_checkpoint(job_id, cp)
+        except OSError as exc:
+            self._lifecycle.inc(event="checkpoint_write_failures")
+            self.store.append_event(
+                job_id,
+                {"type": "checkpoint_write_failed", "error": str(exc)},
+            )
+            logger.warning(
+                "job %s: checkpoint write failed (%s) — "
+                "continuing without it",
+                job_id, exc,
+            )

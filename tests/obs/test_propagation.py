@@ -143,11 +143,14 @@ def test_checkpoint_carries_context_and_resume_rejoins_trace():
     [
         # A crashed worker: the scheduler sees an executor failure.
         ("serial", dict(action="crash", nth=1), {}, "failed"),
-        # A hung worker: the per-task deadline fires first.
+        # A hung worker: the per-task deadline fires first.  The
+        # deadline runs from submission, so it must also cover the
+        # honest windows queued behind each other on the one free
+        # thread (about 0.3 s of solves here).
         (
             "thread",
-            dict(action="hang", nth=1, seconds=1.0),
-            dict(task_timeout=0.2),
+            dict(action="hang", nth=1, seconds=3.0),
+            dict(task_timeout=1.0),
             "timed_out",
         ),
     ],

@@ -6,7 +6,15 @@ import time
 import pytest
 
 from repro.runtime import TELEMETRY_SCHEMA
-from repro.service import ServiceClient, ServiceError, build_server
+from repro.service import (
+    JobManager,
+    JobState,
+    JobStore,
+    ServiceClient,
+    ServiceError,
+    ServiceServer,
+    build_server,
+)
 
 QUICK_SPEC = {
     "profile": "aes",
@@ -166,6 +174,33 @@ def test_cancel_queued_job_over_http(tmp_path):
         assert client.wait(first, timeout=120)["state"] == "done"
     finally:
         server.manager.shutdown(timeout=60)
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+def test_submit_wakes_an_idle_worker(tmp_path):
+    # A 30 s poll tick: only the wake on submit gets the job claimed
+    # within a second.
+    store = JobStore(tmp_path / "root")
+    manager = JobManager(store, workers=1, poll_interval=30)
+    manager.start()
+    server = ServiceServer(("127.0.0.1", 0), store, manager)
+    thread = threading.Thread(
+        target=server.serve_forever, daemon=True
+    )
+    thread.start()
+    try:
+        time.sleep(0.2)  # the worker found the queue empty and sleeps
+        job_id = ServiceClient(server.url).submit(dict(QUICK_SPEC))
+        deadline = time.time() + 1.0
+        while time.time() < deadline:
+            if store.get(job_id).state is not JobState.QUEUED:
+                break
+            time.sleep(0.01)
+        assert store.get(job_id).state is JobState.RUNNING
+    finally:
+        manager.shutdown(timeout=60)
         server.shutdown()
         server.server_close()
         thread.join(timeout=10)

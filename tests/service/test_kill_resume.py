@@ -1,15 +1,16 @@
 """Crash-safety acceptance tests against a real ``repro serve``.
 
-Two scenarios from ISSUE 4:
-
 * SIGKILL of the server mid-DistOpt: a restart on the same journal
   root recovers the job and resumes from the last checkpointed pass,
   finishing with a placement **byte-identical** to an uninterrupted
   run.
-* SIGTERM of the server while a multiprocess-executor job runs: the
-  service drains (in-flight window solves finish, workers are
-  joined — nothing orphaned), the job is re-queued with its
-  checkpoint, and the process exits nonzero.
+* SIGTERM of the server, or of its whole process group, while a
+  multiprocess-executor job runs: the service drains (the job process
+  ignores the signal and stops at its next pass boundary, in-flight
+  window solves finish, workers are joined — nothing orphaned), the
+  job is re-queued with its checkpoint, and the process exits nonzero.
+* SIGKILL of the server alone: the orphaned job process exits at its
+  next message and writes nothing to the journal.
 """
 
 import json
@@ -196,8 +197,10 @@ def test_sigkill_trace_survives_and_resume_rejoins_it(tmp_path):
     assert len(flow_roots) == 1, shape
 
 
-def test_sigterm_drains_multiprocess_job_and_exits_nonzero(tmp_path):
-    root = tmp_path / "drain"
+def _drain_after_sigterm(root: Path, kill) -> None:
+    """SIGTERM through ``kill(server_pid)`` while a multiprocess job
+    runs; the service must drain, re-queue the job with its checkpoint
+    and exit 143, and a restart must finish the job."""
     proc, client = _start_server(root)
     pgid = proc.pid
     job_id = None
@@ -206,7 +209,7 @@ def test_sigterm_drains_multiprocess_job_and_exits_nonzero(tmp_path):
             {**SPEC, "executor": "process", "jobs": 2}
         )
         _wait_for_checkpoint(root, job_id)
-        os.kill(proc.pid, signal.SIGTERM)  # only the server process
+        kill(proc.pid)
         rc = proc.wait(timeout=120)
     finally:
         if proc.poll() is None:  # pragma: no cover — hung server
@@ -239,3 +242,50 @@ def test_sigterm_drains_multiprocess_job_and_exits_nonzero(tmp_path):
         assert final["attempts"] == 2
     finally:
         _stop_server(proc)
+
+
+def test_sigterm_drains_multiprocess_job_and_exits_nonzero(tmp_path):
+    # Only the server process gets the signal.
+    _drain_after_sigterm(
+        tmp_path / "drain", lambda pid: os.kill(pid, signal.SIGTERM)
+    )
+
+
+def test_group_sigterm_drains_multiprocess_job_and_exits_nonzero(
+    tmp_path,
+):
+    # The job process and its pool workers get the signal too, as
+    # from a terminal or a supervisor stopping the group.
+    _drain_after_sigterm(
+        tmp_path / "group", lambda pid: os.killpg(pid, signal.SIGTERM)
+    )
+
+
+def test_sigkill_of_server_alone_ends_orphaned_job_process(tmp_path):
+    from repro.obs.export import read_trace
+
+    root = tmp_path / "orphan"
+    job_dir = None
+    proc, client = _start_server(root)
+    pgid = proc.pid
+    try:
+        job_id = client.submit({**SPEC, "trace": True})
+        job_dir = root / "jobs" / job_id
+        _wait_for_checkpoint(root, job_id)
+        os.kill(proc.pid, signal.SIGKILL)  # only the server process
+        proc.wait(timeout=30)
+    finally:
+        if proc.poll() is None:  # pragma: no cover
+            _stop_server(proc)
+        proc.stdout.close()
+    journal = ("job.json", "events.ndjson", "checkpoint.json")
+    before = {name: (job_dir / name).read_bytes() for name in journal}
+    _assert_group_gone(pgid)
+    after = {name: (job_dir / name).read_bytes() for name in journal}
+    assert after == before  # the orphan wrote nothing to the journal
+    assert json.loads(after["job.json"])["state"] == "running"
+    # It unwound its flow at its next message rather than finishing it:
+    # the root span closed with the error that stopped it.
+    flows = [s for s in read_trace(job_dir / "trace.ndjson")
+             if s.name == "flow"]
+    assert [s.status for s in flows] == ["error:_ServiceGone"]

@@ -1,11 +1,16 @@
 """Job manager: spec validation, execution, cancel, drain."""
 
+import os
+import sys
 import time
 
 import pytest
 
-from repro.flow import FlowConfig
-from repro.runtime import TELEMETRY_SCHEMA
+from repro.flow import FlowConfig, run_flow, table2_row
+from repro.lefdef import write_def
+from repro.obs import trace as obs_trace
+from repro.obs.trace import Tracer, tracer_scope, tree_shape
+from repro.runtime import TELEMETRY_SCHEMA, RunTelemetry
 from repro.service import (
     JobManager,
     JobState,
@@ -200,3 +205,132 @@ def test_shutdown_requeues_running_job_with_checkpoint(tmp_path):
     ]
     assert states[-1] == "requeued"
     assert manager.counters["jobs_interrupted"] == 1
+
+
+def wait_terminal(store, job_id, timeout=120):
+    deadline = time.time() + timeout
+    while time.time() < deadline:
+        record = store.get(job_id)
+        if record.state.terminal:
+            return record
+        time.sleep(0.05)
+    pytest.fail(f"job {job_id} did not finish in {timeout}s")
+
+
+def _exit_3(*args, **kwargs):
+    os._exit(3)
+
+
+def test_job_process_that_dies_is_a_failed_job(tmp_path, monkeypatch):
+    # The fork inherits the patch: the job process exits without its
+    # final message.
+    monkeypatch.setattr("repro.service.manager.run_flow", _exit_3)
+    store = JobStore(tmp_path / "root")
+    manager = JobManager(store, workers=1, poll_interval=0.02)
+    manager.start()
+    try:
+        ids = [store.submit("flow", QUICK_SPEC).job_id for _ in range(2)]
+        finals = [wait_terminal(store, job_id, 60) for job_id in ids]
+    finally:
+        manager.shutdown(timeout=60)
+    for final in finals:  # the worker moved on to the second job
+        assert final.state is JobState.FAILED
+        assert "exitcode 3" in final.error, final.error
+    assert manager.counters["jobs_failed"] == 2
+
+
+def _five_passes(config, *, progress, **kwargs):
+    for _ in range(5):
+        progress("pass", {"windows_skipped_clean": 1})
+    return None
+
+
+def test_more_workers_than_cores_lose_no_journal_write(
+    tmp_path, monkeypatch
+):
+    # Four worker threads journal twelve short job processes at once.
+    monkeypatch.setattr("repro.service.manager.run_flow", _five_passes)
+    monkeypatch.setattr(
+        "repro.service.manager._deliverables",
+        lambda run, result: ({"job_id": run.job_id}, None, "DESIGN\n"),
+    )
+    store = JobStore(tmp_path / "root")
+    manager = JobManager(store, workers=4, poll_interval=0.02)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    manager.start()
+    try:
+        ids = [
+            manager.submit("flow", QUICK_SPEC).job_id for _ in range(12)
+        ]
+        finals = [wait_terminal(store, job_id, 60) for job_id in ids]
+    finally:
+        manager.shutdown(timeout=60)
+        sys.setswitchinterval(interval)
+    assert [f.state for f in finals] == [JobState.DONE] * 12
+    for job_id in ids:
+        events = store.read_events(job_id)
+        assert [e["type"] for e in events].count("pass") == 5
+        assert store.load_result(job_id) == {"job_id": job_id}
+    counters = manager.counters
+    assert counters["jobs_done"] == 12
+    assert counters["passes"] == 60
+    assert counters["windows_skipped_clean"] == 60
+
+
+def test_job_spans_are_absorbed_as_one_flow_tree(tmp_path):
+    store = JobStore(tmp_path / "root")
+    manager = JobManager(store, workers=1, poll_interval=0.02)
+    tracer = obs_trace.enable()
+    try:
+        manager.start()
+        record = store.submit("flow", QUICK_SPEC)
+        final = wait_terminal(store, record.job_id)
+    finally:
+        manager.shutdown(timeout=60)
+        obs_trace.disable()
+    assert final.state is JobState.DONE, final.error
+    spans = tracer.spans
+    assert {s.trace_id for s in spans} == {tracer.trace_id}
+    shape = tree_shape(spans)
+    assert len(shape) == 1 and shape[0][0] == "flow", shape
+    # Absorbed in the order the job recorded them: as a flow run here.
+    reference = Tracer()
+    with tracer_scope(reference):
+        run_flow(flow_config_from_spec(QUICK_SPEC))
+    assert [s.name for s in spans] == [s.name for s in reference.spans]
+    # They are the job's own spans: its telemetry is their view.
+    derived = RunTelemetry.from_spans(spans).summary()
+    journaled = store.load_telemetry(record.job_id)
+    assert derived["windows"] == journaled["windows"]
+    assert derived["trace"]["trace_id"] == tracer.trace_id
+
+
+def test_concurrent_jobs_match_run_flow_byte_for_byte(tmp_path):
+    specs = [
+        {**QUICK_SPEC, "arch": CellArchitecture.CLOSED_M1.value, "seed": 1},
+        {**QUICK_SPEC, "arch": CellArchitecture.OPEN_M1.value, "seed": 2},
+    ]
+    store = JobStore(tmp_path / "root")
+    manager = JobManager(store, workers=2, poll_interval=0.02)
+    manager.start()
+    try:
+        ids = [manager.submit("flow", spec).job_id for spec in specs]
+        finals = [wait_terminal(store, job_id) for job_id in ids]
+    finally:
+        manager.shutdown(timeout=60)
+    first, second = finals
+    assert first.started_at < second.finished_at
+    assert second.started_at < first.finished_at  # they overlapped
+    for spec, final in zip(specs, finals):
+        assert final.state is JobState.DONE, final.error
+        reference = run_flow(flow_config_from_spec(spec))
+        post_def = store.artifact_path(final.job_id, "post.def")
+        assert post_def.read_text() == write_def(reference.design)
+        table2 = store.load_result(final.job_id)["table2"]
+        assert _quality(table2) == _quality(table2_row(reference))
+
+
+def _quality(row: dict) -> dict:
+    """A Table-2 row without its timings."""
+    return {k: v for k, v in row.items() if not k.startswith("runtime")}
