@@ -40,16 +40,14 @@ from repro.eval import (
     expt_b_table2,
     render_markdown_table,
 )
-from repro.flow import FlowConfig, run_flow, table2_row
+from repro.flow import FLOW_OPTIONS, FlowConfig, run_flow, table2_row
 from repro.lefdef import write_def, write_lef
 from repro.library import build_library
 from repro.netlist import generate_design
 from repro.netlist.verilog import write_verilog
 from repro.placement import place_design
-from repro.runtime import EXECUTOR_KINDS
 from repro.tech import CellArchitecture, make_tech
 
-_ARCHS = {arch.value: arch for arch in CellArchitecture}
 _PRESETS = {
     "quick": EvalScale.quick,
     "default": EvalScale,
@@ -73,28 +71,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type: integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (got {value})"
-        )
-    return value
-
-
-def _shards_value(text: str) -> int | str:
-    """argparse type for ``--shards``: a positive int or ``auto``."""
-    if text == "auto":
-        return "auto"
-    return _positive_int(text)
-
-
 def _positive_float(text: str) -> float:
     """argparse type: strictly positive float."""
     try:
@@ -110,82 +86,84 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _utilization(text: str) -> float:
-    """argparse type: a placement utilization in (0, 1]."""
-    value = _positive_float(text)
-    if value > 1:
-        raise argparse.ArgumentTypeError(
-            f"must be in (0, 1] (got {value})"
-        )
-    return value
+def _add_flow_option(parser, name: str, **kwargs) -> None:
+    """``--<name>`` for a :class:`FlowConfig` field: its type, range
+    check and default come from :data:`repro.flow.FLOW_OPTIONS` and
+    the dataclass, so a bad value exits 2 here, not inside the flow."""
+    option = FLOW_OPTIONS[name]
+
+    def parse(text: str):
+        try:
+            return option.parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    if option.choices:
+        kwargs.setdefault("metavar", "{" + ",".join(option.choices) + "}")
+    parser.add_argument(
+        "--" + name.replace("_", "-"),
+        type=parse,
+        default=getattr(FlowConfig, name),
+        **kwargs,
+    )
+
+
+def _flow_fields(args: argparse.Namespace) -> dict:
+    """The :class:`FlowConfig` fields the command line set."""
+    return {
+        name: getattr(args, name)
+        for name in FLOW_OPTIONS
+        if hasattr(args, name)
+    }
 
 
 def _add_common_design_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--profile", default="aes",
-        choices=("m0", "aes", "jpeg", "vga"),
-        help="benchmark profile (Table 2 designs)",
+    _add_flow_option(
+        parser, "profile", help="benchmark profile (Table 2 designs)"
     )
-    parser.add_argument(
-        "--arch", default="closedm1", choices=sorted(_ARCHS),
-        help="cell architecture",
+    _add_flow_option(parser, "arch", help="cell architecture")
+    _add_flow_option(
+        parser, "scale", help="instance-count scale (1.0 = paper size)"
     )
-    parser.add_argument(
-        "--scale", type=_positive_float, default=0.05,
-        help="instance-count scale (1.0 = paper size)",
+    _add_flow_option(
+        parser, "utilization", help="placement utilization target"
     )
-    parser.add_argument(
-        "--utilization", type=_utilization, default=0.75,
-        help="placement utilization target",
-    )
-    parser.add_argument("--seed", type=int, default=1)
+    _add_flow_option(parser, "seed")
 
 
 def _add_flow_config_args(parser: argparse.ArgumentParser) -> None:
     """The FlowConfig options ``flow`` and ``submit`` share."""
     group = parser.add_argument_group("optimizer options")
-    group.add_argument("--window-um", type=_positive_float, default=1.25)
-    group.add_argument("--lx", type=_nonnegative_int, default=4)
-    group.add_argument("--ly", type=_nonnegative_int, default=1)
-    group.add_argument(
-        "--time-limit", type=_positive_float, default=4.0,
-        help="per-window MILP time limit in seconds",
+    _add_flow_option(group, "window_um")
+    _add_flow_option(group, "lx")
+    _add_flow_option(group, "ly")
+    _add_flow_option(
+        group, "time_limit", help="per-window MILP time limit in seconds"
     )
-    group.add_argument(
-        "--jobs", type=_positive_int, default=1,
+    _add_flow_option(
+        group, "jobs",
         help="window-solve workers; must be >= 1 (1 = serial)",
     )
-    group.add_argument(
-        "--executor", default="auto", choices=EXECUTOR_KINDS,
+    _add_flow_option(
+        group, "executor",
         help="window-solve executor backend; 'auto' resolves to "
         "'serial' when --jobs is 1 and to 'process' (a process "
         "pool with --jobs workers) otherwise",
     )
-    group.add_argument(
-        "--no-presolve", action="store_true",
-        help="disable the window-model presolve reductions (placements "
-        "are byte-identical with presolve on or off only at a 0 MIP "
-        "gap; at the default 0.01 gap the placement changes)",
-    )
-    group.add_argument(
-        "--no-dirty-tracking", action="store_true",
-        help="disable dirty-region window skipping and the "
-        "incremental (delta-accounted) objective",
-    )
-    group.add_argument(
-        "--shards", type=_shards_value, default=1, metavar="N|auto",
+    _add_flow_option(
+        group, "shards", metavar="N|auto",
         help="region-shard the die into N row bands for full-chip "
         "scale-out ('auto' sizes from the design and --jobs; 1 = "
         "classic unsharded run)",
     )
-    group.add_argument(
-        "--halo-rows", type=_nonnegative_int, default=2,
+    _add_flow_option(
+        group, "halo_rows",
         help="frozen ghost rows around each shard's core band",
     )
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    tech = make_tech(_ARCHS[args.arch])
+    tech = make_tech(args.arch)
     library = build_library(tech)
     design = generate_design(
         args.profile, tech, library, scale=args.scale,
@@ -220,23 +198,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    config = FlowConfig(
-        profile=args.profile,
-        arch=_ARCHS[args.arch],
-        scale=args.scale,
-        utilization=args.utilization,
-        seed=args.seed,
-        window_um=args.window_um,
-        lx=args.lx,
-        ly=args.ly,
-        time_limit=args.time_limit,
-        executor=args.executor,
-        jobs=args.jobs,
-        presolve=not args.no_presolve,
-        dirty_tracking=not args.no_dirty_tracking,
-        shards=args.shards,
-        halo_rows=args.halo_rows,
-    )
+    config = FlowConfig(**_flow_fields(args))
     if args.trace:
         from repro.obs.trace import disable, enable
 
@@ -293,27 +255,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _spec_from_args(args: argparse.Namespace) -> dict:
-    """Flow-job spec from submit's CLI options (defaults omitted so
-    the service applies its own)."""
-    spec = {
-        "profile": args.profile,
-        "arch": args.arch,
-        "scale": args.scale,
-        "utilization": args.utilization,
-        "seed": args.seed,
-        "window_um": args.window_um,
-        "lx": args.lx,
-        "ly": args.ly,
-        "time_limit": args.time_limit,
-        "executor": args.executor,
-        "jobs": args.jobs,
-        "shards": args.shards,
-        "halo_rows": args.halo_rows,
-    }
-    if args.no_presolve:
-        spec["presolve"] = False
-    if args.no_dirty_tracking:
-        spec["dirty_tracking"] = False
+    """Flow-job spec from submit's CLI options."""
+    spec = _flow_fields(args)
+    spec["arch"] = spec["arch"].value
     if args.trace:
         spec["trace"] = True
     return spec
@@ -444,7 +388,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"unknown axes: {sorted(unknown)}", file=sys.stderr)
         return 2
 
-    arch = _ARCHS[args.arch] if args.arch else None
+    arch = CellArchitecture(args.arch) if args.arch else None
 
     def progress(seed: int, report) -> None:
         if report.status == "failed":
@@ -596,7 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument(
         "--trace-profile", action="append", metavar="SPAN",
         help="attach the sampling profiler to spans with this name "
-        "(repeatable; e.g. 'solve'); requires --trace",
+        "(repeatable; e.g. 'distopt'); requires --trace.  Only spans "
+        "that run live can be profiled: window/build/presolve/solve "
+        "spans are synthesized after the fact",
     )
     flow.add_argument("--json", action="store_true")
     flow.add_argument("--out", default="", help="artifact directory")
@@ -718,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="first case seed"
     )
     check.add_argument(
-        "--arch", choices=sorted(_ARCHS),
+        "--arch", choices=FLOW_OPTIONS["arch"].choices,
         help="pin the architecture (default: drawn per seed)",
     )
     check.add_argument(
@@ -757,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     def _add_chaos_case_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--profile", default="m0",
-            choices=("m0", "aes", "jpeg", "vga"),
+            choices=FLOW_OPTIONS["profile"].choices,
             help="workload benchmark profile",
         )
         p.add_argument(

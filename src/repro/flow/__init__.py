@@ -5,9 +5,21 @@ Innovus, optimize with the proposed tool, ECO-route, compare), with
 every stage provided by this repository's substrates.
 """
 
-from repro.flow.flow import FlowConfig, FlowResult, run_flow, table2_row
+from repro.flow.flow import (
+    FLOW_OPTIONS,
+    FlowConfig,
+    FlowResult,
+    run_flow,
+    table2_row,
+)
 
-__all__ = ["FlowConfig", "FlowResult", "run_flow", "table2_row"]
+__all__ = [
+    "FLOW_OPTIONS",
+    "FlowConfig",
+    "FlowResult",
+    "run_flow",
+    "table2_row",
+]
 
 from repro.log import subsystem_logger
 

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple
 
 from repro.core.params import OptParams, ParamSet
 from repro.core.vm1opt import VM1OptResult, vm1_opt
 from repro.obs.trace import recording, span
-from repro.runtime import RunTelemetry, make_executor
+from repro.runtime import EXECUTOR_KINDS, RunTelemetry, make_executor
 from repro.runtime.telemetry import pass_entry
 from repro.library import Library, build_library
-from repro.netlist import Design, generate_design
+from repro.netlist import DESIGN_PROFILES, Design, generate_design
 from repro.placement import place_design
 from repro.routing import DetailedRouter, RouteMetrics, RouterConfig
 from repro.shard.partition import resolve_shard_count
@@ -25,22 +26,112 @@ from repro.timing import (
 )
 
 
+class FlowOption(NamedTuple):
+    """How one user-settable :class:`FlowConfig` field is read from a
+    job spec or a command line, and the values it may take."""
+
+    #: JSON value or command-line text -> field value; raises
+    #: ``TypeError``/``ValueError`` for a value of the wrong type.
+    coerce: Callable[[Any], Any]
+    #: the valid values, in words.
+    rule: str
+    valid: Callable[[Any], bool] = lambda value: True
+    #: the names a field that takes one of a few names accepts.
+    choices: tuple[str, ...] = ()
+
+    def parse(self, value):
+        """``value`` coerced and range-checked; ``ValueError`` saying
+        ``must be <rule>, got <value>`` otherwise."""
+        try:
+            parsed = self.coerce(value)
+            if self.valid(parsed):
+                return parsed
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"must be {self.rule}, got {value!r}")
+
+
+def _strict(kind: type) -> Callable[[Any], Any]:
+    """``kind(value)``, but a bool only for a bool field (``True`` is an
+    int to Python, not a count to a user)."""
+
+    def coerce(value):
+        if isinstance(value, bool) != (kind is bool):
+            raise TypeError(value)
+        return kind(value)
+
+    return coerce
+
+
+_int, _float = _strict(int), _strict(float)
+
+
+def _one_of(choices: tuple[str, ...]) -> FlowOption:
+    return FlowOption(
+        _strict(str), f"one of {choices}", choices.__contains__, choices
+    )
+
+
+def _shards(value) -> int | str:
+    return value if value == "auto" else _int(value)
+
+
+_POSITIVE = FlowOption(_float, "a number > 0", lambda v: v > 0)
+_COUNT = FlowOption(_int, "an integer >= 0", lambda v: v >= 0)
+_ARCHS = tuple(arch.value for arch in CellArchitecture)
+
+#: The user-settable :class:`FlowConfig` fields.  ``FlowConfig`` checks
+#: them on construction, :meth:`FlowConfig.from_spec` accepts exactly
+#: these keys, and the CLI's option types come from here.
+FLOW_OPTIONS: dict[str, FlowOption] = {
+    "profile": _one_of(tuple(DESIGN_PROFILES)),
+    "arch": FlowOption(CellArchitecture, f"one of {_ARCHS}", choices=_ARCHS),
+    "scale": _POSITIVE,
+    "utilization": FlowOption(
+        _float, "a number in (0, 1]", lambda v: 0 < v <= 1
+    ),
+    # NumPy's RandomState takes seeds in [0, 2**32).
+    "seed": FlowOption(
+        _int, "an integer in [0, 2**32)", lambda v: 0 <= v < 2**32
+    ),
+    "window_um": _POSITIVE,
+    "lx": _COUNT,
+    "ly": _COUNT,
+    "time_limit": _POSITIVE,
+    "executor": _one_of(EXECUTOR_KINDS),
+    "jobs": FlowOption(_int, "a positive integer", lambda v: v >= 1),
+    "timing_driven": FlowOption(_strict(bool), "true or false"),
+    "shards": FlowOption(
+        _shards, "a positive integer or 'auto'",
+        lambda v: v == "auto" or v >= 1,
+    ),
+    "halo_rows": _COUNT,
+}
+
+
 @dataclass
 class FlowConfig:
     """Configuration for one end-to-end run.
 
+    Construction coerces and checks every field of
+    :data:`FLOW_OPTIONS` and raises ``ValueError`` naming the first
+    field out of range.
+
     Attributes:
         profile: benchmark profile name (``m0``/``aes``/``jpeg``/
-            ``vga``) or a DesignProfile.
-        arch: cell architecture (selects library + MILP formulation).
+            ``vga``, the keys of :data:`repro.netlist.DESIGN_PROFILES`).
+        arch: cell architecture (selects library + MILP formulation);
+            its value string is accepted too.
         scale: instance-count scale; 1.0 = paper-size (see DESIGN.md
             on default scaling for Python/HiGHS tractability).
-        utilization: placement utilization target.
+        utilization: placement utilization target, in (0, 1].
         seed: RNG seed for generation and placement.
         params: optimizer parameters; None = paper defaults for the
             architecture with ``window_um`` square windows.
         window_um: window size used when ``params`` is None.
         lx/ly: perturbation range used when ``params`` is None.
+        time_limit: per-window MILP time limit in seconds, used when
+            ``params`` is None.
         router: router configuration shared by init/final routing.
         optimize: run VM1Opt (False = route-only baseline run).
         timing_driven: derive per-net β weights from the initial STA
@@ -49,15 +140,6 @@ class FlowConfig:
         executor: window-solve executor kind (``serial`` / ``thread``
             / ``process`` / ``auto``; see :mod:`repro.runtime`).
         jobs: worker count for pool executors; 1 = serial.
-        presolve: run the window-model presolve reductions before
-            every solve (a speedup; byte-identical placements only at
-            ``mip_gap=0`` — at the default 0.01 gap it changes which
-            within-gap solution HiGHS returns, and so the placement).
-        dirty_tracking: incremental convergence engine — skip windows
-            whose probe neighborhood no applied move has touched since
-            their last verified fixpoint, and delta-account the pass
-            objective instead of re-sweeping all nets
-            (behaviour-preserving speedup; see DESIGN.md §11).
         shards: region-shard count for full-chip scale-out — a
             positive int or ``"auto"`` (sized from the design and
             ``jobs``; see :func:`repro.shard.resolve_shard_count`).
@@ -65,6 +147,10 @@ class FlowConfig:
             and is byte-identical to releases without the shard layer.
         halo_rows: frozen ghost rows around each shard's core band
             (ignored when the resolved shard count is 1).
+
+    The window-model presolve and the dirty tracker always run; the
+    switches that turn them off are ``vm1_opt``'s and ``dist_opt``'s
+    (see DESIGN.md §7 and §11).
     """
 
     profile: str = "aes"
@@ -82,10 +168,33 @@ class FlowConfig:
     timing_driven: bool = False
     executor: str = "auto"
     jobs: int = 1
-    presolve: bool = True
-    dirty_tracking: bool = True
     shards: int | str = 1
     halo_rows: int = 2
+
+    def __post_init__(self) -> None:
+        for name, option in FLOW_OPTIONS.items():
+            try:
+                setattr(self, name, option.parse(getattr(self, name)))
+            except ValueError as exc:
+                raise ValueError(f"{name} {exc}") from None
+
+    @classmethod
+    def from_spec(cls, spec: dict) -> "FlowConfig":
+        """Build a config from a JSON object whose keys are
+        :data:`FLOW_OPTIONS` fields; absent fields keep their defaults.
+
+        Raises ``ValueError`` for a spec that is not an object, an
+        unknown key, or a value of the wrong type or out of range.
+        """
+        if not isinstance(spec, dict):
+            raise ValueError("spec must be a JSON object")
+        unknown = sorted(set(spec) - set(FLOW_OPTIONS))
+        if unknown:
+            raise ValueError(
+                f"unknown spec field(s): {', '.join(unknown)}; "
+                f"allowed: {', '.join(sorted(FLOW_OPTIONS))}"
+            )
+        return cls(**spec)
 
     def resolved_params(self, tech: Technology) -> OptParams:
         if self.params is not None:
@@ -273,8 +382,6 @@ def run_flow(
                         halo_rows=config.halo_rows,
                         jobs=config.jobs,
                         executor=config.executor,
-                        presolve=config.presolve,
-                        dirty_tracking=config.dirty_tracking,
                         checkpoint_dir=shard_checkpoint_dir,
                         resume=shard_resume,
                         progress=progress,
@@ -367,8 +474,6 @@ def _run_unsharded(
             params,
             executor=executor,
             progress=vm1_progress,
-            presolve=config.presolve,
-            dirty_tracking=config.dirty_tracking,
             checkpoint_sink=checkpoint_sink,
             resume=resume,
         )

@@ -28,11 +28,6 @@ class Rect:
             min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y)
         )
 
-    @classmethod
-    def from_intervals(cls, x: Interval, y: Interval) -> "Rect":
-        """Build a rectangle from x and y extents."""
-        return cls(x.lo, y.lo, x.hi, y.hi)
-
     @property
     def width(self) -> int:
         return self.xhi - self.xlo

@@ -137,11 +137,6 @@ class _MacroPool:
     weights: np.ndarray = field(repr=False, default=None)  # type: ignore
 
 
-def _vt_for(rng: np.random.RandomState) -> str:
-    """Triple-Vt mix: mostly RVT, some HVT for leakage, a little LVT."""
-    return str(rng.choice(["RVT", "HVT", "LVT"], p=[0.6, 0.3, 0.1]))
-
-
 def _build_pool(
     library: Library, mix: dict[str, float], rng: np.random.RandomState
 ) -> _MacroPool:

@@ -5,8 +5,8 @@ Four pieces, one surface:
 * :mod:`repro.obs.trace` — hierarchical spans propagated across
   thread and process executors (``span()``, ``current_context``,
   ``Tracer``, ``collecting``);
-* :mod:`repro.obs.metrics` — labeled counter/gauge/histogram registry
-  rendering both Prometheus text and JSON;
+* :mod:`repro.obs.metrics` — labeled counter and pull-gauge registry
+  rendering Prometheus text;
 * :mod:`repro.obs.export` — append-only NDJSON trace sink plus the
   self-contained HTML timeline report;
 * :mod:`repro.obs.profile` — opt-in sampling profiler attachable to
@@ -27,7 +27,6 @@ from repro.obs.export import (
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
 )
 from repro.obs.profile import SamplingProfiler, profile_block
@@ -55,7 +54,6 @@ __all__ = [
     "NULL_SPAN",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "SamplingProfiler",
     "Span",

@@ -25,6 +25,7 @@ import os
 import threading
 from pathlib import Path
 
+from repro.obs.profile import DIGEST_ATTR
 from repro.obs.trace import (
     TRACE_SCHEMA,
     Span,
@@ -151,7 +152,7 @@ def _lane(span: Span, depth: int, t0: float, total: float) -> str:
     attrs = ""
     if span.attrs:
         shown = {
-            k: v for k, v in span.attrs.items() if k != "profile"
+            k: v for k, v in span.attrs.items() if k != DIGEST_ATTR
         }
         if shown:
             attrs = (

@@ -1,15 +1,10 @@
-"""Labeled counters, gauges, and histograms with two renderings.
+"""Labeled counters and pull gauges rendered as Prometheus text.
 
 One :class:`MetricsRegistry` is the single source of truth a component
-(the job manager owns one) reports from.  The *same* registry renders
-both:
-
-* :meth:`MetricsRegistry.render_prometheus` — the text exposition the
-  service serves at ``/metrics`` (HELP/TYPE lines, escaped labels,
-  metrics and series in stable sorted order), replacing the
-  hand-concatenated strings that used to live in ``service/http.py``;
-* :meth:`MetricsRegistry.to_dict` — the same series as JSON (name ->
-  scalar, label -> value map, or histogram digest).
+(the job manager owns one) reports from;
+:meth:`MetricsRegistry.render_prometheus` renders the text exposition
+the service serves at ``/metrics`` (HELP/TYPE lines, escaped labels,
+metrics and series in stable sorted order).
 
 Metric handles are get-or-create: asking twice for the same name
 returns the same object, and asking with a conflicting type or label
@@ -20,14 +15,6 @@ lock-protected, so pool worker threads can bump shared series.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
-
-_TYPES = ("counter", "gauge", "histogram")
-
-#: Default buckets for timing histograms (seconds).
-DEFAULT_BUCKETS = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0,
-)
 
 
 def escape_label_value(value: str) -> str:
@@ -77,34 +64,30 @@ class Metric:
         self.help = help
         self.labelnames = tuple(labelnames)
         self._lock = threading.Lock()
+        self._values: dict[tuple[str, ...], float] = {}
 
-    # pretty label rendering shared by all exposition paths
-    def _series_name(self, key: tuple[str, ...], extra: str = "") -> str:
+    def _series_name(self, key: tuple[str, ...]) -> str:
         pairs = [
             f'{n}="{escape_label_value(v)}"'
             for n, v in zip(self.labelnames, key)
         ]
-        if extra:
-            pairs.append(extra)
         if not pairs:
             return self.name
         return f"{self.name}{{{','.join(pairs)}}}"
 
     def expose(self) -> list[str]:
-        raise NotImplementedError
-
-    def to_value(self):
-        raise NotImplementedError
+        with self._lock:
+            items = sorted(self._values.items())
+        return [
+            f"{self._series_name(key)} {format_value(value)}"
+            for key, value in items
+        ]
 
 
 class Counter(Metric):
     """Monotonically increasing value(s)."""
 
     type = "counter"
-
-    def __init__(self, name, help, labelnames=()) -> None:
-        super().__init__(name, help, labelnames)
-        self._values: dict[tuple[str, ...], float] = {}
 
     def inc(self, amount: float = 1, **labels) -> None:
         if amount < 0:
@@ -118,14 +101,6 @@ class Counter(Metric):
         with self._lock:
             return self._values.get(key, 0)
 
-    def expose(self) -> list[str]:
-        with self._lock:
-            items = sorted(self._values.items())
-        return [
-            f"{self._series_name(key)} {format_value(value)}"
-            for key, value in items
-        ]
-
     def to_value(self):
         with self._lock:
             if not self.labelnames:
@@ -137,12 +112,12 @@ class Counter(Metric):
             }
 
 
-class Gauge(Counter):
-    """Value(s) that can go anywhere; optional pull callback.
+class Gauge(Metric):
+    """Value(s) pulled from a callback at exposition time.
 
-    A ``callback`` (zero-arg callable returning a number, or a dict of
-    label-value-tuple -> number for labeled gauges) is evaluated at
-    exposition time — used for derived values like uptime.
+    ``callback`` is a zero-arg callable returning a number, or for a
+    labeled gauge a dict of label-value tuple -> number — derived
+    values like uptime are therefore never stale.
     """
 
     type = "gauge"
@@ -151,115 +126,15 @@ class Gauge(Counter):
         super().__init__(name, help, labelnames)
         self.callback = callback
 
-    def inc(self, amount: float = 1, **labels) -> None:
-        key = _label_key(self.labelnames, labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0) + amount
-
-    def dec(self, amount: float = 1, **labels) -> None:
-        self.inc(-amount, **labels)
-
-    def set(self, value: float, **labels) -> None:
-        key = _label_key(self.labelnames, labels)
-        with self._lock:
-            self._values[key] = value
-
-    def _pull(self) -> None:
-        if self.callback is None:
-            return
-        result = self.callback()
-        with self._lock:
-            if isinstance(result, dict):
-                self._values.update(result)
-            else:
-                self._values[()] = result
-
     def expose(self) -> list[str]:
-        self._pull()
+        if self.callback is not None:
+            result = self.callback()
+            with self._lock:
+                if isinstance(result, dict):
+                    self._values.update(result)
+                else:
+                    self._values[()] = result
         return super().expose()
-
-    def to_value(self):
-        self._pull()
-        return super().to_value()
-
-
-class Histogram(Metric):
-    """Cumulative-bucket distribution (Prometheus semantics)."""
-
-    type = "histogram"
-
-    def __init__(
-        self,
-        name,
-        help,
-        labelnames=(),
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> None:
-        super().__init__(name, help, labelnames)
-        self.buckets = tuple(sorted(buckets))
-        self._counts: dict[tuple[str, ...], list[int]] = {}
-        self._sums: dict[tuple[str, ...], float] = {}
-        self._totals: dict[tuple[str, ...], int] = {}
-
-    def observe(self, value: float, **labels) -> None:
-        key = _label_key(self.labelnames, labels)
-        with self._lock:
-            counts = self._counts.setdefault(
-                key, [0] * len(self.buckets)
-            )
-            idx = bisect_left(self.buckets, value)
-            if idx < len(counts):
-                counts[idx] += 1
-            self._sums[key] = self._sums.get(key, 0.0) + value
-            self._totals[key] = self._totals.get(key, 0) + 1
-
-    def _labels_suffix(self, key: tuple[str, ...], extra: str = "") -> str:
-        """The ``{a="b",...}`` tail (possibly empty) for one series."""
-        return self._series_name(key, extra)[len(self.name):]
-
-    def expose(self) -> list[str]:
-        lines: list[str] = []
-        with self._lock:
-            keys = sorted(self._totals)
-            for key in keys:
-                cumulative = 0
-                for bound, count in zip(
-                    self.buckets, self._counts[key]
-                ):
-                    cumulative += count
-                    le = 'le="%s"' % format_value(bound)
-                    lines.append(
-                        f"{self.name}_bucket"
-                        f"{self._labels_suffix(key, le)} {cumulative}"
-                    )
-                inf_le = 'le="+Inf"'
-                lines.append(
-                    f"{self.name}_bucket"
-                    f"{self._labels_suffix(key, inf_le)}"
-                    f" {self._totals[key]}"
-                )
-                lines.append(
-                    f"{self.name}_sum{self._labels_suffix(key)}"
-                    f" {format_value(self._sums[key])}"
-                )
-                lines.append(
-                    f"{self.name}_count{self._labels_suffix(key)}"
-                    f" {self._totals[key]}"
-                )
-        return lines
-
-    def to_value(self):
-        with self._lock:
-            out = {}
-            for key in sorted(self._totals):
-                doc = {
-                    "count": self._totals[key],
-                    "sum": self._sums[key],
-                }
-                out[",".join(key) if key else ""] = doc
-            if not self.labelnames:
-                return out.get("", {"count": 0, "sum": 0.0})
-            return out
 
 
 class MetricsRegistry:
@@ -296,13 +171,6 @@ class MetricsRegistry:
             Gauge, name, help, labelnames, callback=callback
         )
 
-    def histogram(
-        self, name, help, labelnames=(), buckets=DEFAULT_BUCKETS
-    ) -> Histogram:
-        return self._register(
-            Histogram, name, help, labelnames, buckets=buckets
-        )
-
     def render_prometheus(self) -> str:
         """Full text exposition: metrics sorted by name, one HELP and
         TYPE line each, then their series in sorted label order."""
@@ -318,12 +186,3 @@ class MetricsRegistry:
             lines.append(f"# TYPE {metric.name} {metric.type}")
             lines.extend(metric.expose())
         return "\n".join(lines) + "\n"
-
-    def to_dict(self) -> dict:
-        """JSON form: name -> value (scalar, label -> value map, or
-        histogram digest)."""
-        with self._lock:
-            metrics = [
-                self._metrics[name] for name in sorted(self._metrics)
-            ]
-        return {metric.name: metric.to_value() for metric in metrics}

@@ -8,9 +8,15 @@ unless a span name is listed in the tracer's ``profile_spans`` — the
 profiler never touches the disabled-tracing hot path.
 
 The result is a small JSON-able digest stored in the span's
-``profile`` attribute: sample count, interval, and the top collapsed
-stacks by hit count.  It is an attribution aid ("which phase of the
-solve dominates this span"), not a microbenchmark.
+:data:`DIGEST_ATTR` attribute: sample count, interval, and the top
+collapsed stacks by hit count.  It is an attribution aid ("which phase
+of the pass dominates this span"), not a microbenchmark.
+
+Only spans that run live under the tracer can be profiled (``flow``,
+its stages, ``distopt`` passes, ``shard``).  Window, build, presolve
+and solve spans are synthesized after the fact from timings the
+worker took (:func:`repro.obs.trace.make_span_dict`), so no profiler
+runs while they do.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from __future__ import annotations
 import sys
 import threading
 
+#: Span attribute a profiled span's digest is stored under.
+DIGEST_ATTR = "profile_digest"
 #: Cap on distinct stacks kept in a digest (top by sample count).
 MAX_STACKS = 25
 #: Cap on frames per collapsed stack (innermost kept).

@@ -44,6 +44,8 @@ import time
 import uuid
 from dataclasses import dataclass, field
 
+from repro.obs.profile import DIGEST_ATTR, SamplingProfiler
+
 #: Schema identifier of the NDJSON trace documents (see export.py).
 TRACE_SCHEMA = "repro.obs.trace/v1"
 
@@ -151,7 +153,8 @@ class Tracer:
             finished span; spans are also kept in memory.
         profile_spans: span names that get a sampling profiler
             attached (see :mod:`repro.obs.profile`); the aggregated
-            stacks land in the span's ``profile`` attribute.
+            stacks land in the span's ``profile_digest`` attribute.
+            Only spans opened live with :func:`span` are profiled.
         profile_interval: profiler sampling period in seconds.
     """
 
@@ -347,8 +350,6 @@ class _SpanHandle:
         stack.append(span_obj)
         self._span = span_obj
         if self._name in tracer.profile_spans:
-            from repro.obs.profile import SamplingProfiler
-
             self._profiler = SamplingProfiler(
                 interval=tracer.profile_interval
             )
@@ -362,7 +363,7 @@ class _SpanHandle:
         if exc_type is not None:
             span_obj.status = f"error:{exc_type.__name__}"
         if self._profiler is not None:
-            span_obj.attrs["profile"] = self._profiler.stop()
+            span_obj.attrs[DIGEST_ATTR] = self._profiler.stop()
         stack = _stack()
         if stack and stack[-1] is span_obj:
             stack.pop()

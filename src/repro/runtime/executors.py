@@ -4,9 +4,8 @@ Three executors share one interface — ``submit(task) -> Future``:
 
 * :class:`SerialExecutor` — solves inline in the calling process;
   the default, and the right choice on 1-core CI machines.
-* :class:`ThreadExecutor` — a thread pool; useful for MILP backends
-  that release the GIL during the native solve (HiGHS does for the
-  bulk of its work inside ``scipy.optimize.milp``).
+* :class:`ThreadExecutor` — a thread pool; HiGHS releases the GIL
+  during the native solve.
 * :class:`MultiprocessExecutor` — a process pool; tasks and results
   cross the boundary via pickle (see :mod:`repro.runtime.task`).
 
@@ -136,8 +135,12 @@ def make_executor(kind: str = "auto", jobs: int = 1) -> Executor:
     """Build an executor by name.
 
     ``auto`` picks :class:`SerialExecutor` for ``jobs <= 1`` and
-    :class:`MultiprocessExecutor` otherwise — process isolation is the
-    safe default because every MILP backend benefits, GIL or not.
+    :class:`MultiprocessExecutor` otherwise, a choice made while a
+    pure-Python branch-and-bound backend (since deleted) held the GIL.
+    HiGHS, the one backend now, releases it while solving, and on a
+    2-vCPU box ``run_flow`` with two jobs ran faster on threads than
+    on processes (ROADMAP direction 5 has the numbers); the policy is
+    unchanged until that is settled.
     """
     kind = (kind or "auto").lower()
     if kind not in EXECUTOR_KINDS:

@@ -80,9 +80,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.export import TraceWriter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, tracer_scope
-from repro.runtime import EXECUTOR_KINDS
 from repro.service.jobstore import JobRecord, JobState, JobStore
-from repro.tech import CellArchitecture
 
 from repro.log import subsystem_logger
 
@@ -126,115 +124,23 @@ class JobProcessError(Exception):
         self.details = details
 
 
-def _shards(value) -> "int | str":
-    """Spec coercion for ``shards``: a positive-ish int or ``auto``
-    (range-checked with the other fields below)."""
-    if value == "auto":
-        return "auto"
-    if isinstance(value, bool):
-        raise ValueError
-    return int(value)
-
-
-# Surfaces in the 400-level "expected <name>" validation message.
-_shards.__name__ = "int or 'auto'"
-
-
-#: spec key -> (coercion, default) for flow jobs.  ``None`` default =
-#: use the FlowConfig default.
-_FLOW_SPEC_FIELDS = {
-    "profile": str,
-    "arch": str,
-    "scale": float,
-    "utilization": float,
-    "seed": int,
-    "window_um": float,
-    "lx": int,
-    "ly": int,
-    "time_limit": float,
-    "executor": str,
-    "jobs": int,
-    "presolve": bool,
-    "dirty_tracking": bool,
-    "timing_driven": bool,
-    "shards": _shards,
-    "halo_rows": int,
-    # Service-level switch, not a FlowConfig field: write a span trace
-    # to <job_dir>/trace.ndjson (see repro.obs).
-    "trace": bool,
-}
-
-_PROFILES = ("m0", "aes", "jpeg", "vga")
-
-
 def flow_config_from_spec(spec: dict) -> FlowConfig:
-    """Validate a job spec and build the :class:`FlowConfig`.
+    """Validate a flow job spec and build the :class:`FlowConfig`.
 
-    Raises ``ValueError`` with a submission-quality message on any
-    unknown key, bad type, or out-of-range value — the HTTP layer maps
-    it to a 400, the CLI to an argparse-style error.
+    A spec is a JSON object of :data:`repro.flow.FLOW_OPTIONS` fields
+    plus the service-level ``"trace": true|false`` (write a span trace
+    to ``<job_dir>/trace.ndjson``), which is checked and dropped here;
+    the rest goes to :meth:`FlowConfig.from_spec`.  Raises
+    ``ValueError`` with a submission-quality message on any unknown
+    key, bad type, or out-of-range value — the HTTP layer maps it to a
+    400.
     """
-    if not isinstance(spec, dict):
-        raise ValueError("spec must be a JSON object")
-    unknown = sorted(set(spec) - set(_FLOW_SPEC_FIELDS))
-    if unknown:
-        raise ValueError(
-            f"unknown spec field(s): {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(_FLOW_SPEC_FIELDS))}"
-        )
-    clean: dict = {}
-    for key, value in spec.items():
-        coerce = _FLOW_SPEC_FIELDS[key]
-        try:
-            if coerce is bool and not isinstance(value, bool):
-                raise ValueError
-            clean[key] = coerce(value)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"spec field {key!r}: expected {coerce.__name__}, "
-                f"got {value!r}"
-            ) from None
-    if clean.get("profile", "aes") not in _PROFILES:
-        raise ValueError(
-            f"spec field 'profile': expected one of {_PROFILES}, "
-            f"got {clean['profile']!r}"
-        )
-    if "arch" in clean:
-        try:
-            clean["arch"] = CellArchitecture(clean["arch"])
-        except ValueError:
-            raise ValueError(
-                f"spec field 'arch': expected one of "
-                f"{[a.value for a in CellArchitecture]}, "
-                f"got {clean['arch']!r}"
-            ) from None
-    if clean.get("scale", 0.05) <= 0:
-        raise ValueError("spec field 'scale' must be > 0")
-    if not 0 < clean.get("utilization", 0.75) <= 1:
-        raise ValueError("spec field 'utilization' must be in (0, 1]")
-    if clean.get("jobs", 1) < 1:
-        raise ValueError("spec field 'jobs' must be >= 1")
-    if clean.get("time_limit", 1.0) <= 0:
-        raise ValueError("spec field 'time_limit' must be > 0")
-    if clean.get("window_um", 1.25) <= 0:
-        raise ValueError("spec field 'window_um' must be > 0")
-    for key in ("lx", "ly"):
-        if clean.get(key, 0) < 0:
-            raise ValueError(f"spec field {key!r} must be >= 0")
-    if clean.get("executor", "auto") not in EXECUTOR_KINDS:
-        raise ValueError(
-            f"spec field 'executor': expected one of "
-            f"{EXECUTOR_KINDS}, got {clean['executor']!r}"
-        )
-    shards = clean.get("shards", 1)
-    if shards != "auto" and shards < 1:
-        raise ValueError(
-            "spec field 'shards' must be >= 1 or 'auto'"
-        )
-    if clean.get("halo_rows", 2) < 0:
-        raise ValueError("spec field 'halo_rows' must be >= 0")
-    clean.pop("trace", None)  # consumed by the manager, not the flow
-    return FlowConfig(**clean)
+    if isinstance(spec, dict) and "trace" in spec:
+        spec = dict(spec)
+        trace = spec.pop("trace")
+        if not isinstance(trace, bool):
+            raise ValueError(f"trace must be true or false, got {trace!r}")
+    return FlowConfig.from_spec(spec)
 
 
 # ------------------------------------------------------- job process
@@ -406,9 +312,9 @@ class JobManager:
         self._threads: list[threading.Thread] = []
         self._active_lock = threading.Lock()
         self._active: dict[str, threading.Event] = {}
-        # The service metrics registry (see repro.obs.metrics): the
-        # single source both /metrics exposition and metrics() report
-        # from.  Service-level gauges pull their values at scrape time.
+        # The service metrics registry (see repro.obs.metrics), which
+        # /metrics renders.  Service-level gauges pull their values at
+        # scrape time.
         self.registry = MetricsRegistry()
         self._lifecycle = self.registry.counter(
             "repro_jobs_lifecycle_total",
@@ -511,17 +417,6 @@ class JobManager:
     def active_jobs(self) -> list[str]:
         with self._active_lock:
             return sorted(self._active)
-
-    # -------------------------------------------------------- metrics
-    def metrics(self) -> dict:
-        return {
-            "uptime_seconds": time.time() - self.started_at,
-            "workers": self.workers,
-            "active": len(self.active_jobs()),
-            "draining": self.draining,
-            "counters": dict(self.counters),
-            "jobs_by_state": self.store.counts_by_state(),
-        }
 
     # ------------------------------------------------------- internals
     def _worker_loop(self) -> None:

@@ -151,7 +151,11 @@ class ShardOutcome(PassTotals):
 
 @dataclass
 class ShardTask:
-    """Picklable shard work unit; ``run()`` executes in any executor."""
+    """Picklable shard work unit; ``run()`` executes in any executor.
+
+    The shard's ``vm1_opt`` runs with its defaults: window-model
+    presolve and dirty tracking on.
+    """
 
     index: int
     design_blob: bytes = field(repr=False)
@@ -159,8 +163,6 @@ class ShardTask:
     params: OptParams
     inner_executor: str = "serial"
     inner_jobs: int = 1
-    presolve: bool = True
-    dirty_tracking: bool = True
     checkpoint_path: str | None = None
     resume_doc: dict | None = None
     #: ``(trace_id, parent_span_id)`` from the submitting side; the
@@ -211,8 +213,6 @@ class ShardTask:
                         design,
                         self.params,
                         executor=ex,
-                        presolve=self.presolve,
-                        dirty_tracking=self.dirty_tracking,
                         checkpoint_sink=sink,
                         resume=resume,
                     )
@@ -438,8 +438,6 @@ def plan_workers(
     shard's window solves instead.
     """
     jobs = max(1, int(jobs))
-    if executor not in ("auto", "serial", "thread", "process"):
-        raise ValueError(f"unknown shard executor {executor!r}")
     if executor == "serial" or jobs == 1:
         inner = "process" if jobs > 1 else "serial"
         return "serial", 1, inner, jobs
@@ -460,8 +458,6 @@ def run_sharded(
     halo_rows: int = 2,
     jobs: int = 1,
     executor: str = "auto",
-    presolve: bool = True,
-    dirty_tracking: bool = True,
     checkpoint_dir: str | Path | None = None,
     resume: bool = False,
     progress=None,
@@ -470,7 +466,9 @@ def run_sharded(
 
     The shard runs are followed by the seam pass and an oracle check
     of the stitched placement, which raises
-    :class:`StitchVerificationError` on any violation.
+    :class:`StitchVerificationError` on any violation.  Shards and the
+    seam pass presolve every window model, and the shards track dirty
+    regions (``vm1_opt``'s defaults); there is no switch here.
 
     Args:
         design: legal placed design; optimized in place.
@@ -481,10 +479,9 @@ def run_sharded(
             vm1_opt`).
         halo_rows: frozen ghost rows around each core band.
         jobs: total worker budget (see :func:`plan_workers`).
-        executor: shard-level executor kind (``auto``/``serial``/
-            ``thread``/``process``).
-        presolve / dirty_tracking: forwarded to every shard's
-            ``vm1_opt``; the seam pass takes ``presolve`` too.
+        executor: shard-level executor kind, one of
+            :data:`repro.runtime.EXECUTOR_KINDS` (``FlowConfig`` checks
+            it; an unknown kind fails in ``make_executor``).
         checkpoint_dir: when given, shard-granular crash-safe state is
             kept here (see :class:`ShardCheckpointStore`).
         resume: continue from ``checkpoint_dir`` state if compatible.
@@ -584,8 +581,6 @@ def run_sharded(
                 params=params,
                 inner_executor=inner_kind,
                 inner_jobs=inner_jobs,
-                presolve=presolve,
-                dirty_tracking=dirty_tracking,
                 checkpoint_path=(
                     str(store.ckpt_path(shard.index))
                     if store is not None
@@ -664,7 +659,6 @@ def run_sharded(
             params,
             plan,
             executor=seam_executor,
-            presolve=presolve,
         )
     stitch.seam_windows = stitch.seam_pass.windows_built
     if progress is not None:

@@ -95,14 +95,14 @@ def run_seam_pass(
     plan: ShardPlan,
     *,
     executor=None,
-    presolve: bool = True,
 ) -> DistOptResult:
     """One boundary-window DistOpt pass over every seam.
 
     Window geometry comes from the last parameter set of ``params``
     (the finest grid the shards themselves finished with); the grid is
     phase-shifted by half a window vertically so that windows straddle
-    the seams instead of abutting them.
+    the seams instead of abutting them.  Every window model is
+    presolved (``dist_opt``'s default).
     """
     tech = design.tech
     u = params.sequence[-1]
@@ -120,7 +120,6 @@ def run_seam_pass(
         allow_flip=False,
         executor=executor,
         pass_label="seam",
-        presolve=presolve,
         window_filter=seam_window_filter(design, plan),
     )
 

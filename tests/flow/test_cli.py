@@ -224,7 +224,7 @@ def test_flow_help_documents_auto_executor_resolution(capsys):
 #: Every FlowConfig option ``flow`` and ``submit`` share.
 _FLOW_CONFIG_OPTIONS = (
     "window_um", "lx", "ly", "time_limit", "jobs", "executor",
-    "no_presolve", "no_dirty_tracking", "shards", "halo_rows",
+    "shards", "halo_rows",
 )
 
 
@@ -235,8 +235,7 @@ _FLOW_CONFIG_OPTIONS = (
         [
             "--window-um", "1.5", "--lx", "3", "--ly", "2",
             "--time-limit", "2.5", "--jobs", "2",
-            "--executor", "thread", "--no-presolve",
-            "--no-dirty-tracking", "--shards", "auto",
+            "--executor", "thread", "--shards", "auto",
             "--halo-rows", "0",
         ],
     ],
@@ -249,4 +248,4 @@ def test_flow_and_submit_parse_flow_config_options_alike(argv):
     assert values == {name: submit[name] for name in _FLOW_CONFIG_OPTIONS}
     if argv:
         assert values["shards"] == "auto"
-        assert values["no_dirty_tracking"] is True
+        assert values["halo_rows"] == 0

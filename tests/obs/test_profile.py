@@ -2,7 +2,8 @@
 
 import time
 
-from repro.obs.profile import SamplingProfiler, profile_block
+from repro.obs.export import render_timeline_html
+from repro.obs.profile import DIGEST_ATTR, SamplingProfiler, profile_block
 from repro.obs.trace import Tracer, span, tracer_scope
 
 
@@ -52,6 +53,23 @@ def test_tracer_attaches_profile_to_named_spans():
         with span("hot"):
             _busy(time.perf_counter() + 0.1)
     by_name = {s.name: s for s in tracer.spans}
-    assert "profile" not in by_name["cold"].attrs
-    prof = by_name["hot"].attrs["profile"]
+    assert DIGEST_ATTR not in by_name["cold"].attrs
+    prof = by_name["hot"].attrs[DIGEST_ATTR]
     assert prof["samples"] > 0
+
+
+def test_profiling_the_flow_span_keeps_its_profile_name():
+    """The ``flow`` span's ``profile`` attr is the design profile: a
+    profiled flow records its digest under its own key, and the HTML
+    report shows the profile name but not the digest."""
+    from repro.flow import FlowConfig, run_flow
+
+    tracer = Tracer(profile_spans=("flow",), profile_interval=0.001)
+    with tracer_scope(tracer):
+        run_flow(FlowConfig(profile="aes", scale=0.005, optimize=False))
+    (flow,) = [s for s in tracer.spans if s.name == "flow"]
+    assert flow.attrs["profile"] == "aes"
+    assert flow.attrs[DIGEST_ATTR]["samples"] > 0
+    report = render_timeline_html(tracer.spans)
+    assert "&quot;profile&quot;: &quot;aes&quot;" in report
+    assert DIGEST_ATTR not in report

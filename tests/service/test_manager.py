@@ -46,15 +46,18 @@ def test_spec_full_roundtrip():
             "time_limit": 1.5,
             "executor": "thread",
             "jobs": 4,
-            "presolve": False,
             "timing_driven": True,
+            "shards": "auto",
+            "halo_rows": 0,
+            "trace": True,
         }
     )
     assert config.profile == "jpeg"
     assert config.arch is CellArchitecture.OPEN_M1
     assert config.jobs == 4
     assert config.executor == "thread"
-    assert config.presolve is False
+    assert config.timing_driven is True
+    assert config.shards == "auto"
 
 
 @pytest.mark.parametrize(
@@ -76,6 +79,9 @@ def test_spec_full_roundtrip():
         ({"window_um": -1.0}, "window_um"),
         ({"lx": -1}, "lx"),
         ({"ly": -2}, "ly"),
+        ({"trace": 1}, "trace"),
+        # The presolve and dirty-tracking off-switches are gone.
+        ({"dirty_tracking": False}, "unknown spec field"),
     ],
 )
 def test_spec_rejects_bad_values(bad, match):

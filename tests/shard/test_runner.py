@@ -161,8 +161,6 @@ def test_plan_workers_budget():
     kind, workers, inner_kind, inner_jobs = plan_workers(8, 2, "auto")
     assert (kind, workers) == ("process", 2)
     assert (inner_kind, inner_jobs) == ("serial", 1)
-    with pytest.raises(ValueError):
-        plan_workers(2, 2, "warp")
 
 
 def test_sharded_vm1_view_sums_shard_and_seam_counts():
