@@ -27,7 +27,10 @@ Run ``repro <subcommand> --help`` for options.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -162,6 +165,39 @@ def _add_flow_config_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@contextlib.contextmanager
+def _json_stdout(enabled: bool):
+    """Keep stdout for the ``--json`` document alone.
+
+    The bundled HiGHS writes some messages straight to file descriptor
+    1, whatever its log options say.  While the command works, fd 1
+    points at stderr (worker processes inherit that); Python's and the
+    C library's stdio are flushed before fd 1 comes back, so the
+    document printed after the block is all that reaches stdout.
+    """
+    if not enabled:
+        yield
+        return
+    _flush_stdio()
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        yield
+    finally:
+        _flush_stdio()
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
+def _flush_stdio() -> None:
+    sys.stdout.flush()
+    sys.stderr.flush()
+    fflush = ctypes.CDLL(None).fflush
+    fflush.argtypes = [ctypes.c_void_p]
+    fflush.restype = ctypes.c_int
+    fflush(None)  # NULL: every C stdio output stream
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     tech = make_tech(args.arch)
     library = build_library(tech)
@@ -199,6 +235,17 @@ def _cmd_flow(args: argparse.Namespace) -> int:
             )
             return 2
     config = FlowConfig(**_flow_fields(args))
+    with _json_stdout(args.json):
+        row = _run_flow_command(config, args)
+    if args.json:
+        print(json.dumps(row, indent=1, default=str))
+    else:
+        print(render_markdown_table([row]))
+    return 0
+
+
+def _run_flow_command(config: FlowConfig, args: argparse.Namespace) -> dict:
+    """Run the flow and write its side outputs; return the table row."""
     if args.trace:
         from repro.obs.trace import disable, enable
 
@@ -225,11 +272,6 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     if args.telemetry and result.telemetry is not None:
         path = result.telemetry.save(args.telemetry)
         print(f"telemetry -> {path}", file=sys.stderr)
-    row = table2_row(result)
-    if args.json:
-        print(json.dumps(row, indent=1, default=str))
-    else:
-        print(render_markdown_table([row]))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -239,8 +281,8 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         (out / "layout_opt.svg").write_text(
             render_design_svg(result.design)
         )
-        print(f"artifacts -> {out}/")
-    return 0
+        print(f"artifacts -> {out}/", file=sys.stderr)
+    return table2_row(result)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -394,25 +436,26 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if report.status == "failed":
             print(f"FAIL {report.describe()}", file=sys.stderr)
 
-    summary = fuzz(
-        args.fuzz,
-        start_seed=args.seed,
-        arch=arch,
-        kind=args.kind,
-        corpus_dir=args.corpus,
-        max_assignments=args.max_assignments,
-        presolve_axis="presolve" in axes,
-        progress=progress,
-    )
-    axis_errors: dict[str, list[str]] = {}
-    if "executor" in axes:
-        axis_errors["executor"] = check_executor_axis()
-    if "resume" in axes:
-        axis_errors["resume"] = check_resume_axis()
-    if "dirty_onoff" in axes:
-        axis_errors["dirty_onoff"] = check_dirty_onoff_axis()
-    if "chaos" in axes:
-        axis_errors["chaos"] = check_chaos_axis()
+    with _json_stdout(args.json):
+        summary = fuzz(
+            args.fuzz,
+            start_seed=args.seed,
+            arch=arch,
+            kind=args.kind,
+            corpus_dir=args.corpus,
+            max_assignments=args.max_assignments,
+            presolve_axis="presolve" in axes,
+            progress=progress,
+        )
+        axis_errors: dict[str, list[str]] = {}
+        if "executor" in axes:
+            axis_errors["executor"] = check_executor_axis()
+        if "resume" in axes:
+            axis_errors["resume"] = check_resume_axis()
+        if "dirty_onoff" in axes:
+            axis_errors["dirty_onoff"] = check_dirty_onoff_axis()
+        if "chaos" in axes:
+            axis_errors["chaos"] = check_chaos_axis()
 
     doc = summary.to_dict()
     doc["axes"] = {name: errs for name, errs in axis_errors.items()}
@@ -458,13 +501,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             plan = plan.with_seed(args.seed)
         from repro.chaos.runner import run_chaos_case
 
-        result = run_chaos_case(
-            plan,
-            profile=args.profile,
-            scale=args.scale,
-            seed=args.case_seed,
-            time_limit=args.time_limit,
-        )
+        with _json_stdout(args.json):
+            result = run_chaos_case(
+                plan,
+                profile=args.profile,
+                scale=args.scale,
+                seed=args.case_seed,
+                time_limit=args.time_limit,
+            )
         doc = result.summary()
         if args.json:
             print(json.dumps(doc, indent=1))
@@ -485,15 +529,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     # fuzz
     from repro.chaos.runner import run_fuzz
 
-    summary = run_fuzz(
-        args.plans,
-        seed=args.seed or 0,
-        out_dir=args.artifacts or None,
-        profile=args.profile,
-        scale=args.scale,
-        case_seed=args.case_seed,
-        time_limit=args.time_limit,
-    )
+    with _json_stdout(args.json):
+        summary = run_fuzz(
+            args.plans,
+            seed=args.seed or 0,
+            out_dir=args.artifacts or None,
+            profile=args.profile,
+            scale=args.scale,
+            case_seed=args.case_seed,
+            time_limit=args.time_limit,
+        )
     if args.json:
         print(json.dumps(summary, indent=1))
     else:

@@ -18,6 +18,8 @@ paper's detailed-placement optimizer expects.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.netlist.design import Design
@@ -91,8 +93,9 @@ def global_place(
         dtype=float,
     )
 
+    star = _star_model(net_members, net_anchor, n)
     for _ in range(rounds):
-        x, y = _relax(x, y, net_members, net_anchor, relax_iters)
+        x, y = _relax(x, y, star, relax_iters)
         x = _quantile_spread(x, areas, die.xlo, die.xhi)
         y = _quantile_spread(y, areas, die.ylo, die.yhi)
 
@@ -103,38 +106,103 @@ def global_place(
         inst.y = int(round(y[i]))
 
 
-def _relax(
-    x: np.ndarray,
-    y: np.ndarray,
+@dataclass(frozen=True)
+class _StarModel:
+    """The star-model incidence of the kept nets, built once per call.
+
+    A net is kept when its movable members plus its anchors number at
+    least two.  An *entry* is one member of one kept net; entries are
+    flattened in net order, then member order, so a cell with two pins
+    on a net appears twice.
+    """
+
+    #: Cell index of every entry.
+    cells: np.ndarray
+    #: Kept-net index of every entry.
+    nets: np.ndarray
+    #: ``1/(total-1)`` and ``total-1`` of every entry's net.
+    w: np.ndarray
+    denom: np.ndarray
+    #: Per kept net, the anchor centroid times the anchor count (0.0
+    #: without anchors).
+    anchor_x: np.ndarray
+    anchor_y: np.ndarray
+    #: Per distinct member count ``k``: the kept nets of that size and
+    #: their ``(nets, k)`` member-index matrix.
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    #: Per cell, the summed entry weights (iteration-invariant).
+    weight: np.ndarray
+
+
+def _star_model(
     net_members: list[np.ndarray],
     net_anchor: list[tuple[float, float, int] | None],
-    iters: int,
+    n: int,
+) -> _StarModel:
+    """Flatten the nets' incidence for :func:`_relax`."""
+    kept = [
+        (members, anchor)
+        for members, anchor in zip(net_members, net_anchor)
+        if len(members) + (anchor[2] if anchor else 0) >= 2
+    ]
+    sizes = np.asarray([len(m) for m, _ in kept], dtype=np.intp)
+    denom = np.asarray(
+        [len(m) + (a[2] if a else 0) - 1 for m, a in kept], dtype=float
+    )
+    nets = np.repeat(np.arange(len(kept)), sizes)
+    cells = np.concatenate(
+        [np.empty(0, dtype=np.intp)] + [m for m, _ in kept]
+    )
+    w = (1.0 / denom)[nets]
+    by_size: dict[int, list[int]] = {}
+    for i, (members, _) in enumerate(kept):
+        by_size.setdefault(len(members), []).append(i)
+    groups = tuple(
+        (np.asarray(ids, dtype=np.intp), np.stack([kept[i][0] for i in ids]))
+        for ids in by_size.values()
+    )
+    return _StarModel(
+        cells=cells,
+        nets=nets,
+        w=w,
+        denom=denom[nets],
+        # Anchors pull with their full multiplicity.
+        anchor_x=np.asarray([a[0] * a[2] if a else 0.0 for _, a in kept]),
+        anchor_y=np.asarray([a[1] * a[2] if a else 0.0 for _, a in kept]),
+        groups=groups,
+        weight=np.bincount(cells, weights=w, minlength=n),
+    )
+
+
+def _relax(
+    x: np.ndarray, y: np.ndarray, star: _StarModel, iters: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi iterations of the star-model quadratic program."""
-    n = len(x)
+    """Jacobi iterations of the star-model quadratic program.
+
+    Bit-identical to walking the nets one by one: each row sum of a
+    group matrix adds in the order ``x[members].sum()`` does, and
+    ``np.bincount`` scatters the entries in net-then-member order, the
+    order of sequential ``np.add.at`` calls.
+    """
+    moved = star.weight > 0
+    scale = np.maximum(star.weight, 1e-12)
     for _ in range(iters):
-        acc_x = np.zeros(n)
-        acc_y = np.zeros(n)
-        weight = np.zeros(n)
-        for members, anchor in zip(net_members, net_anchor):
-            k = len(members)
-            total = k + (anchor[2] if anchor else 0)
-            if total < 2:
-                continue
-            cx = x[members].sum()
-            cy = y[members].sum()
-            if anchor:
-                # Anchors pull with their full multiplicity.
-                cx += anchor[0] * anchor[2]
-                cy += anchor[1] * anchor[2]
-            w = 1.0 / (total - 1)
-            np.add.at(acc_x, members, w * (cx - x[members]) / (total - 1))
-            np.add.at(acc_y, members, w * (cy - y[members]) / (total - 1))
-            np.add.at(weight, members, w)
-        moved = weight > 0
-        x = np.where(moved, acc_x / np.maximum(weight, 1e-12), x)
-        y = np.where(moved, acc_y / np.maximum(weight, 1e-12), y)
+        x = np.where(moved, _pull(x, star.anchor_x, star) / scale, x)
+        y = np.where(moved, _pull(y, star.anchor_y, star) / scale, y)
     return x, y
+
+
+def _pull(
+    coord: np.ndarray, anchor: np.ndarray, star: _StarModel
+) -> np.ndarray:
+    """One coordinate's weighted pull toward the net centroids, summed
+    per cell."""
+    sums = np.empty(len(anchor))
+    for ids, matrix in star.groups:
+        sums[ids] = coord[matrix].sum(axis=1)
+    center = (sums + anchor)[star.nets]
+    terms = star.w * (center - coord[star.cells]) / star.denom
+    return np.bincount(star.cells, weights=terms, minlength=len(coord))
 
 
 def _quantile_spread(

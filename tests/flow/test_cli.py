@@ -1,6 +1,8 @@
 """CLI tests."""
 
+import ctypes
 import json
+import os
 
 import pytest
 
@@ -46,11 +48,51 @@ def test_flow_prints_table(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    out = capsys.readouterr().out
-    row = json.loads(out[: out.index("artifacts")])
+    captured = capsys.readouterr()
+    row = json.loads(captured.out)
     assert row["design"] == "aes"
+    assert f"artifacts -> {tmp_path}/" in captured.err
     assert (tmp_path / "post.def").exists()
     assert (tmp_path / "layout_opt.svg").exists()
+
+
+def test_flow_json_stdout_holds_only_the_document(
+    tmp_path, capfd, monkeypatch
+):
+    """Native code (the bundled HiGHS) writes straight to file
+    descriptor 1, directly or through C stdio buffers; with ``--json``
+    that text lands on stderr."""
+    import repro.cli as cli
+
+    real_run_flow = cli.run_flow
+
+    puts = ctypes.CDLL(None).puts
+    puts.argtypes = [ctypes.c_char_p]
+    puts.restype = ctypes.c_int
+
+    def run_flow(config):
+        os.write(1, b"native write\n")
+        puts(b"buffered native write")
+        return real_run_flow(config)
+
+    monkeypatch.setattr(cli, "run_flow", run_flow)
+    rc = main(
+        [
+            "flow",
+            "--profile", "aes",
+            "--scale", "0.008",
+            "--window-um", "1.0",
+            "--time-limit", "2.0",
+            "--json",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 0
+    captured = capfd.readouterr()
+    assert json.loads(captured.out)["design"] == "aes"
+    assert "native write" in captured.err
+    assert "buffered native write" in captured.err
+    assert "artifacts ->" in captured.err
 
 
 def test_sharded_flow_writes_telemetry(tmp_path, capsys, monkeypatch):
