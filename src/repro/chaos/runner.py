@@ -50,9 +50,10 @@ RETRIED_ACTIONS = frozenset(
     )
 )
 
-#: (site, action) pairs whose failed attempt produces a synthesized
-#: worker span with ``error:`` status (crash/poison abort before span
-#: synthesis or lose the spans in transit, so they are excluded).
+#: (site, action) pairs whose failed attempt returns a worker
+#: ``window`` span with ``error:`` status (crash aborts before the
+#: worker records any span and poison loses the spans in transit, so
+#: they are excluded).
 ERROR_SPAN_ACTIONS = frozenset(
     (
         ("runtime.worker", "raise"),

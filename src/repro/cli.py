@@ -57,6 +57,12 @@ _PRESETS = {
     "paper": EvalScale.paper,
 }
 
+#: ``repro check --axes`` names.  ``brute`` selects nothing: every
+#: fuzz case is certified against brute force anyway.
+CHECK_AXES = (
+    "brute", "presolve", "executor", "resume", "dirty_onoff", "chaos",
+)
+
 
 def _positive_int(text: str) -> int:
     """argparse type: strictly positive integer (fails at parse time,
@@ -412,20 +418,26 @@ def _cmd_check(args: argparse.Namespace) -> int:
     )
 
     if args.replay:
-        failed = False
-        for path in args.replay:
-            report = replay_reproducer(
-                path, max_assignments=args.max_assignments
-            )
-            print(f"{path}: {report.describe()}")
-            failed |= not report.ok
+        files = []
+        with _json_stdout(args.json):
+            for path in args.replay:
+                report = replay_reproducer(
+                    path, max_assignments=args.max_assignments
+                )
+                files.append({
+                    "path": path,
+                    "status": report.status,
+                    "errors": report.errors,
+                })
+                if not args.json:
+                    print(f"{path}: {report.describe()}")
+        failed = sum(doc["status"] == "failed" for doc in files)
+        if args.json:
+            print(json.dumps({"files": files, "failed": failed}, indent=1))
         return 1 if failed else 0
 
     axes = set(args.axes.split(","))
-    unknown = axes - {
-        "brute", "presolve", "executor", "resume", "dirty_onoff",
-        "chaos",
-    }
+    unknown = axes - set(CHECK_AXES)
     if unknown:
         print(f"unknown axes: {sorted(unknown)}", file=sys.stderr)
         return 2
@@ -585,9 +597,9 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument(
         "--trace-profile", action="append", metavar="SPAN",
         help="attach the sampling profiler to spans with this name "
-        "(repeatable; e.g. 'distopt'); requires --trace.  Only spans "
-        "that run live can be profiled: window/build/presolve/solve "
-        "spans are synthesized after the fact",
+        "(repeatable; e.g. 'distopt'); requires --trace.  Workers "
+        "record under a tracer of their own, so window/build/presolve/"
+        "solve spans and shard subtrees are never profiled",
     )
     flow.add_argument("--json", action="store_true")
     flow.add_argument("--out", default="", help="artifact directory")
@@ -726,8 +738,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--axes", default="brute,presolve",
-        help="comma list of axes to run: brute,presolve,executor,"
-        "resume,dirty_onoff (default: brute,presolve)",
+        help=f"comma list of axes to run, from {','.join(CHECK_AXES)} "
+        "(default: brute,presolve); every case is certified against "
+        "brute force whether or not 'brute' is listed",
     )
     check.add_argument(
         "--max-assignments", type=_positive_int, default=50_000,

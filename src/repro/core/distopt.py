@@ -60,7 +60,7 @@ from repro.milp.highs_backend import HighsBackend
 from repro.milp.solution import SolveStatus
 from repro.netlist.design import Design
 from repro.obs.trace import active as active_tracer
-from repro.obs.trace import current_context, make_span_dict, span
+from repro.obs.trace import current_context, span
 from repro.runtime import (
     FamilyScheduler,
     ScheduleConfig,
@@ -250,8 +250,8 @@ def dist_opt(
         jobs=executor.jobs,
     ) as pass_span:
         # The context every task of this pass ships to its worker;
-        # worker-synthesized window spans parent under this pass span
-        # (None when tracing is off — workers then skip synthesis).
+        # the window spans workers record parent under this pass span
+        # (None when tracing is off — workers then record nothing).
         trace_ctx = current_context()
         try:
             next_task_id = 0
@@ -338,23 +338,15 @@ def _run_family(
                 # neighborhood since: re-solving would provably
                 # reproduce the same non-move (see repro.core.dirty).
                 result.windows_skipped_clean += 1
-                if tracer is not None:
-                    # Not a ``window`` span: nothing was built.
-                    tracer.absorb([
-                        make_span_dict(
-                            "skipped_clean",
-                            trace_id=trace_ctx[0],
-                            parent_id=trace_ctx[1],
-                            started_at=time.time(),
-                            wall_seconds=0.0,
-                            attrs={
-                                "family": family_index,
-                                "ix": window.ix,
-                                "iy": window.iy,
-                                "outcome": "skipped_clean",
-                            },
-                        )
-                    ])
+                # Not a ``window`` span: nothing was built.
+                with span(
+                    "skipped_clean",
+                    family=family_index,
+                    ix=window.ix,
+                    iy=window.iy,
+                    outcome="skipped_clean",
+                ):
+                    pass
                 continue
             probe = probe_rect(design, window)
         sliced = window_slice(design, window)
@@ -456,27 +448,17 @@ def _absorb_spans(
     status: str,
     moved: int,
 ) -> None:
-    """Fold a worker's synthesized spans into the pass tracer, stamping
-    what only the submitting side knows onto the window root span: the
-    apply verdict, attempts, queue wait, moved cells, error and serial
-    fallback.  An outcome that came back without spans (a timed-out
-    task, a failed executor) gets a bare root, so the trace holds
-    every window.  Runs in canonical task order, so the trace file is
-    deterministic under any executor."""
+    """Fold a worker's spans into the pass tracer, stamping what only
+    the submitting side knows onto the final attempt's window root
+    span: the apply verdict, attempts, queue wait, moved cells, error
+    and serial fallback.  An outcome that came back without spans (a
+    timed-out task, a failed executor) gets a bare root, opened here
+    under the pass span, so the trace holds every window.  Runs in
+    canonical task order, so the trace file is deterministic under any
+    executor."""
     if tracer is None:
         return
-    if outcome.retry_spans:
-        # Failed attempts' spans first (already ``error:`` status) —
-        # a retried-then-recovered window keeps its failure history.
-        tracer.absorb(outcome.retry_spans)
-    spans = outcome.spans or (
-        task.window_span(
-            "error:timeout" if outcome.timed_out else "error:executor",
-            started_at=time.time(),
-            wall_seconds=0.0,
-        ),
-    )
-    spans[0].setdefault("attrs", {}).update(
+    stamp = dict(
         outcome=status,
         attempts=outcome.attempts,
         queue_seconds=outcome.queue_seconds,
@@ -484,7 +466,26 @@ def _absorb_spans(
         error=outcome.error or outcome.apply_error,
         degraded=outcome.degraded,
     )
-    tracer.absorb(spans)
+    # Failed attempts' spans first (already ``error:`` status) — a
+    # retried-then-recovered window keeps its failure history.
+    tracer.absorb(outcome.retry_spans)
+    if outcome.spans:
+        # A worker exports children before their root: the root is
+        # the last span of the attempt.
+        outcome.spans[-1]["attrs"].update(stamp)
+        tracer.absorb(outcome.spans)
+        return
+    with span(
+        "window",
+        task_id=task.task_id,
+        ix=task.ix,
+        iy=task.iy,
+        family=task.family,
+        **stamp,
+    ) as root:
+        root.status = (
+            "error:timeout" if outcome.timed_out else "error:executor"
+        )
 
 
 def _apply_outcome(

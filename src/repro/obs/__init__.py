@@ -40,7 +40,6 @@ from repro.obs.trace import (
     current_context,
     disable,
     enable,
-    make_span_dict,
     new_id,
     span,
     tracer_scope,
@@ -64,7 +63,6 @@ __all__ = [
     "current_context",
     "disable",
     "enable",
-    "make_span_dict",
     "new_id",
     "profile_block",
     "read_trace",

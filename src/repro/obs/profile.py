@@ -12,11 +12,12 @@ The result is a small JSON-able digest stored in the span's
 collapsed stacks by hit count.  It is an attribution aid ("which phase
 of the pass dominates this span"), not a microbenchmark.
 
-Only spans that run live under the tracer can be profiled (``flow``,
-its stages, ``distopt`` passes, ``shard``).  Window, build, presolve
-and solve spans are synthesized after the fact from timings the
-worker took (:func:`repro.obs.trace.make_span_dict`), so no profiler
-runs while they do.
+Only spans opened under the tracer that lists their name can be
+profiled: ``flow``, its stages and the submitting process's
+``distopt`` passes.  Workers record under their own
+:class:`~repro.obs.trace.collecting` tracer, which lists no names, so
+a window's ``window``/``build``/``presolve``/``solve`` spans and a
+shard worker's ``shard`` subtree are never profiled.
 """
 
 from __future__ import annotations

@@ -15,15 +15,15 @@ Design constraints, in priority order:
    Spans are also the run record: every ``run_flow`` (and
    ``vm1_opt(telemetry=...)``) records into an in-memory tracer via
    :class:`recording` when none is active, and its telemetry document
-   is a view of those spans.  Per-window spans stay cheap: workers
-   synthesize them from timings they already measure (see
-   :meth:`repro.runtime.task.WindowTask.run`).
+   is a view of those spans.
 2. **Cross-executor propagation.**  A trace context is a plain
    ``(trace_id, span_id)`` tuple (:func:`current_context`), small
    enough to pickle into every :class:`~repro.runtime.task.WindowTask`
    and shard worker payload.  Workers cannot write to the submitting
-   process's sink, so their spans come *back* as plain dicts inside
-   the task result and the parent absorbs them — the same mechanism
+   process's sink, so a worker — window or shard alike — records its
+   spans live under :class:`collecting` seeded from that context, and
+   they come *back* as plain dicts inside the task result (children
+   before their root) for the parent to absorb — the same mechanism
    under serial, thread, and process executors, which is why all
    three produce the same tree shape.
 3. **Thread isolation.**  The active tracer and span stack are
@@ -110,35 +110,6 @@ class Span:
         )
 
 
-def make_span_dict(
-    name: str,
-    *,
-    trace_id: str,
-    parent_id: str | None,
-    started_at: float,
-    wall_seconds: float,
-    cpu_seconds: float = 0.0,
-    attrs: dict | None = None,
-    span_id: str | None = None,
-) -> dict:
-    """Synthesize a finished span record from timings measured out of
-    band.  The window-solve hot path uses this: workers already time
-    build/presolve/solve, so when a trace context rides the task
-    they mint span dicts after the fact instead of paying for
-    live span bookkeeping inside the solve loop."""
-    span = Span(
-        name=name,
-        trace_id=trace_id,
-        span_id=span_id or new_id(),
-        parent_id=parent_id,
-        started_at=started_at,
-        wall_seconds=wall_seconds,
-        cpu_seconds=cpu_seconds,
-        attrs=dict(attrs or {}),
-    )
-    return span.to_dict()
-
-
 class Tracer:
     """Collects finished spans, optionally streaming them to a sink.
 
@@ -154,7 +125,8 @@ class Tracer:
         profile_spans: span names that get a sampling profiler
             attached (see :mod:`repro.obs.profile`); the aggregated
             stacks land in the span's ``profile_digest`` attribute.
-            Only spans opened live with :func:`span` are profiled.
+            Only spans opened under this tracer are profiled; a
+            worker's :class:`collecting` tracer profiles nothing.
         profile_interval: profiler sampling period in seconds.
     """
 
@@ -393,7 +365,7 @@ def span(name: str, **attrs):
 def current_context() -> tuple[str, str | None] | None:
     """The ``(trace_id, span_id)`` to ship into a worker payload so
     its spans parent under the current span; ``None`` when tracing is
-    off (workers then skip span synthesis entirely)."""
+    off (workers then record nothing)."""
     tracer = getattr(_TLS, "tracer", _UNSET)
     if tracer is _UNSET:
         tracer = _GLOBAL
@@ -423,29 +395,28 @@ class collecting:
 
     Installs a fresh in-memory :class:`Tracer` as this thread's active
     tracer (``ctx[1]`` becomes the root parent) so library code inside
-    the worker — e.g. a shard's whole ``vm1_opt`` — traces normally;
-    ``export()`` then hands the spans back as dicts to return across
-    the process boundary.  ``ctx=None`` (tracing off in the parent)
-    yields a stub whose ``export()`` is empty and activates nothing.
+    the worker — a window's build/presolve/solve, a shard's whole
+    ``vm1_opt`` — traces normally; ``export()`` then hands the spans
+    back as dicts, children before their root, to return across the
+    process boundary.  ``ctx=None`` (tracing off in the parent) masks
+    every tracer for the block (``tracer_scope(None)``): a worker
+    thread would otherwise record into the process-global tracer, and
+    a forked pool worker into the copy it inherited.  ``export()`` is
+    then empty.
     """
 
     def __init__(self, ctx: tuple[str, str | None] | None) -> None:
-        self.ctx = ctx
-        self._scope: tracer_scope | None = None
         self.tracer: Tracer | None = None
+        if ctx is not None:
+            self.tracer = Tracer(trace_id=ctx[0], root_parent_id=ctx[1])
+        self._scope = tracer_scope(self.tracer)
 
     def __enter__(self) -> "collecting":
-        if self.ctx is not None:
-            self.tracer = Tracer(
-                trace_id=self.ctx[0], root_parent_id=self.ctx[1]
-            )
-            self._scope = tracer_scope(self.tracer)
-            self._scope.__enter__()
+        self._scope.__enter__()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._scope is not None:
-            self._scope.__exit__(*exc_info)
+        self._scope.__exit__(*exc_info)
 
     def export(self) -> list[dict]:
         if self.tracer is None:

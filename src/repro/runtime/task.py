@@ -21,6 +21,17 @@ Either way the task carries its MILP backend itself — any object
 with a ``solve(model)`` method that pickles, such as
 :class:`~repro.milp.highs_backend.HighsBackend` — and only plain data
 crosses back.
+
+Spans come back the way a shard worker's do: :meth:`WindowTask.run`
+records a ``window`` span around the attempt and ``build``,
+``presolve`` and ``solve`` spans around the work they name, live,
+under :class:`~repro.obs.trace.collecting` seeded from the shipped
+trace context, and returns the collector's export.  Which child spans
+appear depends only on the task and its outcome, so the tree has the
+same shape under every executor.  :class:`WindowTaskResult` carries
+each phase's seconds for the pass totals and the scheduler's queue
+wait: the phase span's own wall when traced, so the span records add
+up to those totals, and a ``perf_counter`` difference otherwise.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from typing import TYPE_CHECKING
 
 from repro.milp.model import Model
 from repro.milp.solution import Solution, SolveStatus
+from repro.obs.trace import NULL_SPAN, collecting, span
 
 if TYPE_CHECKING:  # circular-import guard: formulation is heavy
     from repro.core.params import OptParams
@@ -70,9 +82,10 @@ class WindowTaskResult:
     #: slice mode: a solution came back but could not be decoded into
     #: moves (corrupt λ selection).  Deterministic — never retried.
     apply_error: str = ""
-    #: finished span dicts synthesized in the worker when the task
-    #: carried a trace context; the submitting side absorbs them in
-    #: canonical task order (see :mod:`repro.obs.trace`).
+    #: finished span dicts the worker recorded live when the task
+    #: carried a trace context, children before their ``window`` root;
+    #: the submitting side absorbs them in canonical task order (see
+    #: :mod:`repro.obs.trace`).
     spans: tuple[dict, ...] = ()
     #: the scheduler ran this task inline after the executor refused
     #: it (broken pool) — graceful serial degradation, counted in
@@ -123,10 +136,10 @@ class WindowTask:
             the reduction cost parallelizes with the solves.
         trace: ``(trace_id, parent_span_id)`` shipped by the
             submitting pass when tracing is on; the worker then
-            synthesizes window/build/presolve/solve span dicts from
-            the timings it already measures and returns them in
-            ``WindowTaskResult.spans``.  ``None`` (tracing off) adds
-            zero work to the hot path.
+            records its window/build/presolve/solve spans live under
+            :class:`~repro.obs.trace.collecting` and returns them in
+            ``WindowTaskResult.spans``.  ``None`` (tracing off) masks
+            every tracer for the task, so its spans are no-ops.
         chaos: armed fault directive ``(site, action, seconds)`` set
             by the scheduler when a fault plan targets this task (see
             :mod:`repro.chaos.inject`); ``None`` — the default and
@@ -185,27 +198,32 @@ class WindowTask:
         )
 
     def run(self) -> WindowTaskResult:
-        """Execute the task; when a trace context rides along, attach
-        synthesized span dicts to the result (see :meth:`_make_spans`)."""
+        """Execute the task; when a trace context rides along, record
+        the window's span tree live and return it in ``result.spans``
+        (children first, the ``window`` root last)."""
         if self.chaos is not None:
             from repro.chaos.inject import maybe_crash_worker
 
             maybe_crash_worker(self.chaos)
-        if self.trace is None:
+        with collecting(self.trace) as collector, span(
+            "window",
+            task_id=self.task_id,
+            ix=self.ix,
+            iy=self.iy,
+            family=self.family,
+        ) as root:
             result = self._run()
+            # Result faults apply before the root closes so a lost
+            # result still leaves an ``error:solve`` span in the trace.
             if self.chaos is not None:
                 result = self._fault_result(result)
-            return result
-        started_at = time.time()
-        c0 = time.thread_time()
-        result = self._run()
-        # Result faults apply before span synthesis so a lost result
-        # still leaves an ``error:solve`` span in the trace.
-        if self.chaos is not None:
-            result = self._fault_result(result)
-        result.spans = self._make_spans(
-            result, started_at, time.thread_time() - c0
-        )
+            if self.trace is not None and (
+                result.error or result.apply_error
+            ):
+                root.status = (
+                    "error:solve" if result.error else "error:apply"
+                )
+        result.spans = tuple(collector.export())
         return result
 
     def _fault_result(self, result: WindowTaskResult) -> WindowTaskResult:
@@ -223,98 +241,6 @@ class WindowTask:
 
             result.solution = PoisonPill()
         return result
-
-    def window_span(self, status: str, **timing) -> dict:
-        """This task's ``window`` root span dict under its trace
-        context (``timing``: :func:`~repro.obs.trace.make_span_dict`'s
-        timing keywords).  The submitting side mints a bare one for an
-        outcome that came back without spans."""
-        from repro.obs.trace import make_span_dict
-
-        trace_id, parent_id = self.trace
-        doc = make_span_dict(
-            "window",
-            trace_id=trace_id,
-            parent_id=parent_id,
-            attrs={
-                "task_id": self.task_id,
-                "ix": self.ix,
-                "iy": self.iy,
-                "family": self.family,
-            },
-            **timing,
-        )
-        doc["status"] = status
-        return doc
-
-    def _make_spans(
-        self,
-        result: WindowTaskResult,
-        started_at: float,
-        cpu_seconds: float,
-    ) -> tuple[dict, ...]:
-        """Synthesize the window span tree from measured timings.
-
-        Live span bookkeeping is deliberately kept out of the solve
-        loop; the worker already times build/presolve/solve, so span
-        records are minted after the fact — free when tracing is off,
-        near-free when on.  Child-span inclusion depends only on task
-        content and outcome (never on the executor), which keeps the
-        tree shape identical across serial/thread/process runs.
-        """
-        from repro.obs.trace import make_span_dict, new_id
-
-        trace_id = self.trace[0]
-        window_id = new_id()
-        status = "ok"
-        if result.error:
-            status = "error:solve"
-        elif result.apply_error:
-            status = "error:apply"
-        spans = [
-            self.window_span(
-                status,
-                started_at=started_at,
-                wall_seconds=time.time() - started_at,
-                cpu_seconds=cpu_seconds,
-                span_id=window_id,
-            )
-        ]
-        cursor = started_at
-        if self.model is None:
-            spans.append(
-                make_span_dict(
-                    "build",
-                    trace_id=trace_id,
-                    parent_id=window_id,
-                    started_at=cursor,
-                    wall_seconds=result.build_seconds,
-                )
-            )
-            cursor += result.build_seconds
-        if result.built and self.presolve:
-            spans.append(
-                make_span_dict(
-                    "presolve",
-                    trace_id=trace_id,
-                    parent_id=window_id,
-                    started_at=cursor,
-                    wall_seconds=result.presolve_seconds,
-                )
-            )
-            cursor += result.presolve_seconds
-        if result.built:
-            spans.append(
-                make_span_dict(
-                    "solve",
-                    trace_id=trace_id,
-                    parent_id=window_id,
-                    started_at=cursor,
-                    wall_seconds=result.solve_seconds,
-                    attrs={"num_pairs": result.num_pairs},
-                )
-            )
-        return tuple(spans)
 
     def _run(self) -> WindowTaskResult:
         """Execute one build+solve attempt; never raises.
@@ -344,15 +270,16 @@ class WindowTask:
                 from repro.core.formulation import build_window_model
 
                 t0 = time.perf_counter()
-                problem = build_window_model(
-                    self.design,
-                    self.window,
-                    self.params,
-                    lx=self.lx,
-                    ly=self.ly,
-                    allow_flip=self.allow_flip,
-                )
-                build_seconds = time.perf_counter() - t0
+                with span("build") as phase:
+                    problem = build_window_model(
+                        self.design,
+                        self.window,
+                        self.params,
+                        lx=self.lx,
+                        ly=self.ly,
+                        allow_flip=self.allow_flip,
+                    )
+                build_seconds = _phase_seconds(phase, t0)
                 if problem is None:
                     return WindowTaskResult(
                         task_id=self.task_id,
@@ -369,16 +296,20 @@ class WindowTask:
                 from repro.milp.presolve import presolve as _presolve
 
                 t0 = time.perf_counter()
-                reduction = _presolve(model)
-                presolve_seconds = time.perf_counter() - t0
+                with span("presolve") as phase:
+                    reduction = _presolve(model)
+                presolve_seconds = _phase_seconds(phase, t0)
                 model = reduction.model
-            solution = self.solver.solve(model)
-            if reduction is not None:
-                solution = reduction.lift(solution)
-            if self.chaos is not None:
-                from repro.chaos.inject import fault_solution
+            t0 = time.perf_counter()
+            with span("solve", num_pairs=num_pairs) as phase:
+                solution = self.solver.solve(model)
+                if reduction is not None:
+                    solution = reduction.lift(solution)
+                if self.chaos is not None:
+                    from repro.chaos.inject import fault_solution
 
-                solution = fault_solution(self.chaos, solution)
+                    solution = fault_solution(self.chaos, solution)
+            solve_seconds = _phase_seconds(phase, t0)
         except Exception as exc:  # noqa: BLE001 — worker boundary
             overhead = build_seconds + presolve_seconds
             return WindowTaskResult(
@@ -394,10 +325,6 @@ class WindowTask:
                 num_pairs=num_pairs,
                 error=f"{type(exc).__name__}: {exc}",
             )
-        elapsed = (
-            time.perf_counter() - started
-            - build_seconds - presolve_seconds
-        )
         error = ""
         timed_out = False
         if solution.status is SolveStatus.ERROR:
@@ -435,7 +362,7 @@ class WindowTask:
         return WindowTaskResult(
             task_id=self.task_id,
             solution=solution,
-            solve_seconds=elapsed,
+            solve_seconds=solve_seconds,
             presolve_seconds=presolve_seconds,
             build_seconds=build_seconds,
             timed_out=timed_out,
@@ -447,3 +374,13 @@ class WindowTask:
             num_pairs=num_pairs,
             apply_error=apply_error,
         )
+
+
+def _phase_seconds(phase, t0: float) -> float:
+    """Wall seconds of an attempt phase that began at ``t0``: its live
+    span's own measurement when the attempt is traced, so the span tree
+    and :class:`WindowTaskResult` carry one figure, else the
+    ``perf_counter`` difference."""
+    if phase is NULL_SPAN:
+        return time.perf_counter() - t0
+    return phase.wall_seconds

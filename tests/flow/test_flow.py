@@ -137,3 +137,44 @@ def test_resumed_sharded_flow_counts_fast_forwarded_shards(tmp_path):
     assert windows["skipped_clean"] == opt.windows_skipped_clean
     assert windows["applied"] == opt.windows_applied
     assert doc["seconds"]["solve"] == opt.solve_seconds
+
+
+def test_failed_shard_checkpoint_writes_do_not_fail_the_flow(
+    tmp_path, monkeypatch, caplog
+):
+    """A shard checkpoint that cannot be written is logged and skipped,
+    as an unsharded service job's is: the flow still ends in the
+    placement of an unfaulted run."""
+    import repro.shard.runner as runner
+
+    config = FlowConfig(
+        profile="aes",
+        scale=0.008,
+        window_um=1.0,
+        time_limit=2.0,
+        shards=2,
+        executor="serial",
+    )
+    clean = run_flow(config).design.placement_snapshot()
+
+    def failing_write(path, text, **kwargs):
+        raise OSError(f"no space left for {path.name}")
+
+    monkeypatch.setattr(runner, "atomic_write_text", failing_write)
+    with caplog.at_level("WARNING", logger="repro.shard"):
+        faulted = run_flow(config, shard_checkpoint_dir=tmp_path)
+    assert faulted.design.placement_snapshot() == clean
+    failed = {
+        record.args[0].name
+        for record in caplog.records
+        if record.name == "repro.shard"
+    }
+    assert failed == {
+        "plan.json",
+        "shard_000.ckpt.json",
+        "shard_000.done.json",
+        "shard_001.ckpt.json",
+        "shard_001.done.json",
+    }
+    assert list(tmp_path.iterdir()) == []
+

@@ -8,7 +8,8 @@ from repro.obs.export import (
     render_timeline_html,
     write_report,
 )
-from repro.obs.trace import TRACE_SCHEMA, make_span_dict, new_id
+from repro.obs.trace import TRACE_SCHEMA, new_id
+from tests.obs._spans import make_span_dict
 
 
 def _span_doc(name, trace_id, parent_id=None, **kw):

@@ -16,7 +16,14 @@ from repro.core.params import ParamSet
 from repro.core.vm1opt import vm1_opt
 from repro.library import build_library
 from repro.netlist import generate_design
-from repro.obs.trace import Tracer, tracer_scope, tree_shape
+from repro.obs.trace import (
+    Tracer,
+    disable,
+    enable,
+    span_children,
+    tracer_scope,
+    tree_shape,
+)
 from repro.placement import place_design
 from repro.runtime import make_executor
 from repro.tech import CellArchitecture, make_tech
@@ -30,25 +37,29 @@ def _fresh_design(seed=2):
     return design
 
 
-def _traced_pass(executor_kind: str) -> Tracer:
+def _run_pass(executor_kind: str) -> None:
     design = _fresh_design()
     params = OptParams.for_arch(design.tech.arch, time_limit=2.0)
+    with make_executor(executor_kind, 2) as executor:
+        dist_opt(
+            design,
+            params,
+            tx=0,
+            ty=0,
+            bw=1250,
+            bh=1080,
+            lx=2,
+            ly=1,
+            allow_flip=False,
+            executor=executor,
+            pass_label="move[test]",
+        )
+
+
+def _traced_pass(executor_kind: str) -> Tracer:
     tracer = Tracer()
     with tracer_scope(tracer):
-        with make_executor(executor_kind, 2) as executor:
-            dist_opt(
-                design,
-                params,
-                tx=0,
-                ty=0,
-                bw=1250,
-                bh=1080,
-                lx=2,
-                ly=1,
-                allow_flip=False,
-                executor=executor,
-                pass_label="move[test]",
-            )
+        _run_pass(executor_kind)
     return tracer
 
 
@@ -81,6 +92,39 @@ def test_window_spans_carry_apply_verdict():
         "failed", "timed_out", "empty",
     }
     assert set(outcomes) <= known
+
+
+def test_window_children_are_recorded_live():
+    """Workers record build/presolve/solve as they run: each child
+    lies inside its window's interval, carries its own CPU time and is
+    recorded before its window (the root an attempt exports last)."""
+    spans = _traced_pass("serial").spans
+    position = {s.span_id: i for i, s in enumerate(spans)}
+    children = span_children(spans)
+    windows = [s for s in spans if s.name == "window"]
+    assert windows
+    for window in windows:
+        kids = children.get(window.span_id, [])
+        assert kids
+        end = window.started_at + window.wall_seconds
+        for kid in kids:
+            assert kid.started_at >= window.started_at - 1e-3
+            assert kid.started_at + kid.wall_seconds <= end + 1e-3
+            assert kid.cpu_seconds > 0.0
+            assert position[kid.span_id] < position[window.span_id]
+
+
+def test_untraced_thread_pass_leaves_the_global_tracer_alone():
+    """A pass under ``tracer_scope(None)`` ships no trace context; its
+    thread workers must not fall through to the process-global
+    tracer."""
+    tracer = enable()
+    try:
+        with tracer_scope(None):
+            _run_pass("thread")
+    finally:
+        disable()
+    assert tracer.spans == []
 
 
 @pytest.mark.parametrize("kind", ["thread", "process"])

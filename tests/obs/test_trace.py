@@ -11,12 +11,12 @@ from repro.obs.trace import (
     current_context,
     disable,
     enable,
-    make_span_dict,
     new_id,
     span,
     tracer_scope,
     tree_shape,
 )
+from tests.obs._spans import make_span_dict
 
 
 @pytest.fixture(autouse=True)
@@ -173,6 +173,15 @@ def test_collecting_none_is_inert():
     with collecting(None) as collector:
         assert span("ignored") is NULL_SPAN
     assert collector.export() == []
+    # It masks a process-global tracer too, so an untraced worker
+    # thread records nothing into it.
+    tracer = enable()
+    with collecting(None) as collector:
+        assert span("ignored") is NULL_SPAN
+        assert current_context() is None
+    assert collector.export() == []
+    assert tracer.spans == []
+    assert active() is tracer
 
 
 def test_tree_shape_is_structural_and_name_sorted():

@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from repro.obs.trace import Tracer, make_span_dict, tracer_scope
+from repro.obs.trace import Tracer, tracer_scope
 from repro.runtime import (
     TELEMETRY_SCHEMA,
     RunTelemetry,
     SerialExecutor,
 )
+from tests.obs._spans import make_span_dict
 
 
 def _small_design():

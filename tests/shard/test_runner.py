@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import OptParams
 from repro.core.distopt import TOTAL_FIELDS, DistOptResult, PassTotals
+from repro.core.objective import calculate_objective
 from repro.core.vm1opt import vm1_opt
 from repro.library import build_library
 from repro.netlist import generate_design
@@ -74,6 +75,13 @@ def test_sharded_vm1_view_aggregates(sharded_reference):
     summary = result.summary()
     assert summary["num_shards"] == 2
     assert summary["legal"] is True
+
+
+def test_final_objective_is_the_stitched_placements(sharded_reference):
+    snapshot, result = sharded_reference
+    design = fresh_design()
+    design.restore_placement(snapshot)
+    assert result.final_objective == calculate_objective(design, PARAMS)
 
 
 def test_sharded_run_is_deterministic(sharded_reference):
