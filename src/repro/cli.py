@@ -597,9 +597,10 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument(
         "--trace-profile", action="append", metavar="SPAN",
         help="attach the sampling profiler to spans with this name "
-        "(repeatable; e.g. 'distopt'); requires --trace.  Workers "
-        "record under a tracer of their own, so window/build/presolve/"
-        "solve spans and shard subtrees are never profiled",
+        "(repeatable; e.g. 'distopt'); requires --trace.  Shard "
+        "workers profile the same names (e.g. 'shard' and their "
+        "'distopt' passes); window workers profile nothing, so "
+        "window/build/presolve/solve spans are never profiled",
     )
     flow.add_argument("--json", action="store_true")
     flow.add_argument("--out", default="", help="artifact directory")

@@ -167,7 +167,6 @@ def dist_opt(
     dirty: DirtyTracker | None = None,
     objective: float | None = None,
     audit: bool = False,
-    chaos=None,
 ) -> DistOptResult:
     """Run one DistOpt pass over the whole design.
 
@@ -181,7 +180,7 @@ def dist_opt(
         solver: MILP backend; defaults to HiGHS with the params' time
             limit.
         executor: a :mod:`repro.runtime` executor; defaults to a
-            fresh :class:`SerialExecutor` (the pre-engine behavior).
+            :class:`SerialExecutor`.
         schedule: dispatch policy (timeout/retry); defaults to
             :meth:`ScheduleConfig.for_time_limit` of the solver limit.
         pass_label: label stamped on this pass's ``distopt`` span
@@ -206,10 +205,12 @@ def dist_opt(
             ``AssertionError`` if the delta-accounted value drifted
             more than :data:`DRIFT_TOLERANCE` from it (paranoia knob
             for tests and debugging).
-        chaos: optional :class:`~repro.chaos.inject.ChaosController`
-            for fault-injection runs; ``None`` (the default) falls
-            back to the thread-installed controller, and with neither
-            the hot path pays a single ``is None`` test per submit.
+
+    The active :class:`~repro.chaos.inject.ChaosController`, if any
+    (:func:`~repro.chaos.inject.active_chaos`: one installed with
+    ``chaos_scope`` or ``install``), arms its faults on this pass's
+    window tasks; without one the hot path pays a single ``is None``
+    test per submit.
 
     Returns:
         A :class:`DistOptResult`; ``objective`` is the global
@@ -219,15 +220,13 @@ def dist_opt(
         solver = HighsBackend(
             time_limit=params.time_limit, mip_rel_gap=params.mip_gap
         )
-    owns_executor = executor is None
     if executor is None:
         executor = SerialExecutor()
     if schedule is None:
         schedule = ScheduleConfig.for_time_limit(
             getattr(solver, "time_limit", None)
         )
-    if chaos is None:
-        chaos = active_chaos()
+    chaos = active_chaos()
     scheduler = FamilyScheduler(executor, schedule, chaos=chaos)
 
     started = time.perf_counter()
@@ -253,20 +252,16 @@ def dist_opt(
         # the window spans workers record parent under this pass span
         # (None when tracing is off — workers then record nothing).
         trace_ctx = current_context()
-        try:
-            next_task_id = 0
-            for family_index, family in enumerate(families):
-                next_task_id = _run_family(
-                    design, params, family, family_index,
-                    solver=solver, scheduler=scheduler, result=result,
-                    lx=lx, ly=ly, allow_flip=allow_flip,
-                    next_task_id=next_task_id,
-                    presolve=presolve, dirty=dirty,
-                    trace_ctx=trace_ctx,
-                )
-        finally:
-            if owns_executor:
-                executor.close()
+        next_task_id = 0
+        for family_index, family in enumerate(families):
+            next_task_id = _run_family(
+                design, params, family, family_index,
+                solver=solver, scheduler=scheduler, result=result,
+                lx=lx, ly=ly, allow_flip=allow_flip,
+                next_task_id=next_task_id,
+                presolve=presolve, dirty=dirty,
+                trace_ctx=trace_ctx,
+            )
 
         if objective is None:
             result.objective = calculate_objective(design, params)
@@ -358,13 +353,13 @@ def _run_family(
             if dirty is not None:
                 dirty.mark_clean(key, probe)
             continue
-        task = WindowTask.from_slice(
-            sliced,
-            window,
-            _task_params(params, sliced),
+        task = WindowTask(
             task_id=next_task_id,
             family=family_index,
             solver=solver,
+            design=sliced,
+            window=window,
+            params=_task_params(params, sliced),
             lx=lx,
             ly=ly,
             allow_flip=allow_flip,
@@ -478,8 +473,8 @@ def _absorb_spans(
     with span(
         "window",
         task_id=task.task_id,
-        ix=task.ix,
-        iy=task.iy,
+        ix=task.window.ix,
+        iy=task.window.iy,
         family=task.family,
         **stamp,
     ) as root:

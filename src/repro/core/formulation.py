@@ -241,7 +241,7 @@ def solution_moves(
 
     Returns one ``(cell, column, row, flipped)`` per movable cell, in
     the problem's canonical cell order.  This is the only part of a
-    solution the parent needs to apply it, so it is what a slice-mode
+    solution the parent needs to apply it, so it is what a
     :class:`~repro.runtime.task.WindowTask` ships back across the
     process boundary.
 

@@ -20,10 +20,9 @@ from repro.core.dirty import DirtyTracker
 from repro.core.distopt import DistOptResult, PassTotals, dist_opt
 from repro.core.objective import calculate_objective
 from repro.core.params import OptParams
-from repro.milp.highs_backend import HighsBackend
 from repro.netlist.design import Design
 from repro.obs.trace import current_context, recording, span
-from repro.runtime import RunTelemetry, ScheduleConfig, SerialExecutor
+from repro.runtime import RunTelemetry, SerialExecutor
 
 #: Hard cap on inner iterations per parameter set (safety net; the
 #: θ = 1% test of the paper normally stops after 1-3 iterations).
@@ -54,9 +53,7 @@ def vm1_opt(
     design: Design,
     params: OptParams,
     *,
-    solver=None,
     executor=None,
-    schedule: ScheduleConfig | None = None,
     telemetry: RunTelemetry | None = None,
     progress=None,
     enable_flip: bool = True,
@@ -72,11 +69,11 @@ def vm1_opt(
     Args:
         design: legal placed design; optimized in place.
         params: weights plus the parameter-set sequence U.
-        solver: MILP backend shared by all windows (default HiGHS with
-            ``params.time_limit`` per window).
         executor: :mod:`repro.runtime` executor shared by all DistOpt
-            passes (default: a fresh :class:`SerialExecutor`).
-        schedule: dispatch policy (per-task timeout, retries).
+            passes (default: a :class:`SerialExecutor`).  Each pass
+            solves its windows with HiGHS at ``params.time_limit`` and
+            ``params.mip_gap`` (see :func:`~repro.core.distopt.
+            dist_opt`).
         telemetry: optional :class:`RunTelemetry`, filled at the end
             from the run's ``vm1_opt`` span subtree (recorded into an
             in-memory tracer when no tracer is active; see
@@ -122,11 +119,6 @@ def vm1_opt(
         checkpointed count.
     """
     dirty = DirtyTracker() if dirty_tracking else None
-    if solver is None:
-        solver = HighsBackend(
-            time_limit=params.time_limit, mip_rel_gap=params.mip_gap
-        )
-    owns_executor = executor is None
     if executor is None:
         executor = SerialExecutor()
     started = time.perf_counter()
@@ -224,9 +216,7 @@ def vm1_opt(
                             lx=u.lx,
                             ly=u.ly,
                             allow_flip=False,
-                            solver=solver,
                             executor=executor,
-                            schedule=schedule,
                             pass_label=f"move[{label}]",
                             presolve=presolve,
                             dirty=dirty,
@@ -252,9 +242,7 @@ def vm1_opt(
                             lx=0,
                             ly=0,
                             allow_flip=True,
-                            solver=solver,
                             executor=executor,
-                            schedule=schedule,
                             pass_label=f"flip[{label}]",
                             presolve=presolve,
                             dirty=dirty,
@@ -282,8 +270,6 @@ def vm1_opt(
                     if delta < params.theta:
                         break
         finally:
-            if owns_executor:
-                executor.close()
             if chaos is not None:
                 # Barrier faults fire between passes, after the pass
                 # before them drained its counts.

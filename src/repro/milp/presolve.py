@@ -288,9 +288,7 @@ class _Activities:
         return lo, hi, contrib
 
 
-def presolve(
-    model: Model, *, tighten_coefficients: bool = True
-) -> PresolveResult:
+def presolve(model: Model) -> PresolveResult:
     """Reduce ``model``; the result's model shares variable indices."""
     stats = PresolveStats(rows_in=len(model.constraints))
     lb = [v.lb for v in model.vars]
@@ -431,7 +429,7 @@ def presolve(
         if con.sense is Sense.GE and lo >= con.rhs - _EPS:
             stats.rows_redundant += 1
             continue
-        if tighten_coefficients and con.sense is not Sense.EQ:
+        if con.sense is not Sense.EQ:
             con = _tighten_big_m(
                 model, con, acts, group_of, stats, lo, hi, contrib
             )

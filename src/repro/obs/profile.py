@@ -12,12 +12,15 @@ The result is a small JSON-able digest stored in the span's
 collapsed stacks by hit count.  It is an attribution aid ("which phase
 of the pass dominates this span"), not a microbenchmark.
 
-Only spans opened under the tracer that lists their name can be
+Only spans opened under a tracer that lists their name can be
 profiled: ``flow``, its stages and the submitting process's
 ``distopt`` passes.  Workers record under their own
-:class:`~repro.obs.trace.collecting` tracer, which lists no names, so
-a window's ``window``/``build``/``presolve``/``solve`` spans and a
-shard worker's ``shard`` subtree are never profiled.
+:class:`~repro.obs.trace.collecting` tracer.  A shard worker's lists
+the submitting tracer's names, so its ``shard`` span and the
+``distopt`` passes inside it are profiled too; a window worker's
+lists none, so ``window``/``build``/``presolve``/``solve`` spans are
+never profiled (a sampler thread per window would cost more than most
+windows).
 """
 
 from __future__ import annotations

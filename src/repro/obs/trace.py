@@ -125,8 +125,9 @@ class Tracer:
         profile_spans: span names that get a sampling profiler
             attached (see :mod:`repro.obs.profile`); the aggregated
             stacks land in the span's ``profile_digest`` attribute.
-            Only spans opened under this tracer are profiled; a
-            worker's :class:`collecting` tracer profiles nothing.
+            Only spans opened under this tracer are profiled; a shard
+            worker's :class:`collecting` tracer is given the
+            submitting tracer's names, a window worker's none.
         profile_interval: profiler sampling period in seconds.
     """
 
@@ -398,17 +399,28 @@ class collecting:
     the worker — a window's build/presolve/solve, a shard's whole
     ``vm1_opt`` — traces normally; ``export()`` then hands the spans
     back as dicts, children before their root, to return across the
-    process boundary.  ``ctx=None`` (tracing off in the parent) masks
+    process boundary.  ``profile_spans`` are the names the worker's
+    tracer profiles: a shard worker ships the submitting tracer's, a
+    window worker none (a sampler thread per window would cost more
+    than most windows).  ``ctx=None`` (tracing off in the parent) masks
     every tracer for the block (``tracer_scope(None)``): a worker
     thread would otherwise record into the process-global tracer, and
     a forked pool worker into the copy it inherited.  ``export()`` is
     then empty.
     """
 
-    def __init__(self, ctx: tuple[str, str | None] | None) -> None:
+    def __init__(
+        self,
+        ctx: tuple[str, str | None] | None,
+        profile_spans: tuple[str, ...] = (),
+    ) -> None:
         self.tracer: Tracer | None = None
         if ctx is not None:
-            self.tracer = Tracer(trace_id=ctx[0], root_parent_id=ctx[1])
+            self.tracer = Tracer(
+                trace_id=ctx[0],
+                root_parent_id=ctx[1],
+                profile_spans=profile_spans,
+            )
         self._scope = tracer_scope(self.tracer)
 
     def __enter__(self) -> "collecting":

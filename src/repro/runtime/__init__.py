@@ -5,9 +5,11 @@ families precisely so they can be *distributed*; this package is the
 machinery that actually does it:
 
 * :mod:`repro.runtime.task` — :class:`WindowTask`, the picklable
-  window subproblem that crosses a process boundary together with the
-  MILP backend that solves it.
-* :mod:`repro.runtime.executors` — interchangeable backends:
+  window subproblem: one window's cell/net slice, which crosses a
+  process boundary together with the MILP backend that solves it, and
+  which the worker builds, presolves, solves and decodes.
+* :mod:`repro.runtime.executors` — interchangeable backends that run
+  any task with a ``run()`` method, window and shard tasks alike:
   :class:`SerialExecutor` (inline, default), :class:`ThreadExecutor`
   (GIL-releasing solvers), :class:`MultiprocessExecutor`.
 * :mod:`repro.runtime.scheduler` — family-by-family dispatch with

@@ -1,13 +1,16 @@
-"""Interchangeable execution backends for window solves.
+"""Interchangeable execution backends for window and shard tasks.
 
-Three executors share one interface — ``submit(task) -> Future``:
+An executor runs any task with a ``run()`` method — a
+:class:`~repro.runtime.task.WindowTask` or a shard layer
+``ShardTask`` alike — behind one interface, ``submit(task) ->
+Future``:
 
-* :class:`SerialExecutor` — solves inline in the calling process;
-  the default, and the right choice on 1-core CI machines.
+* :class:`SerialExecutor` — runs the task inline in the calling
+  process; the default, and the right choice on 1-core CI machines.
 * :class:`ThreadExecutor` — a thread pool; HiGHS releases the GIL
   during the native solve.
-* :class:`MultiprocessExecutor` — a process pool; tasks and results
-  cross the boundary via pickle (see :mod:`repro.runtime.task`).
+* :class:`MultiprocessExecutor` — a process pool; the task and its
+  result cross the boundary via pickle.
 
 Executors only *run* tasks; dispatch order, timeouts, and retries are
 the scheduler's job (:mod:`repro.runtime.scheduler`).
@@ -22,14 +25,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 
-from repro.runtime.task import WindowTask, WindowTaskResult
-
 EXECUTOR_KINDS = ("serial", "thread", "process", "auto")
-
-
-def _run_task(task: WindowTask) -> WindowTaskResult:
-    """Module-level worker entry point (must be picklable)."""
-    return task.run()
 
 
 class Executor:
@@ -40,7 +36,7 @@ class Executor:
     def __init__(self, jobs: int = 1) -> None:
         self.jobs = max(1, int(jobs))
 
-    def submit(self, task: WindowTask) -> Future:
+    def submit(self, task) -> Future:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -71,10 +67,12 @@ class Executor:
 
 
 class SerialExecutor(Executor):
-    """Runs each task inline at submit time (current/legacy behavior).
+    """Runs each task inline at submit time.
 
     Per-task timeouts cannot preempt an inline solve — bounding solve
-    time is the MILP backend's own ``time_limit``'s job here.
+    time is the MILP backend's own ``time_limit``'s job here.  An
+    exception from ``task.run()`` is left on the future, as a pool
+    leaves it.
     """
 
     name = "serial"
@@ -82,53 +80,48 @@ class SerialExecutor(Executor):
     def __init__(self) -> None:
         super().__init__(jobs=1)
 
-    def submit(self, task: WindowTask) -> Future:
+    def submit(self, task) -> Future:
         future: Future = Future()
         try:
-            future.set_result(_run_task(task))
-        except Exception as exc:  # noqa: BLE001 — run() should not raise
+            future.set_result(task.run())
+        except Exception as exc:  # noqa: BLE001 — left on the future
             future.set_exception(exc)
         return future
 
 
-class ThreadExecutor(Executor):
+class _PoolExecutor(Executor):
+    """A stdlib ``concurrent.futures`` pool of ``jobs`` workers."""
+
+    _pool_type: type
+
+    def __init__(self, jobs: int = 2) -> None:
+        super().__init__(jobs=jobs)
+        self._pool = self._pool_type(max_workers=self.jobs)
+
+    def submit(self, task) -> Future:
+        # A bound method pickles as (task, "run"), so a process pool
+        # ships the task itself.
+        return self._pool.submit(task.run)
+
+    def close(self) -> None:
+        self._pool.shutdown(wait=False, cancel_futures=True)
+
+    def drain(self) -> None:
+        self._pool.shutdown(wait=True, cancel_futures=True)
+
+
+class ThreadExecutor(_PoolExecutor):
     """Thread-pool executor for GIL-releasing solver backends."""
 
     name = "thread"
-
-    def __init__(self, jobs: int = 2) -> None:
-        super().__init__(jobs=jobs)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.jobs, thread_name_prefix="repro-solve"
-        )
-
-    def submit(self, task: WindowTask) -> Future:
-        return self._pool.submit(_run_task, task)
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=False, cancel_futures=True)
-
-    def drain(self) -> None:
-        self._pool.shutdown(wait=True, cancel_futures=True)
+    _pool_type = ThreadPoolExecutor
 
 
-class MultiprocessExecutor(Executor):
+class MultiprocessExecutor(_PoolExecutor):
     """Process-pool executor; tasks/results cross via pickle."""
 
     name = "process"
-
-    def __init__(self, jobs: int = 2) -> None:
-        super().__init__(jobs=jobs)
-        self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-
-    def submit(self, task: WindowTask) -> Future:
-        return self._pool.submit(_run_task, task)
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=False, cancel_futures=True)
-
-    def drain(self) -> None:
-        self._pool.shutdown(wait=True, cancel_futures=True)
+    _pool_type = ProcessPoolExecutor
 
 
 def make_executor(kind: str = "auto", jobs: int = 1) -> Executor:

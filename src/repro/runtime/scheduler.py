@@ -28,7 +28,7 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 
-from repro.runtime.executors import Executor, _run_task
+from repro.runtime.executors import Executor, SerialExecutor
 from repro.runtime.task import WindowTask, WindowTaskResult
 
 from repro.log import subsystem_logger
@@ -117,9 +117,9 @@ class FamilyScheduler:
                     logger.warning(
                         "executor refused window (%d,%d) (%r) — "
                         "running inline",
-                        task.ix, task.iy, exc,
+                        task.window.ix, task.window.iy, exc,
                     )
-                    future = self._inline_future(armed)
+                    future = SerialExecutor().submit(armed)
                     degraded = True
                 in_flight.append(
                     (task, future, time.perf_counter(), degraded)
@@ -138,7 +138,7 @@ class FamilyScheduler:
                     logger.warning(
                         "window (%d,%d) attempt %d failed: %s — "
                         "retrying",
-                        task.ix, task.iy,
+                        task.window.ix, task.window.iy,
                         attempts[task.task_id], result.error,
                     )
                     if result.spans:
@@ -158,17 +158,6 @@ class FamilyScheduler:
             queue = retry
         return results
 
-    @staticmethod
-    def _inline_future(task: WindowTask) -> Future:
-        """Serial-fallback attempt as an already-resolved future, so
-        the collect/retry path treats it like any other."""
-        future: Future = Future()
-        try:
-            future.set_result(_run_task(task))
-        except BaseException as exc:  # noqa: BLE001 — worker boundary
-            future.set_exception(exc)
-        return future
-
     def _collect(
         self, task: WindowTask, future: Future, submitted: float
     ) -> WindowTaskResult:
@@ -184,7 +173,7 @@ class FamilyScheduler:
             future.cancel()
             logger.warning(
                 "window (%d,%d) timed out after %.1fs — skipped",
-                task.ix, task.iy, timeout,
+                task.window.ix, task.window.iy, timeout,
             )
             return WindowTaskResult(
                 task_id=task.task_id,
@@ -197,8 +186,8 @@ class FamilyScheduler:
             )
         wall = time.perf_counter() - submitted
         # Queue wait = submission-to-result wall minus the work the
-        # worker actually did (slice-mode tasks build and presolve
-        # inside the worker, so those belong to work, not waiting).
+        # worker actually did (it builds and presolves as well as
+        # solves, so those belong to work, not waiting).
         worked = (
             result.build_seconds
             + result.presolve_seconds

@@ -102,11 +102,34 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        """The request's JSON object body; ``{}`` when it is empty.
+
+        Raises:
+            ValueError: with a one-line reason, when ``Content-Length``
+                is not a non-negative integer or the body is not a
+                JSON object.
+        """
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would block until the client closes.
+            raise ValueError(f"bad Content-Length {header!r}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
-        return json.loads(raw)
+        try:
+            body = json.loads(raw)
+        except ValueError as exc:  # JSONDecodeError or bad UTF-8
+            raise ValueError(f"bad JSON body: {exc}") from None
+        if not isinstance(body, dict):
+            raise ValueError(
+                f"JSON body must be an object, not "
+                f"{type(body).__name__}"
+            )
+        return body
 
     # -------------------------------------------------------- routing
     def do_GET(self) -> None:  # noqa: N802 — http.server API
@@ -224,8 +247,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 return
             try:
                 body = self._read_body()
-            except json.JSONDecodeError as exc:
-                self._error(400, f"bad JSON body: {exc}")
+            except ValueError as exc:
+                self._error(400, str(exc))
                 return
             kind = body.get("kind", "flow")
             spec = body.get("spec", {})
@@ -327,7 +350,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8765,
     workers: int = 1,
-    install_signals: bool = True,
 ) -> int:
     """Run the service until stopped; returns the process exit code."""
     server = build_server(
@@ -348,9 +370,8 @@ def serve(
             target=server.shutdown, daemon=True
         ).start()
 
-    if install_signals:
-        signal.signal(signal.SIGTERM, _graceful)
-        signal.signal(signal.SIGINT, _graceful)
+    signal.signal(signal.SIGTERM, _graceful)
+    signal.signal(signal.SIGINT, _graceful)
 
     print(
         f"repro-service listening on {server.url} "

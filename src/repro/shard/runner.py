@@ -185,6 +185,9 @@ class ShardTask:
     #: ``(trace_id, parent_span_id)`` from the submitting side; the
     #: worker collects its whole ``vm1_opt`` span subtree under it.
     trace: tuple[str, str | None] | None = None
+    #: span names the submitting tracer profiles (empty when
+    #: untraced); the worker's tracer profiles the same names.
+    profile_spans: tuple[str, ...] = ()
     #: serialized :class:`~repro.chaos.plan.FaultPlan` document; the
     #: worker rebuilds a local controller from it (controllers do not
     #: cross process boundaries), so shard-level faults — mid-shard
@@ -221,7 +224,9 @@ class ShardTask:
 
         chaos_barrier(f"shard:{self.index}:start")
         started = time.perf_counter()
-        with collecting(self.trace) as trace_collector:
+        with collecting(
+            self.trace, self.profile_spans
+        ) as trace_collector:
             with span("shard", index=self.index):
                 with make_executor(
                     self.inner_executor, self.inner_jobs
@@ -512,8 +517,13 @@ def run_sharded(
 
     # Shipped into every shard worker; the workers' "shard" spans (and
     # their whole vm1_opt subtrees) parent under the span active here
-    # (the flow's "opt" stage when called from run_flow).
+    # (the flow's "opt" stage when called from run_flow), and are
+    # profiled by the names this tracer profiles.
     trace_ctx = current_context()
+    tracer = active_tracer() if trace_ctx is not None else None
+    profile_spans = (
+        tuple(sorted(tracer.profile_spans)) if tracer is not None else ()
+    )
     with span("shard_plan", shards=shards, halo_rows=halo_rows):
         plan = plan_shards(design, shards, halo_rows)
         errors = verify_plan(design, plan)
@@ -610,6 +620,7 @@ def run_sharded(
                     else None
                 ),
                 trace=trace_ctx,
+                profile_spans=profile_spans,
                 chaos=(
                     chaos.plan.to_dict()
                     if chaos is not None
@@ -630,9 +641,6 @@ def run_sharded(
             futures = [
                 (task, shard_executor.submit(task)) for task in tasks
             ]
-            tracer = (
-                active_tracer() if trace_ctx is not None else None
-            )
             for task, future in futures:
                 outcome = future.result()
                 outcomes[task.index] = outcome

@@ -151,15 +151,9 @@ def test_observed_records_every_consultation():
 
 
 def test_arm_task_attaches_directive():
-    from repro.milp.highs_backend import HighsBackend
-    from repro.runtime import WindowTask
+    from tests.runtime._fakes import slice_task
 
-    from tests.runtime._fakes import tiny_model
-
-    task = WindowTask(
-        task_id=0, ix=0, iy=0, family=0,
-        model=tiny_model(), solver=HighsBackend(),
-    )
+    task = slice_task()
     chaos = controller(
         FaultRule(
             site="runtime.worker", action="hang", nth=1, seconds=9.0

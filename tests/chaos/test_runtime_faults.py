@@ -5,19 +5,13 @@ import pickle
 import pytest
 
 from repro.chaos import ChaosFault, PoisonPill
-from repro.milp.highs_backend import HighsBackend
 from repro.milp.solution import SolveStatus
-from repro.runtime import WindowTask
 
-from tests.runtime._fakes import tiny_model
+from tests.runtime._fakes import slice_task
 
 
 def task(chaos=None, trace=None):
-    return WindowTask(
-        task_id=0, ix=0, iy=0, family=0,
-        model=tiny_model(), solver=HighsBackend(),
-        trace=trace, chaos=chaos,
-    )
+    return slice_task(trace=trace, chaos=chaos)
 
 
 def test_no_directive_runs_clean():
@@ -57,8 +51,16 @@ def test_milp_timeout_directive_marks_timeout():
 
 
 def test_milp_infeasible_directive_swaps_status():
+    """An infeasible verdict on a window model is a solver fault: a
+    retryable error, not a plain status."""
     result = task(chaos=("milp.solve", "infeasible", 30.0)).run()
     assert result.solution.status is SolveStatus.INFEASIBLE
+    assert not result.ok
+    assert result.error == (
+        "solver returned infeasible for a window model"
+    )
+    assert not result.timed_out
+    assert result.moves is None
 
 
 def test_lost_directive_drops_the_result():

@@ -6,7 +6,6 @@ from concurrent.futures import Future
 
 from repro.chaos import ChaosController, FaultPlan, FaultRule
 from repro.core.distopt import _absorb_spans
-from repro.milp.highs_backend import HighsBackend
 from repro.milp.solution import SolveStatus
 from repro.obs.trace import Tracer
 from repro.runtime import (
@@ -14,20 +13,14 @@ from repro.runtime import (
     RunTelemetry,
     ScheduleConfig,
     SerialExecutor,
-    WindowTask,
 )
 
-from tests.runtime._fakes import tiny_model
+from tests.runtime._fakes import slice_task
 
 
 def make_tasks(n=3):
-    backend = HighsBackend(time_limit=5.0)
     return [
-        WindowTask(
-            task_id=i, ix=i, iy=0, family=0,
-            model=tiny_model(f"m{i}"), solver=backend,
-            trace=("trace0", "pass0"),
-        )
+        slice_task(i, task_id=i, trace=("trace0", "pass0"))
         for i in range(n)
     ]
 
@@ -116,14 +109,7 @@ def test_retry_spans_survive_on_recovered_result():
             ),
         )
     )
-    backend = HighsBackend(time_limit=5.0)
-    tasks = [
-        WindowTask(
-            task_id=0, ix=0, iy=0, family=0,
-            model=tiny_model(), solver=backend,
-            trace=("trace0", None),
-        )
-    ]
+    tasks = [slice_task(trace=("trace0", None))]
     scheduler = FamilyScheduler(
         SerialExecutor(), ScheduleConfig(max_retries=1), chaos=chaos
     )

@@ -294,18 +294,9 @@ def test_time_limit_without_incumbent_is_a_time_limit_error():
 
 
 def test_time_limit_without_incumbent_marks_the_task_timed_out():
-    from repro.runtime.task import WindowTask
+    from tests.runtime._fakes import slice_task
 
-    task = WindowTask(
-        task_id=0,
-        ix=0,
-        iy=0,
-        family=0,
-        solver=HighsBackend(time_limit=1e-9),
-        model=hard_equality_knapsack(),
-        presolve=False,
-    )
-    result = task.run()
+    result = slice_task(0, solver=HighsBackend(time_limit=1e-9)).run()
     assert result.timed_out
     assert "time limit" in result.error.lower()
 

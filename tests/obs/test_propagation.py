@@ -205,7 +205,12 @@ def test_trace_holds_windows_that_came_back_without_spans(
 ):
     """Outcomes the scheduler builds itself (no worker spans) still
     leave a ``window`` span with the status the document records."""
-    from repro.chaos import ChaosController, FaultPlan, FaultRule
+    from repro.chaos import (
+        ChaosController,
+        FaultPlan,
+        FaultRule,
+        chaos_scope,
+    )
     from repro.runtime import RunTelemetry, ScheduleConfig
 
     design = _fresh_design()
@@ -216,10 +221,12 @@ def test_trace_holds_windows_that_came_back_without_spans(
         )
     )
     tracer = Tracer()
-    with tracer_scope(tracer), make_executor(kind, 2) as executor:
+    with tracer_scope(tracer), chaos_scope(chaos), make_executor(
+        kind, 2
+    ) as executor:
         result = dist_opt(
             design, params, tx=0, ty=0, bw=1250, bh=1080, lx=2, ly=1,
-            allow_flip=False, executor=executor, chaos=chaos,
+            allow_flip=False, executor=executor,
             schedule=ScheduleConfig(max_retries=0, **schedule),
         )
     lost = result.windows_failed + result.windows_timed_out

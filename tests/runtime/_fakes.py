@@ -1,51 +1,68 @@
-"""Module-level fake solver backends (picklable for process tests)."""
+"""Window tasks and module-level fake solver backends for runtime tests
+(picklable for process tests).
+
+The fakes that return a solution delegate the solve to
+:class:`~repro.milp.highs_backend.HighsBackend`, so a task's worker
+decodes real moves from it.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
-from repro.milp.solution import Solution, SolveStatus
+from repro.check.generators import generate_case
+from repro.core.formulation import window_slice
+from repro.milp.highs_backend import HighsBackend
+from repro.milp.solution import Solution
+from repro.runtime import WindowTask
 
 
-def tiny_model(name: str = "tiny", reward: float = -2.0):
-    """One-binary model whose optimum sets the variable to 1."""
-    from repro.milp.model import Model
-
-    model = Model(name)
-    x = model.add_binary("x")
-    model.minimize(reward * x)
-    return model
+def slice_task(seed: int = 0, *, task_id: int = 0, solver=None, **fields):
+    """The window task production would ship for the check case of
+    generator ``seed``: its one window's slice, built, presolved and
+    solved in the worker (HiGHS unless ``solver`` is given)."""
+    case = generate_case(seed)
+    return WindowTask(
+        task_id=task_id,
+        family=0,
+        solver=solver or HighsBackend(time_limit=5.0),
+        design=window_slice(case.design, case.window),
+        window=case.window,
+        params=case.params,
+        lx=case.lx,
+        ly=case.ly,
+        allow_flip=case.allow_flip,
+        **fields,
+    )
 
 
 class FixedSolveTimeBackend:
-    """Reports a caller-chosen ``solve_seconds`` without solving."""
+    """Solves with HiGHS but reports a caller-chosen ``solve_seconds``."""
 
     def __init__(self, solve_seconds: float = 0.5) -> None:
         self.solve_seconds = solve_seconds
 
     def solve(self, model) -> Solution:
-        values = {v.index: v.ub for v in model.vars}
-        return Solution(
-            status=SolveStatus.OPTIMAL,
-            objective=model.objective.value(values),
-            values=values,
-            solve_seconds=self.solve_seconds,
+        return dataclasses.replace(
+            HighsBackend().solve(model), solve_seconds=self.solve_seconds
         )
 
 
 class SleepyBackend:
-    """Sleeps, then solves trivially — for timeout tests."""
+    """Sleeps, then solves with HiGHS — for timeout tests."""
 
     def __init__(self, sleep_seconds: float) -> None:
         self.sleep_seconds = sleep_seconds
 
     def solve(self, model) -> Solution:
         time.sleep(self.sleep_seconds)
-        return FixedSolveTimeBackend(0.0).solve(model)
+        return HighsBackend().solve(model)
 
 
 class FlakyBackend:
-    """Raises on the first N calls, then solves (retry tests).
+    """Raises on the first N calls, then solves with HiGHS (retry
+    tests).
 
     State lives on the instance, so this only behaves as intended
     with in-process executors (serial/thread).
@@ -59,7 +76,7 @@ class FlakyBackend:
         self.calls += 1
         if self.calls <= self.failures:
             raise RuntimeError(f"flaky failure #{self.calls}")
-        return FixedSolveTimeBackend(0.0).solve(model)
+        return HighsBackend().solve(model)
 
 
 class AlwaysErrorBackend:

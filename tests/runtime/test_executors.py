@@ -4,41 +4,24 @@ import time
 
 import pytest
 
-from repro.milp.highs_backend import HighsBackend
 from repro.runtime import (
     EXECUTOR_KINDS,
     MultiprocessExecutor,
     SerialExecutor,
     ThreadExecutor,
-    WindowTask,
     make_executor,
 )
 
-from tests.runtime._fakes import SleepyBackend, tiny_model
+from tests.runtime._fakes import SleepyBackend, slice_task
 
 
 def batch(n=4):
-    backend = HighsBackend(time_limit=5.0)
-    return [
-        WindowTask(
-            task_id=i, ix=i, iy=0, family=0,
-            model=tiny_model(f"m{i}", reward=-(i + 1.0)),
-            solver=backend,
-        )
-        for i in range(n)
-    ]
+    return [slice_task(i, task_id=i) for i in range(n)]
 
 
 def sleepy_batch(n, sleep_seconds=0.3):
     backend = SleepyBackend(sleep_seconds)
-    return [
-        WindowTask(
-            task_id=i, ix=i, iy=0, family=0,
-            model=tiny_model(f"s{i}"),
-            solver=backend,
-        )
-        for i in range(n)
-    ]
+    return [slice_task(i, task_id=i, solver=backend) for i in range(n)]
 
 
 def run_batch(executor, tasks):
@@ -57,13 +40,15 @@ def run_batch(executor, tasks):
 )
 def test_executors_solve_batches_identically(factory):
     tasks = batch()
+    serial = run_batch(SerialExecutor(), tasks)
     with factory() as executor:
         results = run_batch(executor, tasks)
     assert [r.task_id for r in results] == [t.task_id for t in tasks]
-    for i, result in enumerate(results):
+    for result, expected in zip(results, serial):
         assert result.ok, result.error
-        # optimum of minimize(-(i+1) * x) with binary x is -(i+1)
-        assert result.solution.objective == pytest.approx(-(i + 1.0))
+        assert result.moves is not None
+        assert result.moves == expected.moves
+        assert result.solution.objective == expected.solution.objective
         assert result.solve_seconds >= 0.0
 
 

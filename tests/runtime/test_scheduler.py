@@ -2,42 +2,28 @@
 
 import pytest
 
-from repro.milp.highs_backend import HighsBackend
+from repro.chaos import ChaosController, FaultPlan, FaultRule
 from repro.runtime import (
     FamilyScheduler,
     ScheduleConfig,
     SerialExecutor,
     ThreadExecutor,
-    WindowTask,
 )
 
 from tests.runtime._fakes import (
     AlwaysErrorBackend,
     FlakyBackend,
     SleepyBackend,
-    tiny_model,
+    slice_task,
 )
 
 
-def make_tasks(backend, n=3):
-    return [
-        WindowTask(
-            task_id=i, ix=i, iy=0, family=0,
-            model=tiny_model(f"m{i}"), solver=backend,
-        )
-        for i in range(n)
-    ]
+def make_tasks(backend=None, n=3):
+    return [slice_task(i, task_id=i, solver=backend) for i in range(n)]
 
 
 def test_results_keyed_by_canonical_task_id():
-    backend = HighsBackend(time_limit=5.0)
-    tasks = [
-        WindowTask(
-            task_id=i, ix=i, iy=0, family=0,
-            model=tiny_model(f"m{i}"), solver=backend,
-        )
-        for i in range(4)
-    ]
+    tasks = make_tasks(n=4)
     scheduler = FamilyScheduler(SerialExecutor())
     results = scheduler.run_family(tasks)
     assert sorted(results) == [t.task_id for t in tasks]
@@ -81,12 +67,8 @@ def test_always_failing_solver_degrades_gracefully():
 
 
 def test_timeout_marks_task_and_pass_continues():
-    slow = make_tasks(SleepyBackend(5.0), n=1)[0]
-    fast = make_tasks(SleepyBackend(0.0), n=2)[1]
-    fast = WindowTask(
-        task_id=1, ix=1, iy=0, family=0,
-        model=tiny_model("fast"), solver=fast.solver,
-    )
+    slow = slice_task(0, task_id=0, solver=SleepyBackend(5.0))
+    fast = slice_task(1, task_id=1, solver=SleepyBackend(0.0))
     with ThreadExecutor(jobs=2) as executor:
         scheduler = FamilyScheduler(
             executor, ScheduleConfig(task_timeout=0.5, max_retries=1)
@@ -96,6 +78,39 @@ def test_timeout_marks_task_and_pass_continues():
     assert not results[0].ok
     assert results[0].attempts == 1  # timeouts are never retried
     assert results[1].ok
+
+
+@pytest.mark.parametrize(
+    "action, attempts, timed_out",
+    [
+        (None, 1, False),
+        ("error", 2, False),
+        ("infeasible", 2, False),
+        ("timeout", 1, True),
+    ],
+    ids=["clean", "error", "infeasible", "timeout"],
+)
+def test_verdict_on_each_solver_outcome(action, attempts, timed_out):
+    """A window whose first solve errs or comes back infeasible is
+    retried and recovers the clean run's moves; one that hits the
+    solver's time limit is marked timed out and never retried."""
+    chaos = None
+    if action is not None:
+        rule = FaultRule(site="milp.solve", action=action, nth=1)
+        chaos = ChaosController(plan=FaultPlan(seed=0, faults=(rule,)))
+    scheduler = FamilyScheduler(
+        SerialExecutor(), ScheduleConfig(max_retries=1), chaos=chaos
+    )
+    result = scheduler.run_family([slice_task(1)])[0]
+    assert result.attempts == attempts
+    assert result.timed_out is timed_out
+    if timed_out:
+        assert "time limit" in result.error
+        assert result.moves is None
+    else:
+        assert result.error == ""
+        assert result.moves == slice_task(1).run().moves
+        assert result.moves is not None
 
 
 def test_queue_seconds_accounted():

@@ -1,5 +1,7 @@
 """HTTP API + client: endpoints, streaming, liveness under load."""
 
+import http.client
+import json
 import threading
 import time
 
@@ -73,6 +75,41 @@ def test_submit_validates_spec(service):
     with pytest.raises(ServiceError) as err:
         client.submit({}, kind="route-only")
     assert err.value.status == 400
+
+
+@pytest.mark.parametrize(
+    "body, length, reason",
+    [
+        (b"[]", None, "JSON body must be an object, not list"),
+        (b'"flow"', None, "JSON body must be an object, not str"),
+        (b"1", None, "JSON body must be an object, not int"),
+        (b"{", None, "bad JSON body"),
+        (b"", "abc", "bad Content-Length 'abc'"),
+        (b"", "-1", "bad Content-Length '-1'"),
+    ],
+    ids=["list", "str", "int", "truncated", "length-abc", "length-neg"],
+)
+def test_malformed_submit_is_a_one_line_400(service, body, length, reason):
+    """A submit whose body or Content-Length is malformed gets a 400
+    naming why — not a 500, and not a handler blocked reading to EOF."""
+    server, _ = service
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=5)
+    try:
+        conn.putrequest("POST", "/api/jobs")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader(
+            "Content-Length", str(len(body)) if length is None else length
+        )
+        conn.endheaders(body or None)
+        response = conn.getresponse()
+        error = json.loads(response.read())["error"]
+    finally:
+        conn.close()
+    assert response.status == 400
+    assert error.startswith(reason)
+    assert "\n" not in error
+    assert server.store.list_jobs() == []
 
 
 def test_result_409_while_pending(service):

@@ -16,9 +16,12 @@ import pytest
 from repro.core import OptParams
 from repro.core.distopt import TOTAL_FIELDS, DistOptResult, PassTotals
 from repro.core.objective import calculate_objective
+from repro.core.params import ParamSet
 from repro.core.vm1opt import vm1_opt
 from repro.library import build_library
 from repro.netlist import generate_design
+from repro.obs.profile import DIGEST_ATTR
+from repro.obs.trace import Tracer, tracer_scope
 from repro.placement import place_design
 from repro.runtime import SerialExecutor
 from repro.shard.runner import (
@@ -353,3 +356,35 @@ def test_older_done_record_resumes(tmp_path, sharded_reference):
     )
     assert result.outcomes[0] == loaded
     assert resumed.placement_snapshot() == snapshot
+
+
+@pytest.mark.parametrize(
+    "executor, jobs", [("serial", 1), ("process", 2)],
+    ids=["serial", "process"],
+)
+def test_shard_workers_profile_the_submitting_tracers_spans(
+    executor, jobs
+):
+    """Profiled span names reach the shard workers: every ``shard``
+    span and every ``distopt`` pass, the shard-side ones and the seam
+    pass, carries a digest; window spans stay unprofiled."""
+    design = generate_design("m0", TECH, LIB, scale=0.01, seed=2)
+    place_design(design, seed=1)
+    params = OptParams.for_arch(
+        CellArchitecture.CLOSED_M1,
+        time_limit=2.0,
+        sequence=(ParamSet.square(1.0, 2, 1),),
+    )
+    tracer = Tracer(profile_spans=("shard", "distopt"))
+    with tracer_scope(tracer):
+        run_sharded(
+            design, params, shards=2, halo_rows=2, jobs=jobs,
+            executor=executor,
+        )
+    shards = [s for s in tracer.spans if s.name == "shard"]
+    passes = [s for s in tracer.spans if s.name == "distopt"]
+    windows = [s for s in tracer.spans if s.name == "window"]
+    assert len(shards) == 2
+    assert len(passes) > 2 and windows
+    assert all(DIGEST_ATTR in s.attrs for s in shards + passes)
+    assert not any(DIGEST_ATTR in s.attrs for s in windows)
