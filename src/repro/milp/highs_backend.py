@@ -10,12 +10,28 @@ window-solve hot path — many small MILPs per flow — that glue cost
 about a fifth as much as HiGHS' own ``run()``.
 
 The driver here fills a ``HighsLp`` from the same arrays and sets the
-same options the wrapper would (output off, ``mip_rel_gap``,
-``time_limit``, and ``presolve`` only when forced off), so HiGHS
-receives a bit-identical model and option set and returns the same
-solution; it then reads back only the model status and the primal
-column values.  On a SciPy without ``_core`` the public ``milp`` entry
-point is used instead.
+same options the wrapper would, so HiGHS receives a bit-identical model
+and option set and returns the same solution; it then reads back only
+the model status and the primal column values.  On a SciPy without
+``_core`` the public ``milp`` entry point is used instead, with the
+same options.  HiGHS receives, on every path:
+
+* ``log_to_console`` off (the direct driver; ``milp`` sets it itself);
+* ``mip_rel_gap``, the backend's gap;
+* ``mip_heuristic_run_feasibility_jump`` off, always;
+* ``time_limit``, when the backend has one;
+* ``presolve`` off, only when forced (see :class:`HighsBackend`).
+
+Feasibility jump (FJ) is one of HiGHS' root heuristics.  On window
+models it costs a third or more of all HiGHS time, at a 1% gap as at
+gap 0.  ``benchmarks/highs_census.py`` re-solves every HiGHS call of
+the perfbench reference flows under candidate option sets: with FJ off
+their total HiGHS time fell by 32-34% (ClosedM1) and 42-44% (OpenM1),
+every answer stayed within its gap of the exact optimum, and the
+slowest call stayed within its run-to-run spread.  Its result is
+committed as
+``benchmarks/results/highs_census.json``; DESIGN.md §7 says why no
+other option joined FJ.
 """
 
 from __future__ import annotations
@@ -164,6 +180,11 @@ class HighsBackend:
     there the reductions did the structural work and HiGHS' own pass
     is measured overhead.  The choice is a function of the model
     alone, so parallel and serial runs stay deterministic.
+
+    HiGHS' feasibility-jump heuristic is always off; the module
+    docstring lists every option HiGHS receives and why.  The options
+    are part of the answer: at a nonzero gap HiGHS may stop at any
+    solution within it, and which one depends on them.
     """
 
     name = "highs"
@@ -194,7 +215,10 @@ class HighsBackend:
 
         arrays = extract(model)
 
-        options: dict = {"mip_rel_gap": self.mip_rel_gap}
+        options: dict = {
+            "mip_rel_gap": self.mip_rel_gap,
+            "mip_heuristic_run_feasibility_jump": False,
+        }
         if self.time_limit is not None:
             options["time_limit"] = self.time_limit
         if getattr(

@@ -76,6 +76,11 @@ class ServiceServer(ThreadingHTTPServer):
 class ServiceHandler(BaseHTTPRequestHandler):
     server: ServiceServer
 
+    #: Socket timeout in seconds for each read and write of a request:
+    #: a client that sends less than its ``Content-Length`` gets a 408
+    #: instead of holding a handler thread until it closes.
+    timeout = 30.0
+
     # -------------------------------------------------------- plumbing
     def log_message(self, fmt: str, *args) -> None:  # noqa: A003
         logger.debug("http %s", fmt % args)
@@ -108,6 +113,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
             ValueError: with a one-line reason, when ``Content-Length``
                 is not a non-negative integer or the body is not a
                 JSON object.
+            TimeoutError: with a one-line reason, when the body stops
+                short of ``Content-Length`` for :attr:`timeout` seconds.
         """
         header = self.headers.get("Content-Length") or "0"
         try:
@@ -117,7 +124,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if length < 0:
             # rfile.read(-1) would block until the client closes.
             raise ValueError(f"bad Content-Length {header!r}")
-        raw = self.rfile.read(length) if length else b""
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            raise TimeoutError(
+                f"body shorter than Content-Length {length} "
+                f"after {self.timeout:g} s"
+            ) from None
         if not raw:
             return {}
         try:
@@ -249,6 +262,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 body = self._read_body()
             except ValueError as exc:
                 self._error(400, str(exc))
+                return
+            except TimeoutError as exc:
+                self._error(408, str(exc))
                 return
             kind = body.get("kind", "flow")
             spec = body.get("spec", {})

@@ -9,6 +9,8 @@ driver must also agree bit for bit with the public
 """
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,14 @@ needs_direct = pytest.mark.skipif(
     highs_backend._highs is None,
     reason="SciPy without the bundled HiGHS binding",
 )
+
+#: SciPy's public ``milp`` warns that it passes the backend's HiGHS
+#: heuristic option on verbatim.
+milp_passes_options = pytest.mark.filterwarnings(
+    "ignore:Unrecognized options:RuntimeWarning"
+)
+
+FJ_OFF = {"mip_heuristic_run_feasibility_jump": False}
 
 
 def knapsack(values, weights, cap):
@@ -230,6 +240,7 @@ def test_error_status_retries_without_native_presolve():
     assert sol.objective == pytest.approx(-2.0)
 
 
+@milp_passes_options
 def test_error_status_retry_sends_presolve_off(monkeypatch):
     """The retry is a second call with native presolve forced off."""
     calls = []
@@ -246,8 +257,8 @@ def test_error_status_retry_sends_presolve_off(monkeypatch):
     sol = HighsBackend(mip_rel_gap=0.01).solve(knapsack([5, 7], [2, 3], 5))
     assert sol.status is SolveStatus.OPTIMAL
     assert calls == [
-        {"mip_rel_gap": 0.01},
-        {"mip_rel_gap": 0.01, "presolve": False},
+        {"mip_rel_gap": 0.01, **FJ_OFF},
+        {"mip_rel_gap": 0.01, **FJ_OFF, "presolve": False},
     ]
 
 
@@ -335,6 +346,7 @@ def _window_models(monkeypatch, arch, seed):
 
 
 @needs_direct
+@milp_passes_options
 @pytest.mark.parametrize("arch_name", ["CLOSED_M1", "OPEN_M1"])
 def test_direct_driver_matches_public_milp_on_window_models(
     monkeypatch, arch_name
@@ -346,6 +358,7 @@ def test_direct_driver_matches_public_milp_on_window_models(
     )
     assert len(calls) >= 5
     for index, (arrays, options) in enumerate(calls):
+        assert options.items() >= FJ_OFF.items(), index
         d_status, _, d_x = highs_backend._run_highs(arrays, options)
         p_status, _, p_x = highs_backend._run_milp(arrays, options)
         assert d_status is p_status, index
@@ -354,3 +367,49 @@ def test_direct_driver_matches_public_milp_on_window_models(
             direct = np.asarray(d_x, dtype=np.float64)
             public = np.asarray(p_x, dtype=np.float64)
             assert direct.tobytes() == public.tobytes(), index
+
+
+def load_model(doc: dict) -> Model:
+    """A ``Model`` from a JSON fixture: objective ``c``, ``vars`` as
+    ``[lb, ub, integer]`` (``null`` for an infinite bound) and ``rows``
+    as ``[sense, rhs, [[column, coefficient], ...]]``."""
+    m = Model("fixture")
+    xs = [
+        m.add_var(
+            f"x{i}",
+            lb=-np.inf if lb is None else lb,
+            ub=np.inf if ub is None else ub,
+            integer=bool(integer),
+        )
+        for i, (lb, ub, integer) in enumerate(doc["vars"])
+    ]
+    for sense, rhs, coefs in doc["rows"]:
+        row = LinExpr.total(coef * xs[col] for col, coef in coefs)
+        if sense == "<=":
+            m.add_constraint(row <= rhs)
+        elif sense == ">=":
+            m.add_constraint(row >= rhs)
+        else:
+            m.add_constraint(row.equals(rhs))
+    m.minimize(LinExpr.total(coef * x for coef, x in zip(doc["c"], xs)))
+    return m
+
+
+def test_gap0_solve_is_exact_on_the_wrong_bound_window():
+    """Regression for a wrong bound in HiGHS 1.12.0 (SciPy 1.17.1).
+
+    On this OpenM1 window model (83 variables, 53 of them binary, 34
+    rows), HiGHS at gap 0 with its presolve on and its RENS heuristic
+    off reports ``Optimal`` at 27690.14, yet 27582.17 is feasible and
+    optimal.  The backend's options at gap 0, the certifier's setting
+    in ``repro.check``, must reach the optimum: an option set that
+    turns RENS off fails here.
+    """
+    path = Path(__file__).parent / "wrong_bound_window.json"
+    model = load_model(json.loads(path.read_text()))
+    arrays = extract(model)
+    assert (arrays.n, arrays.m) == (83, 34)
+    assert (model.num_binaries, len(arrays.vals)) == (53, 295)
+    sol = HighsBackend(mip_rel_gap=0.0).solve(model)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(27582.165967, abs=1e-5)

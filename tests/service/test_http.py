@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -17,6 +18,7 @@ from repro.service import (
     ServiceServer,
     build_server,
 )
+from repro.service.http import ServiceHandler
 
 QUICK_SPEC = {
     "profile": "aes",
@@ -108,6 +110,30 @@ def test_malformed_submit_is_a_one_line_400(service, body, length, reason):
         conn.close()
     assert response.status == 400
     assert error.startswith(reason)
+    assert "\n" not in error
+    assert server.store.list_jobs() == []
+
+
+def test_short_body_is_a_408_after_the_socket_timeout(service, monkeypatch):
+    """A submit whose body stops short of its Content-Length gets a
+    one-line 408 once the handler's socket timeout passes, instead of
+    holding the handler thread until the client closes."""
+    server, _ = service
+    monkeypatch.setattr(ServiceHandler, "timeout", 0.5)
+    with socket.create_connection(server.server_address[:2]) as sock:
+        sock.settimeout(3.0)
+        sock.sendall(
+            b"POST /api/jobs HTTP/1.0\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: 10\r\n\r\n{}"
+        )
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n")[0].split()[1] == b"408", reply
+    error = json.loads(body)["error"]
+    assert error.startswith("body shorter than Content-Length 10")
     assert "\n" not in error
     assert server.store.list_jobs() == []
 
