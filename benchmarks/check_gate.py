@@ -15,13 +15,14 @@ below) and checks it against the kind's bounds:
   instrumentation was effectively absent and the bound is vacuous).
 * ``window_solve`` — the window-solve hot path
   (``BENCH_window_solve.json``, from ``test_microbench.py``).  Fails
-  when the combined build + presolve + solve time on the fixture
-  window regressed more than ``MAX_REGRESSION``x past the committed
+  when the combined build + solve time on the fixture window
+  regressed more than ``MAX_REGRESSION``x past the committed
   pre-hot-path baseline in ``window_solve_baseline.json``.  The bound
   is deliberately loose: CI runners are noisy and the baseline was
   measured on different hardware, so it only catches real
-  order-of-magnitude regressions (an accidental O(n^2) build,
-  presolve running twice, dense extraction creeping back in).
+  order-of-magnitude regressions (an accidental O(n^2) build, a
+  reduction lost so HiGHS gets the full model, dense matrices
+  creeping back in).
 * ``incremental`` — the incremental DistOpt engine
   (``BENCH_incremental.json``, from ``test_incremental.py``).  Fails
   when the incremental run broke equivalence — placements not
@@ -183,7 +184,7 @@ def check_window_solve() -> int:
     limit = base * MAX_REGRESSION
     speedup = report.get("speedup_vs_baseline")
     print(
-        f"combined build+presolve+solve: {combined * 1e3:.2f} ms "
+        f"combined build+solve: {combined * 1e3:.2f} ms "
         f"(baseline {base * 1e3:.2f} ms, "
         f"limit {limit * 1e3:.2f} ms, "
         f"min-speedup {speedup:.2f}x)"

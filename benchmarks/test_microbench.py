@@ -1,16 +1,16 @@
 """Microbenchmarks of the heavy inner kernels.
 
 These are genuine multi-round pytest benchmarks (unlike the one-shot
-experiment regenerations): window MILP construction, the presolve
-reductions, the (presolved) window MILP solve, and full-design routing
-— the costs that dominate the flow and that Figure 5's runtime axis is
-made of.
+experiment regenerations): window MILP construction (written already
+reduced, as solver arrays), the window MILP solve, and full-design
+routing — the costs that dominate the flow and that Figure 5's runtime
+axis is made of.
 
 After the module runs, the per-stage medians are written to
 ``benchmarks/results/BENCH_window_solve.json`` together with the
 committed pre-hot-path baseline
 (``benchmarks/results/window_solve_baseline.json``) and the resulting
-combined build+presolve+solve speedup.  CI uploads the file as an
+combined build+solve speedup.  CI uploads the file as an
 artifact and the perf smoke job fails on a >3x regression.
 """
 
@@ -23,7 +23,6 @@ from repro.core import OptParams, Window, build_window_model
 from repro.core.window import partition
 from repro.library import build_library
 from repro.milp import HighsBackend
-from repro.milp.presolve import presolve
 from repro.netlist import generate_design
 from repro.placement import place_design
 from repro.routing import DetailedRouter
@@ -72,7 +71,7 @@ def window_solve_report():
         },
         "stages": dict(sorted(_stage_stats.items())),
     }
-    hot_path = ("model_build", "presolve", "solve")
+    hot_path = ("model_build", "solve")
     if all(stage in _stage_stats for stage in hot_path):
         combined = sum(
             _stage_stats[stage]["median"] for stage in hot_path
@@ -146,28 +145,19 @@ def test_bench_window_model_build(benchmark, placed_design, one_window):
         allow_flip=False,
     )
     assert problem is not None
-    assert problem.model.num_binaries > 0
+    # Past the native-presolve threshold: the solve below runs with
+    # HiGHS' own presolve off.
+    assert problem.arrays.integrality.sum() >= 192
     _record("model_build", benchmark)
-
-
-@pytest.mark.benchmark(group="micro")
-def test_bench_window_presolve(benchmark, one_problem):
-    result = benchmark(presolve, one_problem.model)
-    assert result.stats.rows_dropped > 0
-    _record("presolve", benchmark)
 
 
 # Enough rounds for the per-round minimum to shake off scheduler
 # noise — the headline speedup statistic is built from it.
 @pytest.mark.benchmark(group="micro", min_rounds=40)
 def test_bench_window_milp_solve(benchmark, one_problem):
-    # The hot path solves the presolved model; the reductions
-    # themselves are timed separately above.
-    reduced = presolve(one_problem.model)
     solver = HighsBackend(time_limit=10.0, mip_rel_gap=0.01)
-    solution = benchmark(solver.solve, reduced.model)
+    solution = benchmark(solver.solve_arrays, one_problem.arrays)
     assert solution.status.has_solution
-    assert reduced.lift(solution).status.has_solution
     _record("solve", benchmark)
 
 

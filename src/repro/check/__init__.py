@@ -15,7 +15,7 @@ package provides the independent side of those assertions:
   generators producing adversarial cases, plus metamorphic transforms
   with known objective invariants.
 * :mod:`repro.check.differential` — the harness: per-case
-  MILP-vs-brute-force certification, the presolve/executor/resume
+  MILP-vs-brute-force certification, the executor/resume
   differential axes, fuzzing with failure shrinking, and reproducer
   corpus I/O (:mod:`repro.check.serialize`).
 
@@ -29,7 +29,6 @@ from repro.check.differential import (
     check_chaos_axis,
     check_dirty_onoff_axis,
     check_executor_axis,
-    check_presolve_axis,
     check_resume_axis,
     fuzz,
     replay_reproducer,
@@ -69,7 +68,6 @@ __all__ = [
     "check_chaos_axis",
     "check_dirty_onoff_axis",
     "check_executor_axis",
-    "check_presolve_axis",
     "check_resume_axis",
     "fuzz",
     "replay_reproducer",

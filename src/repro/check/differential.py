@@ -1,5 +1,5 @@
 """The differential runner: MILP vs oracle vs brute force, plus the
-presolve / executor / resume equivalence axes.
+executor / resume equivalence axes.
 
 ``run_case`` is the core: solve one window MILP to proven optimality,
 then interrogate the applied placement with the independent oracles —
@@ -11,9 +11,13 @@ achieves *exactly* the enumerated optimum: worse means the solver or
 formulation lost an optimum, better means the model and the oracle
 disagree about the objective — both are bugs.
 
-``fuzz`` sweeps seeded generated cases through ``run_case`` (and the
-presolve axis), shrinks any failure to a minimal design, and writes a
-reproducer JSON into the regression corpus.
+The model solved is the one production solves: the window build
+writes its reductions into the arrays itself, so the brute-force
+certificate covers the reduced model.
+
+``fuzz`` sweeps seeded generated cases through ``run_case``, shrinks
+any failure to a minimal design, and writes a reproducer JSON into the
+regression corpus.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from repro.core.params import OptParams
 from repro.core.vm1opt import vm1_opt
 from repro.library import build_library
 from repro.milp import HighsBackend
-from repro.milp.presolve import presolve
 from repro.milp.solution import SolveStatus
 from repro.netlist import generate_design
 from repro.placement import place_design
@@ -150,7 +153,7 @@ def run_case(
     if problem_transform is not None:
         problem_transform(problem)
 
-    solution = solver.solve(problem.model)
+    solution = solver.solve_arrays(problem.arrays)
     if solution.status is not SolveStatus.OPTIMAL:
         return CaseReport(
             case, "skipped",
@@ -224,27 +227,28 @@ def _check_d_honesty(design, params, problem, solution) -> list[str]:
     errors: list[str] = []
     mode = design.tech.arch.alignment_mode
     span = params.gamma * design.tech.row_height
-    for d in problem.d_vars:
-        if not solution.is_one(d):
+    for ref_p, ref_q, d in problem.pairs:
+        if solution.values.get(d, 0.0) <= 0.5:  # Solution.is_one
             continue
-        body = d.name[2:-1]  # d[a.p|b.q]
-        left, right = body.split("|")
-        inst_p, pin_p = left.rsplit(".", 1)
-        inst_q, pin_q = right.rsplit(".", 1)
-        p = design.instances[inst_p]
-        q = design.instances[inst_q]
+        name = (
+            f"d[{ref_p.instance}.{ref_p.pin}|{ref_q.instance}.{ref_q.pin}]"
+        )
+        pin_p = ref_p.pin
+        pin_q = ref_q.pin
+        p = design.instances[ref_p.instance]
+        q = design.instances[ref_q.instance]
         px, py = oracle_pin_point(p, pin_p)
         qx, qy = oracle_pin_point(q, pin_q)
         if abs(py - qy) > span:
             errors.append(
-                f"{d.name}=1 but pins are {abs(py - qy)} apart "
+                f"{name}=1 but pins are {abs(py - qy)} apart "
                 f"vertically (span {span})"
             )
             continue
         if mode is AlignmentMode.ALIGN:
             if px != qx:
                 errors.append(
-                    f"{d.name}=1 but pin x {px} != {qx}"
+                    f"{name}=1 but pin x {px} != {qx}"
                 )
         elif mode is AlignmentMode.OVERLAP:
             plo, phi = oracle_pin_interval(p, pin_p)
@@ -252,7 +256,7 @@ def _check_d_honesty(design, params, problem, solution) -> list[str]:
             overlap = min(phi, qhi) - max(plo, qlo)
             if overlap < params.delta:
                 errors.append(
-                    f"{d.name}=1 but interval overlap {overlap} < "
+                    f"{name}=1 but interval overlap {overlap} < "
                     f"delta {params.delta}"
                 )
     return errors
@@ -268,7 +272,6 @@ def fuzz(
     corpus_dir: str | Path | None = None,
     solver=None,
     max_assignments: int = 50_000,
-    presolve_axis: bool = True,
     progress=None,
 ) -> FuzzSummary:
     """Run ``count`` seeded cases through the differential checks.
@@ -282,10 +285,6 @@ def fuzz(
         report = run_case(
             case, solver=solver, max_assignments=max_assignments
         )
-        if report.ok and presolve_axis:
-            axis_errors = check_presolve_axis(case, solver=solver)
-            if axis_errors:
-                report = CaseReport(case, "failed", errors=axis_errors)
         summary.total += 1
         summary.assignments_enumerated += report.num_assignments
         if report.status == "certified":
@@ -369,60 +368,14 @@ def replay_reproducer(
     path: str | Path, *, solver=None, max_assignments: int = 50_000
 ) -> CaseReport:
     """Re-run one committed reproducer through the full checks."""
-    case = load_reproducer(path)
-    report = run_case(
-        case, solver=solver, max_assignments=max_assignments
+    return run_case(
+        load_reproducer(path),
+        solver=solver,
+        max_assignments=max_assignments,
     )
-    if report.ok:
-        axis_errors = check_presolve_axis(case, solver=solver)
-        if axis_errors:
-            report = CaseReport(case, "failed", errors=axis_errors)
-    return report
 
 
 # ----------------------------------------------------------- axes
-def check_presolve_axis(case: CheckCase, *, solver=None) -> list[str]:
-    """Presolve-on vs presolve-off must apply identical placements."""
-    solver = solver if solver is not None else _certify_solver()
-    design = clone_design(case.design)
-    before = design.placement_snapshot()
-    problem = build_window_model(
-        design, case.window, case.params,
-        lx=case.lx, ly=case.ly, allow_flip=case.allow_flip,
-    )
-    if problem is None:
-        return []
-    raw = solver.solve(problem.model)
-    reduced = presolve(problem.model)
-    lifted = reduced.lift(solver.solve(reduced.model))
-    if (
-        raw.status is not SolveStatus.OPTIMAL
-        or lifted.status is not SolveStatus.OPTIMAL
-    ):
-        return []  # nothing to compare without proven optima
-    apply_solution(design, problem, raw)
-    raw_snapshot = design.placement_snapshot()
-    design.restore_placement(before)
-    apply_solution(design, problem, lifted)
-    lifted_snapshot = design.placement_snapshot()
-    errors: list[str] = []
-    if raw_snapshot != lifted_snapshot:
-        diff = [
-            name
-            for name in raw_snapshot
-            if raw_snapshot[name] != lifted_snapshot[name]
-        ]
-        errors.append(
-            f"presolve changed the applied placement of {diff}"
-        )
-    if abs(raw.objective - lifted.objective) > _TOL:
-        errors.append(
-            f"presolve changed the objective: raw "
-            f"{raw.objective:.6f} vs lifted {lifted.objective:.6f}"
-        )
-    return errors
-
-
 def _axis_design(arch: CellArchitecture, *, scale: float, seed: int):
     tech = make_tech(arch)
     library = build_library(tech)

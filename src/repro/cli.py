@@ -16,7 +16,7 @@ Subcommands:
 * ``repro check`` — differential verification: fuzz seeded window
   cases against the independent oracle + brute-force optimum
   (:mod:`repro.check`), replay corpus reproducers, and run the
-  presolve/executor/resume equivalence axes.
+  executor/resume/dirty/chaos equivalence axes.
 * ``repro chaos`` — deterministic fault injection: run one fault
   plan faulted-vs-clean (:mod:`repro.chaos`), fuzz seeded random
   plans with failure shrinking, or list the hook-site inventory.
@@ -59,9 +59,7 @@ _PRESETS = {
 
 #: ``repro check --axes`` names.  ``brute`` selects nothing: every
 #: fuzz case is certified against brute force anyway.
-CHECK_AXES = (
-    "brute", "presolve", "executor", "resume", "dirty_onoff", "chaos",
-)
+CHECK_AXES = ("brute", "executor", "resume", "dirty_onoff", "chaos")
 
 
 def _positive_int(text: str) -> int:
@@ -456,7 +454,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             kind=args.kind,
             corpus_dir=args.corpus,
             max_assignments=args.max_assignments,
-            presolve_axis="presolve" in axes,
             progress=progress,
         )
         axis_errors: dict[str, list[str]] = {}
@@ -600,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(repeatable; e.g. 'distopt'); requires --trace.  Shard "
         "workers profile the same names (e.g. 'shard' and their "
         "'distopt' passes); window workers profile nothing, so "
-        "window/build/presolve/solve spans are never profiled",
+        "window/build/solve spans are never profiled",
     )
     flow.add_argument("--json", action="store_true")
     flow.add_argument("--out", default="", help="artifact directory")
@@ -738,9 +735,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay reproducer files instead of fuzzing",
     )
     check.add_argument(
-        "--axes", default="brute,presolve",
+        "--axes", default="brute",
         help=f"comma list of axes to run, from {','.join(CHECK_AXES)} "
-        "(default: brute,presolve); every case is certified against "
+        "(default: brute); every case is certified against "
         "brute force whether or not 'brute' is listed",
     )
     check.add_argument(

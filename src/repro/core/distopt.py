@@ -4,7 +4,8 @@ Windows are partitioned, grouped into independently-optimizable
 families (disjoint x/y projections, §4.1), and each family's windows
 are solved as separate MILPs through the :mod:`repro.runtime`
 execution engine.  Per family the engine (1) slices every window's
-cells/nets out of the common pre-family placement, (2) dispatches the
+cells/nets out of the common pre-family placement (through one
+:class:`~repro.core.formulation.SliceIndex` of it), (2) dispatches the
 slices over the configured executor (serial / thread pool / process
 pool) — the window model is **built inside the worker** so build cost
 parallelizes too — and (3) applies the returned moves in canonical
@@ -27,7 +28,7 @@ The incremental engine rides on three cooperating pieces:
 * per-window ``build_seconds`` now comes from the worker-side build.
 
 Two parallel-time figures are reported: ``modeled_parallel_seconds``
-(per family the slowest window build+presolve+solve path — what an
+(per family the slowest window build+solve path — what an
 unbounded parallel machine would see now that the whole path runs in
 a worker) and ``measured_parallel_seconds`` (the wall clock the engine
 actually achieved for the dispatch phases).
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from repro.chaos.inject import active_chaos
 from repro.core.dirty import DirtyTracker, dirty_write_for_moves
-from repro.core.formulation import probe_rect, window_slice
+from repro.core.formulation import SliceIndex, probe_rect, window_slice
 from repro.core.objective import calculate_objective
 from repro.core.params import OptParams
 from repro.core.window import independent_families, partition
@@ -94,13 +95,15 @@ class PassTotals:
     """
 
     build_seconds: float = _total(0.0, "build_seconds")
+    #: always 0.0 (the build writes its model reduced); kept for the
+    #: telemetry and checkpoints that carry it.
     presolve_seconds: float = _total(0.0, "presolve_seconds")
     solve_seconds: float = _total(0.0, "solve_seconds")
     #: wall clock of the dispatch phases the engine achieved.
     measured_parallel_seconds: float = _total(
         0.0, "measured_parallel_seconds"
     )
-    #: per family the slowest window build+presolve+solve path.
+    #: per family the slowest window build+solve path.
     modeled_parallel_seconds: float = _total(
         0.0, "modeled_parallel_seconds"
     )
@@ -162,7 +165,6 @@ def dist_opt(
     executor=None,
     schedule: ScheduleConfig | None = None,
     pass_label: str = "distopt",
-    presolve: bool = True,
     window_filter=None,
     dirty: DirtyTracker | None = None,
     objective: float | None = None,
@@ -185,9 +187,6 @@ def dist_opt(
             :meth:`ScheduleConfig.for_time_limit` of the solver limit.
         pass_label: label stamped on this pass's ``distopt`` span
             (the telemetry records' pass label).
-        presolve: run the :mod:`repro.milp.presolve` reductions on
-            every window model inside the worker (solutions are lifted
-            back before they cross the process boundary).
         window_filter: optional predicate ``Window -> bool``; when
             given, only accepted windows are optimized (the shard
             layer's seam pass restricts a DistOpt to the windows
@@ -258,8 +257,7 @@ def dist_opt(
                 design, params, family, family_index,
                 solver=solver, scheduler=scheduler, result=result,
                 lx=lx, ly=ly, allow_flip=allow_flip,
-                next_task_id=next_task_id,
-                presolve=presolve, dirty=dirty,
+                next_task_id=next_task_id, dirty=dirty,
                 trace_ctx=trace_ctx,
             )
 
@@ -314,7 +312,6 @@ def _run_family(
     ly: int,
     allow_flip: bool,
     next_task_id: int,
-    presolve: bool,
     dirty: DirtyTracker | None,
     trace_ctx: tuple[str, str | None] | None = None,
 ) -> int:
@@ -324,6 +321,9 @@ def _run_family(
     # task id -> (dirty key, probe rect) for the fixpoint mark.
     marks: dict[int, tuple] = {}
     tracer = active_tracer() if trace_ctx is not None else None
+    # The placement holds still until the family's applies, so one
+    # index serves every slice; built on the first window not skipped.
+    index = None
     for window in family:
         key = probe = None
         if dirty is not None:
@@ -344,7 +344,9 @@ def _run_family(
                     pass
                 continue
             probe = probe_rect(design, window)
-        sliced = window_slice(design, window)
+        if index is None:
+            index = SliceIndex(design)
+        sliced = window_slice(design, window, index)
         if sliced is None:
             # No movable cells, so the build reads no nets at all —
             # the mark's net set is empty.  Clean by construction: a
@@ -363,7 +365,6 @@ def _run_family(
             lx=lx,
             ly=ly,
             allow_flip=allow_flip,
-            presolve=presolve,
             trace=trace_ctx,
         )
         next_task_id += 1
@@ -385,14 +386,10 @@ def _run_family(
     for task in tasks:  # canonical order — determinism contract
         outcome = outcomes[task.task_id]
         slowest_path = max(
-            slowest_path,
-            outcome.build_seconds
-            + outcome.presolve_seconds
-            + outcome.solve_seconds,
+            slowest_path, outcome.build_seconds + outcome.solve_seconds
         )
         result.build_seconds += outcome.build_seconds
         result.solve_seconds += outcome.solve_seconds
-        result.presolve_seconds += outcome.presolve_seconds
         if (
             not outcome.built
             and not outcome.error

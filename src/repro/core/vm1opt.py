@@ -58,7 +58,6 @@ def vm1_opt(
     progress=None,
     enable_flip: bool = True,
     enable_shift: bool = True,
-    presolve: bool = True,
     dirty_tracking: bool = True,
     objective_audit: bool = False,
     checkpoint_sink=None,
@@ -85,11 +84,6 @@ def vm1_opt(
         enable_shift: shift the window grid between iterations so
             boundary cells get optimized (ablation knob; Algorithm 1
             line 9).
-        presolve: run the window-model presolve reductions before
-            every solve (see :mod:`repro.milp.presolve`).  Placements
-            are byte-identical with it on or off only at
-            ``mip_gap=0``; at a nonzero gap HiGHS may return a
-            different within-gap solution for the reduced model.
         dirty_tracking: run the incremental convergence engine — a
             cross-pass :class:`~repro.core.dirty.DirtyTracker` skips
             verified-clean windows before slice/build, and the global
@@ -218,7 +212,6 @@ def vm1_opt(
                             allow_flip=False,
                             executor=executor,
                             pass_label=f"move[{label}]",
-                            presolve=presolve,
                             dirty=dirty,
                             objective=(
                                 objective if dirty_tracking else None
@@ -244,7 +237,6 @@ def vm1_opt(
                             allow_flip=True,
                             executor=executor,
                             pass_label=f"flip[{label}]",
-                            presolve=presolve,
                             dirty=dirty,
                             objective=(
                                 objective if dirty_tracking else None

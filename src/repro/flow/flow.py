@@ -148,9 +148,9 @@ class FlowConfig:
         halo_rows: frozen ghost rows around each shard's core band
             (ignored when the resolved shard count is 1).
 
-    The window-model presolve and the dirty tracker always run; the
-    switches that turn them off are ``vm1_opt``'s and ``dist_opt``'s
-    (see DESIGN.md §7 and §11).
+    Every window model is built already reduced (DESIGN.md §7), and the
+    dirty tracker always runs; the switch that turns it off is
+    ``vm1_opt``'s (see DESIGN.md §11).
     """
 
     profile: str = "aes"

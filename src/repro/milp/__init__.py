@@ -8,15 +8,14 @@ provides:
   continuous variables, linear constraints, linear objective).
 * :class:`HighsBackend` — the one exact solver, HiGHS branch-and-cut
   driven through SciPy's bundled binding.
-* :func:`presolve` / :func:`extract` — the window-tuned structural
-  reductions and the ``Model`` -> sparse-array conversion the backend
-  solves through.
+* :func:`extract` — the ``Model`` -> sparse-array conversion
+  (:class:`ModelArrays`, the form the backend solves; window models
+  are built in it directly).
 """
 
 from repro.milp.model import Constraint, LinExpr, Model, Sense, Var
 from repro.milp.solution import Solution, SolveStatus
 from repro.milp.extract import ModelArrays, extract
-from repro.milp.presolve import PresolveResult, PresolveStats, presolve
 from repro.milp.highs_backend import HighsBackend
 
 __all__ = [
@@ -29,9 +28,6 @@ __all__ = [
     "SolveStatus",
     "ModelArrays",
     "extract",
-    "PresolveResult",
-    "PresolveStats",
-    "presolve",
     "HighsBackend",
 ]
 

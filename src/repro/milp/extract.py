@@ -21,7 +21,10 @@ from repro.milp.model import Model, Sense
 
 @dataclass
 class ModelArrays:
-    """Array form of a :class:`~repro.milp.model.Model`.
+    """Array form of a MILP under minimization: what
+    :func:`extract` makes of a :class:`~repro.milp.model.Model`, and
+    what :func:`repro.core.formulation.build_window_model` writes
+    directly.
 
     Attributes:
         c: objective coefficient vector (length ``n``).

@@ -9,10 +9,11 @@ per-column bound-multiplier table this backend never reads.  On the
 window-solve hot path — many small MILPs per flow — that glue cost
 about a fifth as much as HiGHS' own ``run()``.
 
-The driver here fills a ``HighsLp`` from the same arrays and sets the
-same options the wrapper would, so HiGHS receives a bit-identical model
-and option set and returns the same solution; it then reads back only
-the model status and the primal column values.  On a SciPy without
+This backend hands the same arrays to the binding's array
+``passModel`` overload, without per-element copies, and sets the same
+options the wrapper would, so HiGHS receives a bit-identical model and
+option set and returns the same solution; it then reads back only the
+model status and the primal column values.  On a SciPy without
 ``_core`` the public ``milp`` entry point is used instead, with the
 same options.  HiGHS receives, on every path:
 
@@ -20,7 +21,9 @@ same options.  HiGHS receives, on every path:
 * ``mip_rel_gap``, the backend's gap;
 * ``mip_heuristic_run_feasibility_jump`` off, always;
 * ``time_limit``, when the backend has one;
-* ``presolve`` off, only when forced (see :class:`HighsBackend`).
+* ``presolve`` off for a window model with 192 or more integer
+  columns, and on the retry after a solve error (see
+  :class:`HighsBackend`).
 
 Feasibility jump (FJ) is one of HiGHS' root heuristics.  On window
 models it costs a third or more of all HiGHS time, at a 1% gap as at
@@ -41,9 +44,8 @@ import time
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from repro.milp.extract import extract
+from repro.milp.extract import ModelArrays, extract
 from repro.milp.model import Model
-from repro.milp.presolve import recommend_native_presolve
 from repro.milp.solution import Solution, SolveStatus
 
 try:  # pragma: no cover - exercised implicitly on this SciPy
@@ -74,9 +76,23 @@ if _highs is not None:
         _MS.kModelError: SolveStatus.INFEASIBLE,
         _MS.kUnbounded: SolveStatus.UNBOUNDED,
     }
-    _VAR_TYPES = (
-        _highs.HighsVarType.kContinuous,
-        _highs.HighsVarType.kInteger,
+    _COLWISE = int(_highs.MatrixFormat.kColwise)
+    _MINIMIZE = int(_highs.ObjSense.kMinimize)
+
+#: From this many integer columns on, HiGHS spends more time in its own
+#: presolve than it saves on a window model, which arrives already
+#: reduced — windows this large solve ~2x faster with native presolve
+#: off (measured on the aes fixture; see BENCH_window_solve.json).
+#: Deterministic in the model, so serial and parallel runs make the
+#: same choice.
+NATIVE_PRESOLVE_BINARY_THRESHOLD = 192
+
+
+def recommend_native_presolve(arrays: ModelArrays) -> bool:
+    """Whether HiGHS' own presolve should stay on for a window model."""
+    return (
+        int(np.count_nonzero(arrays.integrality))
+        < NATIVE_PRESOLVE_BINARY_THRESHOLD
     )
 
 
@@ -87,38 +103,31 @@ def _run_highs(arrays, options: dict):
     optimal one, or for a MIP the incumbent of a limit stop.
     """
     h = _highs
-    n = arrays.n
-    m = arrays.m
-    lp = h.HighsLp()
-    lp.num_col_ = n
-    lp.num_row_ = m
-    matrix = lp.a_matrix_
-    matrix.num_col_ = n
-    matrix.num_row_ = m
-    matrix.format_ = h.MatrixFormat.kColwise
-    # The binding copies an ndarray into most of these vectors one
-    # element at a time; a list converts several times faster.  Only
-    # col_cost_ takes the array directly.  Either way HiGHS receives
-    # the same doubles and ints.
-    lp.col_cost_ = arrays.c
-    lp.col_lower_ = arrays.lb.tolist()
-    lp.col_upper_ = arrays.ub.tolist()
-    lp.row_lower_ = arrays.lo.tolist()
-    lp.row_upper_ = arrays.hi.tolist()
     col_ptr, rows, values = arrays.csc()
-    matrix.start_ = col_ptr.tolist()
-    matrix.index_ = rows.tolist()
-    matrix.value_ = values.tolist()
-    integrality = arrays.integrality.tolist()
-    lp.integrality_ = [_VAR_TYPES[flag] for flag in integrality]
-
     highs = h._Highs()
     highs.setOptionValue("log_to_console", False)
     for key, value in options.items():
         if key == "presolve":
             value = "on" if value else "off"
         highs.setOptionValue(key, value)
-    if highs.passModel(lp) == h.HighsStatus.kError:
+    loaded = highs.passModel(
+        arrays.n,
+        arrays.m,
+        len(values),
+        _COLWISE,
+        _MINIMIZE,
+        0.0,
+        arrays.c,
+        arrays.lb,
+        arrays.ub,
+        arrays.lo,
+        arrays.hi,
+        col_ptr.astype(np.int32),
+        rows.astype(np.int32),
+        values,
+        arrays.integrality.astype(np.int32),
+    )
+    if loaded == h.HighsStatus.kError:
         status = _MS.kModelError
         return _MODEL_STATUS[status], _message(highs, status), None
     run_status = highs.run()
@@ -130,7 +139,7 @@ def _run_highs(arrays, options: dict):
     if status != _MS.kOptimal:
         # A limit stop: only a MIP's finite incumbent is a solution.
         if (
-            1 not in integrality
+            not arrays.integrality.any()
             or highs.getInfo().objective_function_value
             == h.kHighsInf
         ):
@@ -174,12 +183,12 @@ class HighsBackend:
             says "time limit".
         mip_rel_gap: relative optimality gap at which to stop.
 
-    HiGHS runs its own presolve, except on models already reduced by
-    :mod:`repro.milp.presolve` that
-    :func:`~repro.milp.presolve.recommend_native_presolve` rules out:
-    there the reductions did the structural work and HiGHS' own pass
-    is measured overhead.  The choice is a function of the model
-    alone, so parallel and serial runs stay deterministic.
+    A window model comes in array form, already reduced
+    (:meth:`solve_arrays`); HiGHS' own presolve is off for one that
+    :func:`recommend_native_presolve` rules out, where the reductions
+    did the structural work and HiGHS' own pass is measured overhead.
+    :meth:`solve` takes any :class:`~repro.milp.model.Model` and keeps
+    HiGHS' presolve on.
 
     HiGHS' feasibility-jump heuristic is always off; the module
     docstring lists every option HiGHS receives and why.  The options
@@ -206,24 +215,33 @@ class HighsBackend:
 
     def solve(self, model: Model) -> Solution:
         """Solve ``model`` (minimization)."""
-        started = time.perf_counter()
         if not model.vars:
             return Solution(
                 status=SolveStatus.OPTIMAL,
                 objective=model.objective.const,
             )
+        return self._solve(
+            extract(model), model.objective.const, native_presolve=True
+        )
 
-        arrays = extract(model)
+    def solve_arrays(self, arrays: ModelArrays) -> Solution:
+        """Solve a window model written as arrays (minimization, no
+        objective constant)."""
+        return self._solve(
+            arrays, 0.0, native_presolve=recommend_native_presolve(arrays)
+        )
 
+    def _solve(
+        self, arrays: ModelArrays, const: float, *, native_presolve: bool
+    ) -> Solution:
+        started = time.perf_counter()
         options: dict = {
             "mip_rel_gap": self.mip_rel_gap,
             "mip_heuristic_run_feasibility_jump": False,
         }
         if self.time_limit is not None:
             options["time_limit"] = self.time_limit
-        if getattr(
-            model, "presolved", False
-        ) and not recommend_native_presolve(model):
+        if not native_presolve:
             options["presolve"] = False
 
         status, message, result_x = self._invoke(arrays, options)
@@ -258,12 +276,10 @@ class HighsBackend:
         snapped = np.where(
             arrays.integrality == 1, np.rint(xs), xs
         )
-        values = dict(enumerate(snapped.tolist()))
-        objective = model.objective.value(values)
         return Solution(
             status=status,
-            objective=objective,
-            values=values,
+            objective=const + float(arrays.c @ snapped),
+            values=dict(enumerate(snapped.tolist())),
             solve_seconds=elapsed,
             message=message,
         )

@@ -26,9 +26,8 @@ class SolveStatus(enum.Enum):
 class Solution:
     """Variable assignment returned by a backend.
 
-    A backend's ``objective`` is the model's objective expression
-    evaluated over ``values`` (``model.objective.value(values)``);
-    :meth:`repro.milp.presolve.PresolveResult.lift` relies on it.
+    A backend's ``objective`` is the model's objective evaluated over
+    ``values``.
     """
 
     status: SolveStatus

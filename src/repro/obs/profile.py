@@ -18,7 +18,7 @@ profiled: ``flow``, its stages and the submitting process's
 :class:`~repro.obs.trace.collecting` tracer.  A shard worker's lists
 the submitting tracer's names, so its ``shard`` span and the
 ``distopt`` passes inside it are profiled too; a window worker's
-lists none, so ``window``/``build``/``presolve``/``solve`` spans are
+lists none, so ``window``/``build``/``solve`` spans are
 never profiled (a sampler thread per window would cost more than most
 windows).
 """

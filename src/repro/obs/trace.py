@@ -1,7 +1,7 @@
 """Hierarchical spans: the tracing half of the observability spine.
 
 A *span* is one timed, named unit of work — a flow stage, a DistOpt
-pass, a window build/presolve/solve — with wall time, per-thread CPU
+pass, a window build/solve — with wall time, per-thread CPU
 time, free-form attributes, and a parent link.  Spans of one run share
 a ``trace_id``; the parent links form the tree rendered by
 ``repro trace report``.
@@ -396,7 +396,7 @@ class collecting:
 
     Installs a fresh in-memory :class:`Tracer` as this thread's active
     tracer (``ctx[1]`` becomes the root parent) so library code inside
-    the worker — a window's build/presolve/solve, a shard's whole
+    the worker — a window's build/solve, a shard's whole
     ``vm1_opt`` — traces normally; ``export()`` then hands the spans
     back as dicts, children before their root, to return across the
     process boundary.  ``profile_spans`` are the names the worker's

@@ -7,7 +7,7 @@ machinery that actually does it:
 * :mod:`repro.runtime.task` — :class:`WindowTask`, the picklable
   window subproblem: one window's cell/net slice, which crosses a
   process boundary together with the MILP backend that solves it, and
-  which the worker builds, presolves, solves and decodes.
+  which the worker builds, solves and decodes.
 * :mod:`repro.runtime.executors` — interchangeable backends that run
   any task with a ``run()`` method, window and shard tasks alike:
   :class:`SerialExecutor` (inline, default), :class:`ThreadExecutor`

@@ -186,12 +186,8 @@ class FamilyScheduler:
             )
         wall = time.perf_counter() - submitted
         # Queue wait = submission-to-result wall minus the work the
-        # worker actually did (it builds and presolves as well as
-        # solves, so those belong to work, not waiting).
-        worked = (
-            result.build_seconds
-            + result.presolve_seconds
-            + result.solve_seconds
-        )
+        # worker actually did (it builds as well as solves, so both
+        # belong to work, not waiting).
+        worked = result.build_seconds + result.solve_seconds
         result.queue_seconds = max(0.0, wall - worked)
         return result

@@ -4,19 +4,19 @@ A :class:`WindowTask` is the unit of work the execution engine ships
 to a worker.  It carries the window's *cell/net slice* — a minimal
 sub-``Design`` holding every instance the model build reads plus the
 movable cells' nets — and the MILP backend to solve with: any object
-with a ``solve(model)`` method that pickles, such as
+with a ``solve_arrays(arrays)`` method that pickles, such as
 :class:`~repro.milp.highs_backend.HighsBackend`.  The worker builds
-the model (:func:`~repro.core.formulation.build_window_model`),
-presolves it, solves it and decodes the solution, so all of that
-parallelizes across the executor instead of serializing in the
-parent.  Only plain data crosses back: the solve outcome and the
-decoded moves ``(cell, column, row, flipped)``, which the parent
-re-applies behind the local-objective guard — what keeps parallel
-runs byte-identical to serial ones.
+the model (:func:`~repro.core.formulation.build_window_model` writes
+it reduced, as solver arrays), solves it and decodes the moves from
+its λ columns, so all of that parallelizes across the executor
+instead of serializing in the parent.  Only plain data crosses back:
+the solve outcome and the decoded moves ``(cell, column, row,
+flipped)``, which the parent re-applies behind the local-objective
+guard — what keeps parallel runs byte-identical to serial ones.
 
 Spans come back the way a shard worker's do: :meth:`WindowTask.run`
-records a ``window`` span around the attempt and ``build``,
-``presolve`` and ``solve`` spans around the work they name, live,
+records a ``window`` span around the attempt and ``build`` and
+``solve`` spans around the work they name, live,
 under :class:`~repro.obs.trace.collecting` seeded from the shipped
 trace context, and returns the collector's export.  Which child spans
 appear depends only on the task and its outcome, so the tree has the
@@ -24,6 +24,9 @@ same shape under every executor.  :class:`WindowTaskResult` carries
 each phase's seconds for the pass totals and the scheduler's queue
 wait: the phase span's own wall when traced, so the span records add
 up to those totals, and a ``perf_counter`` difference otherwise.
+``presolve_seconds`` is always 0.0: the build writes its model
+already reduced, and the field stays because saved telemetry and
+checkpoints carry it.
 """
 
 from __future__ import annotations
@@ -114,12 +117,9 @@ class WindowTask:
         params: objective weights for the build.
         lx/ly: perturbation range (sites/rows).
         allow_flip: enable the flip degree of freedom.
-        presolve: run :func:`repro.milp.presolve.presolve` on the
-            model inside the worker (and lift the solution back), so
-            the reduction cost parallelizes with the solves.
         trace: ``(trace_id, parent_span_id)`` shipped by the
             submitting pass when tracing is on; the worker then
-            records its window/build/presolve/solve spans live under
+            records its window/build/solve spans live under
             :class:`~repro.obs.trace.collecting` and returns them in
             ``WindowTaskResult.spans``.  ``None`` (tracing off) masks
             every tracer for the task, so its spans are no-ops.
@@ -138,7 +138,6 @@ class WindowTask:
     lx: int
     ly: int
     allow_flip: bool
-    presolve: bool = True
     trace: tuple[str, str | None] | None = None
     chaos: tuple | None = None
 
@@ -188,14 +187,13 @@ class WindowTask:
         return result
 
     def _run(self) -> WindowTaskResult:
-        """Execute one build+presolve+solve attempt; never raises.
+        """Execute one build+solve attempt; never raises.
 
         Runs inside the worker (process, thread, or inline for the
         serial executor).  Solver exceptions and ``ERROR`` statuses are
         folded into ``WindowTaskResult.error`` so the scheduler can
-        decide whether to retry.  Solutions of a presolved model are
-        lifted back to the original variable space and decoded into
-        moves before they cross the boundary.
+        decide whether to retry.  Solutions are decoded into moves
+        before they cross the boundary.
         """
         from repro.core.formulation import (
             build_window_model,
@@ -226,21 +224,9 @@ class WindowTask:
             result.nets = tuple(problem.nets)
             result.movable = tuple(problem.movable)
             result.num_pairs = problem.num_pairs
-            model = problem.model
-            reduction = None
-            if self.presolve:
-                from repro.milp.presolve import presolve as _presolve
-
-                t0 = time.perf_counter()
-                with span("presolve") as phase:
-                    reduction = _presolve(model)
-                result.presolve_seconds = _phase_seconds(phase, t0)
-                model = reduction.model
             t0 = time.perf_counter()
             with span("solve", num_pairs=problem.num_pairs) as phase:
-                solution = self.solver.solve(model)
-                if reduction is not None:
-                    solution = reduction.lift(solution)
+                solution = self.solver.solve_arrays(problem.arrays)
                 if self.chaos is not None:
                     from repro.chaos.inject import fault_solution
 
@@ -249,10 +235,7 @@ class WindowTask:
         except Exception as exc:  # noqa: BLE001 — worker boundary
             result.solve_seconds = max(
                 0.0,
-                time.perf_counter()
-                - started
-                - result.build_seconds
-                - result.presolve_seconds,
+                time.perf_counter() - started - result.build_seconds,
             )
             result.error = f"{type(exc).__name__}: {exc}"
             return result

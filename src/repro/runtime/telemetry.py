@@ -1,7 +1,7 @@
 """Run telemetry: the v5 document as a view of a run's span tree.
 
 Spans are the one run record.  Every built window leaves a ``window``
-span (``build``/``presolve``/``solve`` children, and the apply verdict
+span (``build``/``solve`` children, and the apply verdict
 stamped on it by the submitting side), every dirty-tracker skip a
 zero-length ``skipped_clean`` span, every DistOpt pass a ``distopt``
 span with the pass totals, and the run root — ``vm1_opt``, or a
@@ -131,8 +131,10 @@ class RunTelemetry:
           ``skipped_clean`` spans become records, in span order (failed
           attempts that were retried carry no outcome, and ``empty``
           windows had nothing to optimize).  The pass label is the
-          parent ``distopt`` span's; build/presolve/solve time and the
-          pair count come from the window's children.
+          parent ``distopt`` span's; build/solve time and the pair
+          count come from the window's children (and presolve time
+          from a ``presolve`` child, which only traces recorded before
+          the build wrote its model reduced carry).
         * finished ``distopt`` spans become pass entries, and
           ``faults`` attrs (on passes and runs) add up by site.
         * the run roots (``_RUN_ROOTS``) give the totals, the wall

@@ -6,7 +6,7 @@ concurrency cap).  A worker claims the oldest queued job from the
 it (``multiprocessing.get_context("fork")``) and joins that process
 before it claims the next job.  The child runs
 :func:`repro.flow.run_flow`, so concurrent jobs no longer share one
-interpreter lock: model build, presolve, apply, placement and routing
+interpreter lock: model build, solve, apply, placement and routing
 of two jobs run on two cores.  Window-level parallelism stays inside
 the job — each flow gets its own :mod:`repro.runtime` executor as
 configured by the job spec (``executor`` / ``jobs``), so the service's

@@ -170,8 +170,8 @@ class ShardOutcome(PassTotals):
 class ShardTask:
     """Picklable shard work unit; ``run()`` executes in any executor.
 
-    The shard's ``vm1_opt`` runs with its defaults: window-model
-    presolve and dirty tracking on.
+    The shard's ``vm1_opt`` runs with its defaults: dirty tracking
+    on.
     """
 
     index: int
@@ -489,9 +489,9 @@ def run_sharded(
 
     The shard runs are followed by the seam pass and an oracle check
     of the stitched placement, which raises
-    :class:`StitchVerificationError` on any violation.  Shards and the
-    seam pass presolve every window model, and the shards track dirty
-    regions (``vm1_opt``'s defaults); there is no switch here.
+    :class:`StitchVerificationError` on any violation.  The shards
+    track dirty regions (``vm1_opt``'s default); there is no switch
+    here.
 
     Args:
         design: legal placed design; optimized in place.

@@ -101,8 +101,7 @@ def run_seam_pass(
     Window geometry comes from the last parameter set of ``params``
     (the finest grid the shards themselves finished with); the grid is
     phase-shifted by half a window vertically so that windows straddle
-    the seams instead of abutting them.  Every window model is
-    presolved (``dist_opt``'s default).
+    the seams instead of abutting them.
     """
     tech = design.tech
     u = params.sequence[-1]

@@ -11,6 +11,9 @@ Two injected bugs, mirroring real formulation failure modes:
   report the overlap.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.check import generate_case, run_case, shrink_case
@@ -22,17 +25,43 @@ SEED_RANGE = range(20)
 
 
 def _kill_alignment_rewards(problem):
-    objective = problem.model.objective
-    for d in problem.d_vars:
-        objective.coefs[d.index] = 0.0
+    for _, _, d in problem.pairs:
+        problem.arrays.c[d] = 0.0
 
 
 def _drop_site_constraints(problem):
-    problem.model.constraints = [
-        c
-        for c in problem.model.constraints
-        if not (c.name or "").startswith("site[")
+    """Delete every site-packing row: the ``<= 1`` rows over λ
+    columns alone (the selection rows are equalities, and the only
+    other ``<= 1`` row, OpenM1's ``d + v``, covers no λ)."""
+    arrays = problem.arrays
+    is_lambda = np.zeros(arrays.n, dtype=bool)
+    for cols in problem.lambda_cols.values():
+        is_lambda[cols.start : cols.stop] = True
+    keep = [
+        r
+        for r in range(arrays.m)
+        if not (
+            arrays.lo[r] == -np.inf
+            and arrays.hi[r] == 1.0
+            and is_lambda[
+                arrays.cols[arrays.row_ptr[r] : arrays.row_ptr[r + 1]]
+            ].all()
+        )
     ]
+    spans = [
+        np.arange(arrays.row_ptr[r], arrays.row_ptr[r + 1]) for r in keep
+    ]
+    entries = np.concatenate(spans) if spans else np.zeros(0, int)
+    problem.arrays = dataclasses.replace(
+        arrays,
+        lo=arrays.lo[keep],
+        hi=arrays.hi[keep],
+        row_ptr=np.concatenate(
+            ([0], np.cumsum([len(span) for span in spans]))
+        ).astype(np.int64),
+        cols=arrays.cols[entries],
+        vals=arrays.vals[entries],
+    )
 
 
 def test_objective_bug_is_caught_by_brute_force():

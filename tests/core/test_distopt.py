@@ -105,3 +105,38 @@ def test_determinism(placed):
     second = placed.placement_snapshot()
     placed.restore_placement(snap)
     assert first == second
+
+
+def test_indexed_slices_equal_full_scans(monkeypatch):
+    """Over every pass of a reference flow, the slice each window gets
+    through its family's SliceIndex equals the full instance scan's
+    (the reference ``window_slice``): the same instances in the same
+    order, and the same nets."""
+    from repro.core import ParamSet, distopt
+    from repro.core.vm1opt import vm1_opt
+    from tests.reference.formulation import window_slice as full_scan
+
+    tech = make_tech(CellArchitecture.CLOSED_M1)
+    design = generate_design(
+        "aes", tech, build_library(tech), scale=0.01, seed=2
+    )
+    place_design(design, seed=2)
+    params = OptParams.for_arch(
+        tech.arch, sequence=(ParamSet.square(1.0, 3, 1),), time_limit=10.0
+    )
+    indexed_slice = distopt.window_slice
+    compared = []
+
+    def both(design, window, index):
+        indexed = indexed_slice(design, window, index)
+        full = full_scan(design, window)
+        assert (indexed is None) == (full is None)
+        if full is not None:
+            assert list(indexed.instances) == list(full.instances)
+            assert list(indexed.nets) == list(full.nets)
+        compared.append(window)
+        return indexed
+
+    monkeypatch.setattr(distopt, "window_slice", both)
+    vm1_opt(design, params)
+    assert len(compared) > 100

@@ -41,7 +41,7 @@ def solve_window(d, params, lx=3, ly=1, allow_flip=False):
         allow_flip=allow_flip,
     )
     assert problem is not None
-    solution = SOLVER.solve(problem.model)
+    solution = SOLVER.solve_arrays(problem.arrays)
     assert solution.status.has_solution
     apply_solution(d, problem, solution)
     return problem, solution
@@ -105,7 +105,7 @@ def test_boundary_cells_block_sites():
     assert problem.movable == ["in_w"]
     for cand in problem.candidates["in_w"]:
         assert cand.column + 4 <= 9  # never into the straddler
-    solution = SOLVER.solve(problem.model)
+    solution = SOLVER.solve_arrays(problem.arrays)
     apply_solution(d, problem, solution)
     assert d.check_legal() == []
 
@@ -193,7 +193,7 @@ def test_pads_anchor_hpwl():
     problem = build_window_model(
         d, whole_die_window(d), params, lx=5, ly=1, allow_flip=False
     )
-    solution = SOLVER.solve(problem.model)
+    solution = SOLVER.solve_arrays(problem.arrays)
     apply_solution(d, problem, solution)
     # Pure HPWL pull: the cell walks toward the pad at (0, 0).
     assert d.column_of(d.instances["u0"]) == 5
@@ -212,7 +212,7 @@ def test_model_objective_matches_local_objective():
     problem = build_window_model(
         d, whole_die_window(d), params, lx=3, ly=1, allow_flip=False
     )
-    solution = SOLVER.solve(problem.model)
+    solution = SOLVER.solve_arrays(problem.arrays)
     apply_solution(d, problem, solution)
     nets = [d.nets[name] for name in problem.nets]
     drift = solution.objective - calculate_objective(d, params, nets)

@@ -21,7 +21,7 @@ from repro.core.formulation import _TIE_BREAK_BUDGET, apply_solution
 from repro.core.objective import calculate_objective
 from repro.geometry import Rect
 from repro.library import build_library
-from repro.milp import HighsBackend, Model
+from repro.milp import HighsBackend
 from repro.netlist import Design
 from repro.tech import CellArchitecture, make_tech
 
@@ -102,17 +102,15 @@ def test_window_milp_soundness(arch, seed):
 
     # (5) the identity assignment is feasible and scores the current
     # placement: every window solve relies on it.
-    identity = Model("identity")
-    identity.vars = list(problem.model.vars)
-    for lams in problem.lambda_vars.values():
-        identity.vars[lams[0].index] = replace(lams[0], lb=1.0)
-    identity.constraints = problem.model.constraints
-    identity.objective = problem.model.objective
-    pinned = SOLVER.solve(identity)
+    lb = problem.arrays.lb.copy()
+    for cols in problem.lambda_cols.values():
+        lb[cols[0]] = 1.0
+    identity = replace(problem.arrays, lb=lb)
+    pinned = SOLVER.solve_arrays(identity)
     assert pinned.status.has_solution
     assert before - 1e-6 <= pinned.objective < before + _TIE_BREAK_BUDGET
 
-    solution = SOLVER.solve(problem.model)
+    solution = SOLVER.solve_arrays(problem.arrays)
     # (1) feasible — identity always exists.
     assert solution.status.has_solution
     apply_solution(design, problem, solution)

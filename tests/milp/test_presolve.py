@@ -1,18 +1,21 @@
-"""Presolve reductions: soundness on toy models and real windows.
+"""The reference presolve: soundness on toy models and real windows.
 
-The contract under test (DESIGN.md §"MILP presolve"): solving the
-reduced model and lifting the solution gives the *same optimum* as
-solving the original model, with the original objective value.
+The window build writes these reductions into its arrays itself
+(DESIGN.md §7); ``tests/core/test_formulation_reference.py`` checks it
+against this presolve bit for bit, and these tests keep the presolve
+honest.  The contract: solving the reduced model and lifting the
+solution gives the *same optimum* as solving the original model, with
+the original objective value.
 """
 
 import pytest
 
-from repro.milp import HighsBackend, LinExpr, Model, SolveStatus
-from repro.milp.presolve import (
+from repro.milp import HighsBackend, LinExpr, Model, SolveStatus, extract
+from repro.milp.highs_backend import (
     NATIVE_PRESOLVE_BINARY_THRESHOLD,
-    presolve,
     recommend_native_presolve,
 )
+from tests.reference.presolve import presolve
 
 
 def exactly_one(model, vars_):
@@ -194,12 +197,12 @@ def test_lift_recovers_original_optimum(backend_cls):
 def test_presolve_preserves_window_optimum():
     """End-to-end on a real window MILP: same objective, same lambdas."""
     from repro.core import OptParams
-    from repro.core.formulation import build_window_model
     from repro.core.window import partition
     from repro.library import build_library
     from repro.netlist import generate_design
     from repro.placement import place_design
     from repro.tech import CellArchitecture, make_tech
+    from tests.reference.formulation import build_window_model
 
     tech = make_tech(CellArchitecture.CLOSED_M1)
     lib = build_library(tech)
@@ -245,8 +248,9 @@ def test_native_presolve_recommendation():
     small = Model()
     for i in range(3):
         small.add_binary(f"x{i}")
-    assert recommend_native_presolve(small) is True
+    small.add_continuous("z", 0, 1)
+    assert recommend_native_presolve(extract(small)) is True
     big = Model()
     for i in range(NATIVE_PRESOLVE_BINARY_THRESHOLD):
         big.add_binary(f"x{i}")
-    assert recommend_native_presolve(big) is False
+    assert recommend_native_presolve(extract(big)) is False

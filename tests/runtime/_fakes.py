@@ -20,8 +20,8 @@ from repro.runtime import WindowTask
 
 def slice_task(seed: int = 0, *, task_id: int = 0, solver=None, **fields):
     """The window task production would ship for the check case of
-    generator ``seed``: its one window's slice, built, presolved and
-    solved in the worker (HiGHS unless ``solver`` is given)."""
+    generator ``seed``: its one window's slice, built and solved in the
+    worker (HiGHS unless ``solver`` is given)."""
     case = generate_case(seed)
     return WindowTask(
         task_id=task_id,
@@ -43,9 +43,10 @@ class FixedSolveTimeBackend:
     def __init__(self, solve_seconds: float = 0.5) -> None:
         self.solve_seconds = solve_seconds
 
-    def solve(self, model) -> Solution:
+    def solve_arrays(self, arrays) -> Solution:
         return dataclasses.replace(
-            HighsBackend().solve(model), solve_seconds=self.solve_seconds
+            HighsBackend().solve_arrays(arrays),
+            solve_seconds=self.solve_seconds,
         )
 
 
@@ -55,9 +56,9 @@ class SleepyBackend:
     def __init__(self, sleep_seconds: float) -> None:
         self.sleep_seconds = sleep_seconds
 
-    def solve(self, model) -> Solution:
+    def solve_arrays(self, arrays) -> Solution:
         time.sleep(self.sleep_seconds)
-        return HighsBackend().solve(model)
+        return HighsBackend().solve_arrays(arrays)
 
 
 class FlakyBackend:
@@ -72,15 +73,15 @@ class FlakyBackend:
         self.failures = failures
         self.calls = 0
 
-    def solve(self, model) -> Solution:
+    def solve_arrays(self, arrays) -> Solution:
         self.calls += 1
         if self.calls <= self.failures:
             raise RuntimeError(f"flaky failure #{self.calls}")
-        return HighsBackend().solve(model)
+        return HighsBackend().solve_arrays(arrays)
 
 
 class AlwaysErrorBackend:
     """Every solve raises — for graceful-degradation tests."""
 
-    def solve(self, model) -> Solution:
+    def solve_arrays(self, arrays) -> Solution:
         raise RuntimeError("solver is down")

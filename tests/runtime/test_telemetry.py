@@ -218,7 +218,7 @@ def test_v5_json_roundtrip_from_real_run(tmp_path):
             dist_opt(
                 design, params, tx=0, ty=0, bw=1250, bh=1080, lx=0,
                 ly=0, allow_flip=True, pass_label=pass_label,
-                presolve=True, dirty=dirty,
+                dirty=dirty,
             )
     telemetry = RunTelemetry.from_spans(tracer.spans)
     # In-memory recording is not a trace.
