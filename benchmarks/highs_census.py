@@ -2,11 +2,12 @@
 
     PYTHONPATH=src python benchmarks/highs_census.py [--out PATH]
 
-The script runs the reference designs of two perfbench workloads as
-plain serial, unsharded flows (:data:`FLOWS`; nothing is imported from
-``perfbench/``).  It records every HiGHS call their backend makes, the
-arrays and options ``HighsBackend._invoke`` receives, as
-``tests/milp/test_backends.py`` does.  Then it re-solves each recorded
+The script runs the reference designs of the perfbench workloads as
+plain serial, unsharded flows, one group per architecture and window
+shape (:data:`FLOWS`; nothing is imported from ``perfbench/``).  It
+records every HiGHS call their backend makes, the arrays and options
+``HighsBackend._invoke`` receives, as ``tests/milp/test_backends.py``
+does.  Then it re-solves each recorded
 model under every candidate of :data:`OPTION_SETS` and under a
 reference: gap 0, HiGHS' presolve off and all four root heuristics off.
 
@@ -21,7 +22,7 @@ Every answer must be sound:
 The backend's own options must be one of the candidates, so the census
 always judges what the flow sends.  The script exits 1 on any unsound
 answer and 0 otherwise.  It reports the total and the slowest HiGHS
-call of each set per architecture, but does not gate them.  The report
+call of each set per group, but does not gate them.  The report
 names the HiGHS and SciPy versions and goes to
 ``benchmarks/results/highs_census.json``.
 """
@@ -57,29 +58,36 @@ HEURISTICS = (FJ, RINS, RENS, ROOT_RC)
 
 #: Candidate option sets: name -> (root heuristics switched off, gap).
 #: A gap of None keeps the recorded call's; every set keeps its time
-#: limit and presolve choice.  ``heuristics_on`` is HiGHS' default,
-#: which the backend sent before it switched feasibility jump off;
-#: ``fj_off_gap0`` is what it sends at gap 0, the certifier's setting.
+#: limit and presolve choice.  ``heuristics_on`` is HiGHS' default;
+#: ``fj_rens_off`` is what the backend sends at a gap above 0, the
+#: flow's, and ``fj_off_gap0`` what it sends at gap 0, the certifier's.
 OPTION_SETS = {
     "heuristics_on": ((), None),
     "fj_off": ((FJ,), None),
     "fj_rins_rrc_off": ((FJ, RINS, ROOT_RC), None),
+    "fj_rens_off": ((FJ, RENS), None),
     "fj_off_gap0": ((FJ,), 0.0),
 }
 REFERENCE = "reference"
 
-#: (label, architecture, scale, generator seeds): the reference designs
-#: of perfbench's ``aes_closedm1_serial`` and ``aes_openm1_shard2``.
+#: (label, architecture, scale, lx, generator seeds): the reference
+#: designs of perfbench's ``aes_closedm1_serial`` and
+#: ``aes_openm1_shard2``, then those of ``service_mix``, whose jobs
+#: alternate the architecture.
 FLOWS = (
-    ("closedm1", CellArchitecture.CLOSED_M1, 0.01, (1, 2, 3, 4)),
-    ("openm1", CellArchitecture.OPEN_M1, 0.02, (1, 2, 3)),
+    ("closedm1", CellArchitecture.CLOSED_M1, 0.01, 3, (1, 2, 3, 4)),
+    ("openm1", CellArchitecture.OPEN_M1, 0.02, 3, (1, 2, 3)),
+    ("closedm1_service", CellArchitecture.CLOSED_M1, 0.01, 2, (2, 4)),
+    ("openm1_service", CellArchitecture.OPEN_M1, 0.01, 2, (1, 3)),
 )
 
 #: Feasibility and objective tolerance, relative to max(1, |value|).
 TOL = 1e-6
 
 
-def flow_config(arch: CellArchitecture, scale: float, seed: int) -> FlowConfig:
+def flow_config(
+    arch: CellArchitecture, scale: float, lx: int, seed: int
+) -> FlowConfig:
     """perfbench's flow settings, one job and one shard."""
     return FlowConfig(
         profile="aes",
@@ -88,7 +96,7 @@ def flow_config(arch: CellArchitecture, scale: float, seed: int) -> FlowConfig:
         seed=seed,
         utilization=0.75,
         window_um=1.0,
-        lx=3,
+        lx=lx,
         ly=1,
         time_limit=10.0,
         executor="serial",
@@ -158,7 +166,7 @@ def highs_version() -> str | None:
 def solve(arrays, options: dict) -> tuple[SolveStatus, object, float]:
     """One HiGHS call through the backend's path, timed."""
     started = time.perf_counter()
-    status, _, x = HighsBackend._invoke(arrays, options)
+    status, _, x, _ = HighsBackend._invoke(arrays, options)
     return status, x, time.perf_counter() - started
 
 
@@ -272,7 +280,7 @@ def main(argv=None) -> int:
     )
     started = time.perf_counter()
     report = {
-        "schema": "repro.bench.highs_census/v1",
+        "schema": "repro.bench.highs_census/v2",
         "highs_version": highs_version(),
         "scipy_version": scipy.__version__,
         "numpy_version": np.__version__,
@@ -284,23 +292,25 @@ def main(argv=None) -> int:
                for name, (off, gap) in OPTION_SETS.items()},
             REFERENCE: {"off": [*HEURISTICS, "presolve"], "gap": 0.0},
         },
-        "architectures": {},
+        "flows": {},
     }
     faults = []
     recorded = []
-    for label, arch, scale, seeds in FLOWS:
+    for label, arch, scale, lx, seeds in FLOWS:
         calls = []
         for seed in seeds:
-            captured = capture(flow_config(arch, scale, seed))
+            captured = capture(flow_config(arch, scale, lx, seed))
             calls += [
                 (seed, index, arrays, options)
                 for index, (arrays, options) in enumerate(captured)
             ]
         recorded += [(arrays, options) for _, _, arrays, options in calls]
-        summary, arch_faults = census_of(calls)
-        faults += [{"arch": label, **fault} for fault in arch_faults]
-        report["architectures"][label] = {
+        summary, flow_faults = census_of(calls)
+        faults += [{"group": label, **fault} for fault in flow_faults]
+        report["flows"][label] = {
+            "arch": arch.value,
             "scale": scale,
+            "lx": lx,
             "seeds": list(seeds),
             "models": len(calls),
             "sets": summary,

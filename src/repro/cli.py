@@ -154,7 +154,7 @@ def _add_flow_config_args(parser: argparse.ArgumentParser) -> None:
     _add_flow_option(
         group, "executor",
         help="window-solve executor backend; 'auto' resolves to "
-        "'serial' when --jobs is 1 and to 'process' (a process "
+        "'serial' when --jobs is 1 and to 'thread' (a thread "
         "pool with --jobs workers) otherwise",
     )
     _add_flow_option(

@@ -10,7 +10,9 @@ slices over the configured executor (serial / thread pool / process
 pool) — the window model is **built inside the worker** so build cost
 parallelizes too — and (3) applies the returned moves in canonical
 window order regardless of completion order, which is why a parallel
-run reproduces the serial placement bit-for-bit on the same seed.
+run reproduces the serial placement bit-for-bit on the same seed.  The
+index carries over to the next family until a window applies a move
+(a reverted move restores every position it touched).
 
 The incremental engine rides on three cooperating pieces:
 
@@ -252,13 +254,14 @@ def dist_opt(
         # (None when tracing is off — workers then record nothing).
         trace_ctx = current_context()
         next_task_id = 0
+        index = None
         for family_index, family in enumerate(families):
-            next_task_id = _run_family(
+            next_task_id, index = _run_family(
                 design, params, family, family_index,
                 solver=solver, scheduler=scheduler, result=result,
                 lx=lx, ly=ly, allow_flip=allow_flip,
                 next_task_id=next_task_id, dirty=dirty,
-                trace_ctx=trace_ctx,
+                trace_ctx=trace_ctx, index=index,
             )
 
         if objective is None:
@@ -314,16 +317,22 @@ def _run_family(
     next_task_id: int,
     dirty: DirtyTracker | None,
     trace_ctx: tuple[str, str | None] | None = None,
-) -> int:
+    index: SliceIndex | None = None,
+) -> tuple[int, SliceIndex | None]:
     """Slice, dispatch (worker-side build+solve), and apply one
-    independent family; returns the next free task id."""
+    independent family.
+
+    ``index`` is a :class:`SliceIndex` of the current placement, or
+    None.  Returns the next free task id and the index the next family
+    may slice with: this family's, unless one of its windows applied a
+    move (which leaves None)."""
     tasks: list[WindowTask] = []
     # task id -> (dirty key, probe rect) for the fixpoint mark.
     marks: dict[int, tuple] = {}
     tracer = active_tracer() if trace_ctx is not None else None
     # The placement holds still until the family's applies, so one
-    # index serves every slice; built on the first window not skipped.
-    index = None
+    # index serves every slice; without one from an earlier family it
+    # is built on the first window not skipped.
     for window in family:
         key = probe = None
         if dirty is not None:
@@ -372,7 +381,7 @@ def _run_family(
         if dirty is not None:
             marks[task.task_id] = (key, probe)
     if not tasks:
-        return next_task_id
+        return next_task_id, index
 
     solve_started = time.perf_counter()
     outcomes = scheduler.run_family(tasks)
@@ -409,6 +418,7 @@ def _run_family(
         _absorb_spans(tracer, task, outcome, status, moved)
         result.moved_cells += moved
         if status == "applied":
+            index = None
             result.objective_delta += delta
             family_cell_rects.extend(write.cell_rects)
             family_nets.extend(write.nets)
@@ -430,7 +440,7 @@ def _run_family(
         # skipped window never observes a placement state a non-skip
         # run would not also have observed.
         dirty.note_dirty(family_cell_rects, nets=family_nets)
-    return next_task_id
+    return next_task_id, index
 
 
 def _absorb_spans(

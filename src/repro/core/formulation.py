@@ -402,8 +402,9 @@ def apply_solution(
 class SliceIndex:
     """A design's instances bucketed by row origin, so slicing a window
     visits only the rows its probe rect spans.  Valid while the
-    placement does not change: DistOpt builds one per family, whose
-    windows are all sliced before any of them is applied."""
+    placement does not change: DistOpt slices each family's windows
+    before applying any of them, and builds a new index only after a
+    family applied a move."""
 
     def __init__(self, design: Design) -> None:
         instances = self.instances = list(design.instances.values())

@@ -13,28 +13,34 @@ This backend hands the same arrays to the binding's array
 ``passModel`` overload, without per-element copies, and sets the same
 options the wrapper would, so HiGHS receives a bit-identical model and
 option set and returns the same solution; it then reads back only the
-model status and the primal column values.  On a SciPy without
-``_core`` the public ``milp`` entry point is used instead, with the
-same options.  HiGHS receives, on every path:
+model status, the primal column values and the effort counts (branch
+and bound nodes, simplex iterations).  On a SciPy without ``_core``
+the public ``milp`` entry point is used instead, with the same
+options, and no effort is reported.  HiGHS receives, on every path:
 
 * ``log_to_console`` off (the direct driver; ``milp`` sets it itself);
 * ``mip_rel_gap``, the backend's gap;
 * ``mip_heuristic_run_feasibility_jump`` off, always;
+* ``mip_heuristic_run_rens`` off when the gap is above 0;
 * ``time_limit``, when the backend has one;
 * ``presolve`` off for a window model with 192 or more integer
   columns, and on the retry after a solve error (see
   :class:`HighsBackend`).
 
-Feasibility jump (FJ) is one of HiGHS' root heuristics.  On window
-models it costs a third or more of all HiGHS time, at a 1% gap as at
-gap 0.  ``benchmarks/highs_census.py`` re-solves every HiGHS call of
-the perfbench reference flows under candidate option sets: with FJ off
-their total HiGHS time fell by 32-34% (ClosedM1) and 42-44% (OpenM1),
-every answer stayed within its gap of the exact optimum, and the
-slowest call stayed within its run-to-run spread.  Its result is
-committed as
+Feasibility jump (FJ) and RENS are two of HiGHS' root heuristics.  On
+window models FJ costs a third or more of all HiGHS time, at a 1% gap
+as at gap 0, and RENS' sub-MIP up to half of the slowest calls, which
+finish at the root node.  ``benchmarks/highs_census.py`` re-solves
+every HiGHS call of the perfbench reference flows under candidate
+option sets: with FJ off their total HiGHS time fell by 32-34%
+(ClosedM1) and 42-44% (OpenM1), and RENS off on top took about a tenth
+more off ClosedM1 and halved its slowest call, with every answer
+within its gap of the exact optimum.  RENS stays on at gap 0: there,
+with it off, HiGHS 1.12.0 reports a wrong optimum on one OpenM1 window
+(``tests/milp/wrong_bound_window.json``), and gap 0 is the
+certifier's setting.  The census result is committed as
 ``benchmarks/results/highs_census.json``; DESIGN.md §7 says why no
-other option joined FJ.
+other option joined these two.
 """
 
 from __future__ import annotations
@@ -97,10 +103,12 @@ def recommend_native_presolve(arrays: ModelArrays) -> bool:
 
 
 def _run_highs(arrays, options: dict):
-    """One direct HiGHS run; returns ``(status, message, x)``.
+    """One direct HiGHS run; returns ``(status, message, x, effort)``.
 
     ``x`` is None unless HiGHS holds a usable primal solution: an
     optimal one, or for a MIP the incumbent of a limit stop.
+    ``effort`` is ``(mip_node_count, simplex_iteration_count)`` of the
+    run, or None for a model HiGHS rejects on load.
     """
     h = _highs
     col_ptr, rows, values = arrays.csc()
@@ -129,27 +137,29 @@ def _run_highs(arrays, options: dict):
     )
     if loaded == h.HighsStatus.kError:
         status = _MS.kModelError
-        return _MODEL_STATUS[status], _message(highs, status), None
+        return _MODEL_STATUS[status], _message(highs, status), None, None
     run_status = highs.run()
     status = highs.getModelStatus()
+    info = highs.getInfo()
+    effort = (info.mip_node_count, info.simplex_iteration_count)
     ours = _MODEL_STATUS.get(status, SolveStatus.ERROR)
     message = _message(highs, status)
     if run_status == h.HighsStatus.kError or not ours.has_solution:
-        return ours, message, None
+        return ours, message, None, effort
     if status != _MS.kOptimal:
         # A limit stop: only a MIP's finite incumbent is a solution.
         if (
             not arrays.integrality.any()
-            or highs.getInfo().objective_function_value
-            == h.kHighsInf
+            or info.objective_function_value == h.kHighsInf
         ):
-            return ours, f"{message}; no feasible solution", None
-    return ours, message, highs.getSolution().col_value
+            return ours, f"{message}; no feasible solution", None, effort
+    return ours, message, highs.getSolution().col_value, effort
 
 
 def _run_milp(arrays, options: dict):
     """One solve through the public ``scipy.optimize.milp`` entry
-    point; returns ``(status, message, x)`` like :func:`_run_highs`."""
+    point; returns ``(status, message, x, None)`` like
+    :func:`_run_highs`, without effort counts."""
     constraints = None
     if arrays.a is not None:
         constraints = LinearConstraint(arrays.a, arrays.lo, arrays.hi)
@@ -161,7 +171,7 @@ def _run_milp(arrays, options: dict):
         options=options,
     )
     status = _STATUS_MAP.get(result.status, SolveStatus.ERROR)
-    return status, str(result.message), result.x
+    return status, str(result.message), result.x, None
 
 
 def _message(highs, status) -> str:
@@ -190,10 +200,12 @@ class HighsBackend:
     :meth:`solve` takes any :class:`~repro.milp.model.Model` and keeps
     HiGHS' presolve on.
 
-    HiGHS' feasibility-jump heuristic is always off; the module
-    docstring lists every option HiGHS receives and why.  The options
-    are part of the answer: at a nonzero gap HiGHS may stop at any
-    solution within it, and which one depends on them.
+    HiGHS' feasibility-jump heuristic is always off, and its RENS
+    heuristic is off at a gap above 0; at gap 0 RENS stays on, because
+    without it HiGHS 1.12.0 proves a wrong optimum on one window.  The
+    module docstring lists every option HiGHS receives and why.  The
+    options are part of the answer: at a nonzero gap HiGHS may stop at
+    any solution within it, and which one depends on them.
     """
 
     name = "highs"
@@ -208,7 +220,7 @@ class HighsBackend:
 
     @staticmethod
     def _invoke(arrays, options: dict):
-        """One HiGHS call; returns ``(status, message, x)``."""
+        """One HiGHS call; returns ``(status, message, x, effort)``."""
         if _highs is not None:
             return _run_highs(arrays, options)
         return _run_milp(arrays, options)
@@ -239,12 +251,14 @@ class HighsBackend:
             "mip_rel_gap": self.mip_rel_gap,
             "mip_heuristic_run_feasibility_jump": False,
         }
+        if self.mip_rel_gap > 0:
+            options["mip_heuristic_run_rens"] = False
         if self.time_limit is not None:
             options["time_limit"] = self.time_limit
         if not native_presolve:
             options["presolve"] = False
 
-        status, message, result_x = self._invoke(arrays, options)
+        status, message, result_x, effort = self._invoke(arrays, options)
         if (
             status is SolveStatus.ERROR
             and options.get("presolve") is not False
@@ -255,10 +269,12 @@ class HighsBackend:
             # presolve off before surfacing an error.  The retry is a
             # pure function of the first outcome, so determinism
             # across runs/executors is preserved.
-            status, message, result_x = self._invoke(
+            status, message, result_x, effort = self._invoke(
                 arrays, {**options, "presolve": False}
             )
         elapsed = time.perf_counter() - started
+        # The effort of the call that answered.
+        nodes, iterations = effort or (None, None)
 
         if status.has_solution and result_x is None:
             status = SolveStatus.ERROR
@@ -267,6 +283,8 @@ class HighsBackend:
                 status=status,
                 solve_seconds=elapsed,
                 message=message,
+                mip_node_count=nodes,
+                simplex_iteration_count=iterations,
             )
 
         # Integer variables snap to the nearest integer in one
@@ -282,4 +300,6 @@ class HighsBackend:
             values=dict(enumerate(snapped.tolist())),
             solve_seconds=elapsed,
             message=message,
+            mip_node_count=nodes,
+            simplex_iteration_count=iterations,
         )

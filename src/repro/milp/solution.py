@@ -27,7 +27,9 @@ class Solution:
     """Variable assignment returned by a backend.
 
     A backend's ``objective`` is the model's objective evaluated over
-    ``values``.
+    ``values``.  ``mip_node_count`` and ``simplex_iteration_count`` are
+    the solver's effort on the solve, None where the backend does not
+    report it.
     """
 
     status: SolveStatus
@@ -35,6 +37,8 @@ class Solution:
     values: dict[int, float] = field(default_factory=dict)
     solve_seconds: float = 0.0
     message: str = ""
+    mip_node_count: int | None = None
+    simplex_iteration_count: int | None = None
 
     def value(self, var: Var) -> float:
         """Value of ``var`` (0.0 when the variable is absent)."""

@@ -128,12 +128,15 @@ def make_executor(kind: str = "auto", jobs: int = 1) -> Executor:
     """Build an executor by name.
 
     ``auto`` picks :class:`SerialExecutor` for ``jobs <= 1`` and
-    :class:`MultiprocessExecutor` otherwise, a choice made while a
-    pure-Python branch-and-bound backend (since deleted) held the GIL.
-    HiGHS, the one backend now, releases it while solving, and on a
-    2-vCPU box ``run_flow`` with two jobs ran faster on threads than
-    on processes (ROADMAP direction 5 has the numbers); the policy is
-    unchanged until that is settled.
+    :class:`ThreadExecutor` otherwise.  HiGHS releases the GIL while
+    it solves, and a window task is small next to the pickling and
+    the worker round trip of a process pool: on a 2-vCPU box,
+    unsharded ``run_flow`` with two jobs spent 13-24% less time in
+    ``opt`` than a serial run on threads, and 7-41% more on processes,
+    with the same placement under all three.  Shard tasks are whole
+    optimizer runs and keep their process pool, which
+    :func:`repro.shard.plan_workers` and the seam pass ask for by
+    name.
     """
     kind = (kind or "auto").lower()
     if kind not in EXECUTOR_KINDS:
@@ -141,7 +144,7 @@ def make_executor(kind: str = "auto", jobs: int = 1) -> Executor:
             f"unknown executor {kind!r}; expected one of {EXECUTOR_KINDS}"
         )
     if kind == "auto":
-        kind = "serial" if jobs <= 1 else "process"
+        kind = "serial" if jobs <= 1 else "thread"
     if kind == "serial":
         return SerialExecutor()
     if kind == "thread":

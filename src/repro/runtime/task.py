@@ -16,7 +16,9 @@ guard — what keeps parallel runs byte-identical to serial ones.
 
 Spans come back the way a shard worker's do: :meth:`WindowTask.run`
 records a ``window`` span around the attempt and ``build`` and
-``solve`` spans around the work they name, live,
+``solve`` spans around the work they name, live (the ``solve`` span
+carries HiGHS' ``mip_node_count`` and ``simplex_iteration_count``
+where the backend reports them),
 under :class:`~repro.obs.trace.collecting` seeded from the shipped
 trace context, and returns the collector's export.  Which child spans
 appear depends only on the task and its outcome, so the tree has the
@@ -231,6 +233,13 @@ class WindowTask:
                     from repro.chaos.inject import fault_solution
 
                     solution = fault_solution(self.chaos, solution)
+                if solution.mip_node_count is not None:
+                    phase.set(
+                        mip_node_count=solution.mip_node_count,
+                        simplex_iteration_count=(
+                            solution.simplex_iteration_count
+                        ),
+                    )
             result.solve_seconds = _phase_seconds(phase, t0)
         except Exception as exc:  # noqa: BLE001 — worker boundary
             result.solve_seconds = max(

@@ -678,7 +678,7 @@ def run_sharded(
         cells_merged=merge_shard_placements(design, merged)
     )
     with span("seam"), make_executor(
-        "auto" if jobs > 1 else "serial", jobs
+        "process" if jobs > 1 else "serial", jobs
     ) as seam_executor:
         stitch.seam_pass = run_seam_pass(
             design,

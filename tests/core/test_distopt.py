@@ -111,7 +111,9 @@ def test_indexed_slices_equal_full_scans(monkeypatch):
     """Over every pass of a reference flow, the slice each window gets
     through its family's SliceIndex equals the full instance scan's
     (the reference ``window_slice``): the same instances in the same
-    order, and the same nets."""
+    order, and the same nets.  The flow has a family that applies
+    nothing and hands its index to a next family that applies a move,
+    and every applied move drops the index."""
     from repro.core import ParamSet, distopt
     from repro.core.vm1opt import vm1_opt
     from tests.reference.formulation import window_slice as full_scan
@@ -137,6 +139,24 @@ def test_indexed_slices_equal_full_scans(monkeypatch):
         compared.append(window)
         return indexed
 
+    run_family = distopt._run_family
+    families = []
+
+    def family(*args, result, index, **kwargs):
+        applied = result.windows_applied
+        next_id, out = run_family(*args, result=result, index=index, **kwargs)
+        families.append((index, out, result.windows_applied - applied))
+        return next_id, out
+
     monkeypatch.setattr(distopt, "window_slice", both)
+    monkeypatch.setattr(distopt, "_run_family", family)
     vm1_opt(design, params)
     assert len(compared) > 100
+    assert all(out is None for _, out, applied in families if applied)
+    assert any(
+        index is not None and applied and index is previous_out
+        for (_, previous_out, previous_applied), (index, _, applied) in zip(
+            families, families[1:]
+        )
+        if not previous_applied
+    )

@@ -42,16 +42,19 @@ FIELDS = (
 )
 
 #: (HiGHS calls, SHA-256 of their arrays and options) of each pinned
-#: flow, recorded while window models were still built as a ``Model``
-#: and reduced by a separate presolve.
+#: flow.  The arrays were recorded while window models were still built
+#: as a ``Model`` and reduced by a separate presolve; the digests were
+#: re-pinned when the options gained ``mip_heuristic_run_rens: False``
+#: (without that key they hash to the earlier pins, so every call's
+#: arrays stayed the same).
 PINNED_HIGHS_INPUT = {
     CellArchitecture.CLOSED_M1: (
         96,
-        "6b3fa3e6311c55deb67307949b75d9a1f2df6c546eb9c1e3d4f439f39f803d63",
+        "e73891b4fec838ccdd41a26b0dad7ef279f7afceb7dbffddc0099f76b90616df",
     ),
     CellArchitecture.OPEN_M1: (
         100,
-        "46a30ee77f9283b6279762d2836a36f893819cb373c0a41c009495971b702e73",
+        "17bc30a2a976cb8a310b03ea6acc3e2b50ab28bc18b816263376043ae8dffe7c",
     ),
 }
 

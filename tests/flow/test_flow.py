@@ -77,6 +77,37 @@ def test_route_only_flow():
         table2_row(r)
 
 
+def test_auto_two_job_flow_ends_in_the_serial_placement():
+    """``auto`` with two jobs solves the windows on a thread pool and
+    ends in the serial run's placement and objective."""
+
+    def flow(executor, jobs):
+        return run_flow(
+            FlowConfig(
+                profile="aes",
+                arch=CellArchitecture.CLOSED_M1,
+                scale=0.01,
+                seed=2,
+                window_um=1.0,
+                lx=2,
+                ly=1,
+                time_limit=10.0,
+                executor=executor,
+                jobs=jobs,
+            )
+        )
+
+    serial = flow("serial", 1)
+    auto = flow("auto", 2)
+    summary = auto.telemetry.summary()
+    assert (summary["executor"], summary["jobs"]) == ("thread", 2)
+    assert (
+        auto.design.placement_snapshot()
+        == serial.design.placement_snapshot()
+    )
+    assert auto.opt.final_objective == serial.opt.final_objective
+
+
 def test_explicit_params_override():
     from repro.core import OptParams, ParamSet
 

@@ -28,12 +28,14 @@ needs_direct = pytest.mark.skipif(
 )
 
 #: SciPy's public ``milp`` warns that it passes the backend's HiGHS
-#: heuristic option on verbatim.
+#: heuristic options on verbatim.
 milp_passes_options = pytest.mark.filterwarnings(
     "ignore:Unrecognized options:RuntimeWarning"
 )
 
+#: The root heuristics the backend switches off at gap 0, and above it.
 FJ_OFF = {"mip_heuristic_run_feasibility_jump": False}
+FJ_RENS_OFF = {**FJ_OFF, "mip_heuristic_run_rens": False}
 
 
 def knapsack(values, weights, cap):
@@ -248,7 +250,7 @@ def test_error_status_retry_sends_presolve_off(monkeypatch):
     def invoke(arrays, options):
         calls.append(dict(options))
         if len(calls) == 1:
-            return SolveStatus.ERROR, "Solve error", None
+            return SolveStatus.ERROR, "Solve error", None, None
         return highs_backend._run_milp(arrays, options)
 
     monkeypatch.setattr(
@@ -257,9 +259,34 @@ def test_error_status_retry_sends_presolve_off(monkeypatch):
     sol = HighsBackend(mip_rel_gap=0.01).solve(knapsack([5, 7], [2, 3], 5))
     assert sol.status is SolveStatus.OPTIMAL
     assert calls == [
-        {"mip_rel_gap": 0.01, **FJ_OFF},
-        {"mip_rel_gap": 0.01, **FJ_OFF, "presolve": False},
+        {"mip_rel_gap": 0.01, **FJ_RENS_OFF},
+        {"mip_rel_gap": 0.01, **FJ_RENS_OFF, "presolve": False},
     ]
+
+
+@pytest.mark.parametrize(
+    "gap, expected",
+    [(0.0, {"mip_rel_gap": 0.0, **FJ_OFF}),
+     (0.01, {"mip_rel_gap": 0.01, **FJ_RENS_OFF})],
+    ids=["gap0", "gap1pct"],
+)
+def test_rens_is_off_only_above_gap_0(monkeypatch, gap, expected):
+    """RENS stays on at gap 0, where HiGHS 1.12.0 needs it (see
+    ``test_gap0_solve_is_exact_on_the_wrong_bound_window``)."""
+    calls = []
+    invoke = highs_backend.HighsBackend._invoke
+
+    def record(arrays, options):
+        calls.append(dict(options))
+        return invoke(arrays, options)
+
+    monkeypatch.setattr(
+        highs_backend.HighsBackend, "_invoke", staticmethod(record)
+    )
+    model = knapsack([5, 7], [2, 3], 5)
+    HighsBackend(mip_rel_gap=gap).solve(model)
+    HighsBackend(mip_rel_gap=gap).solve_arrays(extract(model))
+    assert calls == [expected, expected]
 
 
 def test_infeasible_status_on_both_paths():
@@ -270,10 +297,10 @@ def test_infeasible_status_on_both_paths():
     m.minimize(x + y)
     assert HighsBackend().solve(m).status is SolveStatus.INFEASIBLE
     arrays = extract(m)
-    status, _, x_out = highs_backend._run_milp(arrays, {})
+    status, _, x_out, _ = highs_backend._run_milp(arrays, {})
     assert status is SolveStatus.INFEASIBLE and x_out is None
     if highs_backend._highs is not None:
-        status, _, x_out = highs_backend._run_highs(arrays, {})
+        status, _, x_out, _ = highs_backend._run_highs(arrays, {})
         assert status is SolveStatus.INFEASIBLE and x_out is None
 
 
@@ -358,9 +385,9 @@ def test_direct_driver_matches_public_milp_on_window_models(
     )
     assert len(calls) >= 5
     for index, (arrays, options) in enumerate(calls):
-        assert options.items() >= FJ_OFF.items(), index
-        d_status, _, d_x = highs_backend._run_highs(arrays, options)
-        p_status, _, p_x = highs_backend._run_milp(arrays, options)
+        assert options.items() >= FJ_RENS_OFF.items(), index
+        d_status, _, d_x, _ = highs_backend._run_highs(arrays, options)
+        p_status, _, p_x, _ = highs_backend._run_milp(arrays, options)
         assert d_status is p_status, index
         assert (d_x is None) == (p_x is None), index
         if d_x is not None:
@@ -413,3 +440,37 @@ def test_gap0_solve_is_exact_on_the_wrong_bound_window():
     sol = HighsBackend(mip_rel_gap=0.0).solve(model)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(27582.165967, abs=1e-5)
+
+
+def wrong_bound_window() -> Model:
+    path = Path(__file__).parent / "wrong_bound_window.json"
+    return load_model(json.loads(path.read_text()))
+
+
+#: The optimum of ``wrong_bound_window.json``.
+WRONG_BOUND_OPTIMUM = 27582.165967
+
+
+def test_gap_solve_with_rens_off_stays_within_its_gap():
+    """At the flow's 1% gap the backend switches RENS off, and its
+    answer on the wrong-bound window stays within 1% of the optimum,
+    not below it."""
+    sol = HighsBackend(mip_rel_gap=0.01).solve(wrong_bound_window())
+    assert sol.status is SolveStatus.OPTIMAL
+    assert WRONG_BOUND_OPTIMUM - 1e-5 <= sol.objective
+    assert sol.objective <= WRONG_BOUND_OPTIMUM * 1.01
+
+
+@needs_direct
+@milp_passes_options
+def test_direct_driver_reports_effort():
+    """The direct driver reads HiGHS' node and simplex iteration
+    counts into the ``Solution``; the public ``milp`` path reports
+    none."""
+    model = wrong_bound_window()
+    sol = HighsBackend(mip_rel_gap=0.01).solve(model)
+    assert type(sol.mip_node_count) is int
+    assert type(sol.simplex_iteration_count) is int
+    assert sol.mip_node_count >= 1 and sol.simplex_iteration_count >= 1
+    *_, effort = highs_backend._run_milp(extract(model), FJ_RENS_OFF)
+    assert effort is None

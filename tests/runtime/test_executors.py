@@ -56,7 +56,7 @@ def test_make_executor_auto_matches_jobs():
     with make_executor("auto", jobs=1) as ex:
         assert isinstance(ex, SerialExecutor)
     with make_executor("auto", jobs=2) as ex:
-        assert isinstance(ex, MultiprocessExecutor)
+        assert isinstance(ex, ThreadExecutor)
         assert ex.jobs == 2
 
 
