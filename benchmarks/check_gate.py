@@ -27,7 +27,7 @@ below) and checks it against the kind's bounds:
   (``BENCH_incremental.json``, from ``test_incremental.py``).  Fails
   when the incremental run broke equivalence — placements not
   byte-identical, the delta-accounted objective drifting past
-  tolerance, the dirty tracker not engaging at all — or when the
+  tolerance, the window memo not engaging at all — or when the
   converged-tail speedup fell under ``MIN_SPEEDUP``.  The floor is
   looser than the benchmark's own assertion, so the gate only catches
   the feature being effectively off.
@@ -222,12 +222,12 @@ def check_incremental() -> int:
     speedup = doc.get("speedup")
     identical = doc.get("placements_identical")
     drift = doc.get("objective_delta")
-    skipped = (doc.get("dirty_on") or {}).get("windows_skipped_clean")
+    skipped = (doc.get("memo_on") or {}).get("windows_skipped_clean")
     if not numeric(
         (
             ("speedup", speedup),
             ("objective_delta", drift),
-            ("dirty_on.windows_skipped_clean", skipped),
+            ("memo_on.windows_skipped_clean", skipped),
         )
     ):
         return 2
@@ -240,7 +240,7 @@ def check_incremental() -> int:
     )
     failed = False
     if identical is not True:
-        print("FAIL: dirty-on placement differs from dirty-off")
+        print("FAIL: memo-on placement differs from memo-off")
         failed = True
     if drift >= DRIFT_TOLERANCE:
         print(
@@ -248,7 +248,7 @@ def check_incremental() -> int:
         )
         failed = True
     if skipped <= 0:
-        print("FAIL: dirty tracker never skipped a window")
+        print("FAIL: the window memo never skipped a window")
         failed = True
     if speedup < MIN_SPEEDUP:
         print(

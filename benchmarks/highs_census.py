@@ -24,7 +24,9 @@ always judges what the flow sends.  The script exits 1 on any unsound
 answer and 0 otherwise.  It reports the total and the slowest HiGHS
 call of each set per group, but does not gate them.  The report
 names the HiGHS and SciPy versions and goes to
-``benchmarks/results/highs_census.json``.
+``benchmarks/results/highs_census.json``.  Progress goes to stderr,
+with whatever HiGHS writes to fd 1 during the solves; stdout holds the
+one verdict line.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import scipy
 
 from repro.flow import FlowConfig, run_flow
 from repro.milp import highs_backend
-from repro.milp.highs_backend import HighsBackend
+from repro.milp.highs_backend import HighsBackend, stdout_to_stderr
 from repro.milp.solution import SolveStatus
 from repro.tech import CellArchitecture
 
@@ -296,28 +298,30 @@ def main(argv=None) -> int:
     }
     faults = []
     recorded = []
-    for label, arch, scale, lx, seeds in FLOWS:
-        calls = []
-        for seed in seeds:
-            captured = capture(flow_config(arch, scale, lx, seed))
-            calls += [
-                (seed, index, arrays, options)
-                for index, (arrays, options) in enumerate(captured)
-            ]
-        recorded += [(arrays, options) for _, _, arrays, options in calls]
-        summary, flow_faults = census_of(calls)
-        faults += [{"group": label, **fault} for fault in flow_faults]
-        report["flows"][label] = {
-            "arch": arch.value,
-            "scale": scale,
-            "lx": lx,
-            "seeds": list(seeds),
-            "models": len(calls),
-            "sets": summary,
-        }
-        print(f"{label}: {len(calls)} models", file=sys.stderr)
-        for name, row in summary.items():
-            print(f"  {name:16s} {row}", file=sys.stderr)
+    # HiGHS writes stray lines to fd 1; stdout keeps the verdict alone.
+    with stdout_to_stderr():
+        for label, arch, scale, lx, seeds in FLOWS:
+            calls = []
+            for seed in seeds:
+                captured = capture(flow_config(arch, scale, lx, seed))
+                calls += [
+                    (seed, index, arrays, options)
+                    for index, (arrays, options) in enumerate(captured)
+                ]
+            recorded += [(arrays, options) for _, _, arrays, options in calls]
+            summary, flow_faults = census_of(calls)
+            faults += [{"group": label, **fault} for fault in flow_faults]
+            report["flows"][label] = {
+                "arch": arch.value,
+                "scale": scale,
+                "lx": lx,
+                "seeds": list(seeds),
+                "models": len(calls),
+                "sets": summary,
+            }
+            print(f"{label}: {len(calls)} models", file=sys.stderr)
+            for name, row in summary.items():
+                print(f"  {name:16s} {row}", file=sys.stderr)
     chosen = backend_set(recorded)
     unknown = unknown_options(recorded)
     report["backend_set"] = chosen

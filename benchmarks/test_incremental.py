@@ -1,27 +1,26 @@
-"""Macrobenchmark: incremental DistOpt vs full recompute at 10k cells.
+"""Macrobenchmark: the window memo at 10k cells, off vs on.
 
 Runs the full VM1Opt loop on the 10k-cell Rent-connectivity reference
-design twice — ``dirty_tracking=False`` (plain Algorithm 2: every
-window sliced, built and solved every pass, objective fully recomputed
-per pass) and ``dirty_tracking=True`` with the drift audit armed (any
-pass whose delta-accounted objective strays more than
-``DRIFT_TOLERANCE`` from a full recompute raises *inside* the run) —
-and writes ``benchmarks/results/BENCH_incremental.json`` with
-wall-clocks, per-pass window accounting, and the speedup.
+design twice — ``window_memo=False`` (plain Algorithm 2: every window
+sliced, built and solved every pass) and ``window_memo=True`` — each
+with the drift audit armed (any pass whose delta-accounted objective
+strays more than ``DRIFT_TOLERANCE`` from a full recompute raises
+*inside* the run), and writes
+``benchmarks/results/BENCH_incremental.json`` with wall-clocks,
+per-pass window accounting, the memo's peak size and the speedup.
 
 The loop is driven into its **converged tail** (fixed window grid,
-small θ), the regime the dirty tracker targets: late passes revisit
-settled windows, and re-solving one costs a slice, a model build and
-a MILP solve while a clean-mark lookup is O(1).  A default-θ run
-stops after ~1 iteration whose move and flip passes key disjoint
-subproblems — there the tracker engages barely at all (and the JSON
+small θ), the regime the memo targets: late passes revisit settled
+windows, and re-solving one costs a model build and a MILP solve
+while a memo hit costs a slice and a tuple comparison.  A default-θ
+run stops after ~1 iteration whose move and flip passes key disjoint
+subproblems — there the memo engages barely at all (and the JSON
 records that honestly if parameters drift).
 
-The dirty tracker is the only cross-pass skip, so the speedup
-compares it with the plain re-solve of every window.  The win is
-algorithmic (skipped slices, builds and solves), not parallelism, so
-the benchmark measures on any core count; ``jobs`` follows
-``min(4, cores)``.
+The memo is the only cross-pass skip, so the speedup compares it with
+the plain re-solve of every window.  The win is algorithmic (skipped
+builds and solves), not parallelism, so the benchmark measures on any
+core count; ``jobs`` follows ``min(4, cores)``.
 
 The per-window time limit is far above any solve here, so no solve
 stops at the clock and both arms' placements are a function of the
@@ -33,12 +32,13 @@ asserts there are none.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
+from unittest import mock
 
-from repro.core import OptParams, ParamSet
+from repro.core import OptParams, ParamSet, vm1opt
 from repro.core.distopt import DRIFT_TOLERANCE
-from repro.core.vm1opt import vm1_opt
 from repro.library import build_library
 from repro.netlist import Design
 from repro.placement import place_design
@@ -84,30 +84,53 @@ def _reference_design() -> Design:
     return design
 
 
-def _run_variant(*, dirty: bool, jobs: int) -> tuple[dict, dict]:
+def memo_bytes(memo: dict) -> int:
+    """Bytes held by the memo's own containers: the dict, each key and
+    value tuple, each state tuple and its per-instance tuples.  The
+    names, coordinates and orientations in them are the design's, and
+    the keys' window rects (a few dozen bytes each) are not counted."""
+    total = sys.getsizeof(memo)
+    for key, value in memo.items():
+        state = value[0]
+        total += sys.getsizeof(key) + sys.getsizeof(value)
+        total += sys.getsizeof(state) + sum(map(sys.getsizeof, state))
+    return total
+
+
+def _run_variant(*, memo: bool, jobs: int) -> tuple[dict, dict]:
     design = _reference_design()
     telemetry = RunTelemetry()
+    peak = {"entries": 0, "bytes": 0}
+    dist_opt = vm1opt.dist_opt
+
+    def measured_pass(*args, **kwargs):
+        result = dist_opt(*args, **kwargs)
+        if kwargs["memo"] is not None:
+            peak["entries"] = max(peak["entries"], len(kwargs["memo"]))
+            peak["bytes"] = max(peak["bytes"], memo_bytes(kwargs["memo"]))
+        return result
+
     started = time.perf_counter()
-    result = vm1_opt(
-        design,
-        _params(),
-        executor=make_executor("auto", jobs),
-        telemetry=telemetry,
-        enable_shift=False,
-        dirty_tracking=dirty,
-        # Audit only the incremental run: it is the one whose
-        # objective is delta-accounted; the plain run *is* the full
-        # recompute the audit compares against.
-        objective_audit=dirty,
-    )
+    with mock.patch.object(vm1opt, "dist_opt", measured_pass):
+        result = vm1opt.vm1_opt(
+            design,
+            _params(),
+            executor=make_executor("auto", jobs),
+            telemetry=telemetry,
+            enable_shift=False,
+            window_memo=memo,
+            objective_audit=True,
+        )
     wall = time.perf_counter() - started
     report = {
-        "dirty_tracking": dirty,
+        "window_memo": memo,
         "wall_seconds": wall,
         "iterations": result.iterations,
         "final_objective": result.final_objective,
         "windows_built": sum(p.windows_built for p in result.passes),
         "windows_skipped_clean": result.windows_skipped_clean,
+        "memo_peak_entries": peak["entries"],
+        "memo_peak_bytes": peak["bytes"],
         "limited_solves": sum(
             1
             for r in telemetry.records
@@ -137,8 +160,8 @@ def test_incremental_speedup():
     jobs = min(4, cores)
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
 
-    off, snapshot_off = _run_variant(dirty=False, jobs=jobs)
-    on, snapshot_on = _run_variant(dirty=True, jobs=jobs)
+    off, snapshot_off = _run_variant(memo=False, jobs=jobs)
+    on, snapshot_on = _run_variant(memo=True, jobs=jobs)
 
     identical = snapshot_on == snapshot_off
     objective_delta = abs(
@@ -146,7 +169,7 @@ def test_incremental_speedup():
     )
     speedup = off["wall_seconds"] / on["wall_seconds"]
     report = {
-        "schema": "repro.bench.incremental/v1",
+        "schema": "repro.bench.incremental/v2",
         "cores": cores,
         "jobs": jobs,
         "design": {
@@ -160,8 +183,8 @@ def test_incremental_speedup():
             "time_limit": TIME_LIMIT,
             "enable_shift": False,
         },
-        "dirty_off": off,
-        "dirty_on": on,
+        "memo_off": off,
+        "memo_on": on,
         "speedup": speedup,
         "placements_identical": identical,
         "objective_delta": objective_delta,
@@ -173,19 +196,17 @@ def test_incremental_speedup():
         f"limit (off: {off['limited_solves']}, on: "
         f"{on['limited_solves']}); placements would depend on load"
     )
-    assert identical, (
-        "dirty tracking must not change the placement"
-    )
+    assert identical, "the window memo must not change the placement"
     assert objective_delta < DRIFT_TOLERANCE, (
-        f"delta-accounted objective drifted {objective_delta} from "
-        f"the full-recompute run"
+        f"memo-on objective drifted {objective_delta} from the "
+        f"memo-off run"
     )
     assert on["windows_skipped_clean"] > 0, (
-        "converged-tail run engaged zero clean skips — the benchmark "
-        "is not measuring the incremental path"
+        "converged-tail run skipped no window — the benchmark is not "
+        "measuring the memo"
     )
     assert off["windows_skipped_clean"] == 0
     assert speedup >= MIN_SPEEDUP, (
-        f"expected >= {MIN_SPEEDUP}x from dirty-window skipping in "
-        f"the converged tail, measured {speedup:.2f}x"
+        f"expected >= {MIN_SPEEDUP}x from the window memo in the "
+        f"converged tail, measured {speedup:.2f}x"
     )

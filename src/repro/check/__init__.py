@@ -27,8 +27,8 @@ from repro.check.differential import (
     CaseReport,
     FuzzSummary,
     check_chaos_axis,
-    check_dirty_onoff_axis,
     check_executor_axis,
+    check_memo_onoff_axis,
     check_resume_axis,
     fuzz,
     replay_reproducer,
@@ -66,8 +66,8 @@ __all__ = [
     "CaseReport",
     "FuzzSummary",
     "check_chaos_axis",
-    "check_dirty_onoff_axis",
     "check_executor_axis",
+    "check_memo_onoff_axis",
     "check_resume_axis",
     "fuzz",
     "replay_reproducer",

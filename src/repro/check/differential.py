@@ -1,5 +1,5 @@
 """The differential runner: MILP vs oracle vs brute force, plus the
-executor / resume equivalence axes.
+executor / resume / memo equivalence axes.
 
 ``run_case`` is the core: solve one window MILP to proven optimality,
 then interrogate the applied placement with the independent oracles —
@@ -45,7 +45,7 @@ from repro.check.serialize import (
 from repro.core.checkpoint import VM1Checkpoint
 from repro.core.distopt import dist_opt
 from repro.core.formulation import apply_solution, build_window_model
-from repro.core.params import OptParams
+from repro.core.params import OptParams, ParamSet
 from repro.core.vm1opt import vm1_opt
 from repro.library import build_library
 from repro.milp import HighsBackend
@@ -426,51 +426,71 @@ def check_executor_axis(
     return errors
 
 
-def check_dirty_onoff_axis(
-    seed: int = 2,
-    *,
-    arch: CellArchitecture = CellArchitecture.CLOSED_M1,
-    scale: float = 0.01,
-) -> list[str]:
-    """Dirty tracking on vs off must be byte-identical.
+def check_memo_onoff_axis(seed: int = 2, *, scale: float = 0.01) -> list[str]:
+    """The window memo on vs off must be byte-identical.
 
-    Runs the full VM1Opt loop twice on identical fresh designs: once
-    with dirty-window skipping + delta objective accounting (and the
-    paranoid drift audit armed, so any incremental-accounting drift
-    raises inside the run), once fully recomputed.  Placements must
-    match bit for bit and the claimed objectives must agree to the
-    float tolerance — dirty tracking is a pure go-faster switch.
+    Runs the full VM1Opt loop twice per configuration on identical
+    fresh designs, memo on and off, with the drift audit armed (any
+    delta-accounting drift raises inside the run).  Placements must
+    match bit for bit, the objectives to the float tolerance, and the
+    iteration counts exactly.  The configurations are the default
+    shifting-grid ClosedM1 loop, where windows seldom repeat, and one
+    fixed-grid run to a small θ per architecture, where they do: each
+    of those memo-on runs must skip at least one window, or the axis
+    would not exercise the skip.
     """
-    params = OptParams.for_arch(arch, time_limit=5.0)
-    on_design = _axis_design(arch, scale=scale, seed=seed)
-    on = vm1_opt(
-        on_design, params, dirty_tracking=True, objective_audit=True
-    )
-    off_design = _axis_design(arch, scale=scale, seed=seed)
-    off = vm1_opt(off_design, params, dirty_tracking=False)
+    configs = [
+        (
+            "closedm1 shifting grid",
+            CellArchitecture.CLOSED_M1,
+            OptParams.for_arch(CellArchitecture.CLOSED_M1, time_limit=5.0),
+            True,
+        )
+    ]
+    for arch in CellArchitecture:
+        params = OptParams.for_arch(
+            arch,
+            sequence=(ParamSet.square(1.0, 3, 1),),
+            time_limit=5.0,
+            theta=1e-5,
+        )
+        configs.append((f"{arch.value} fixed grid", arch, params, False))
     errors: list[str] = []
-    on_snapshot = on_design.placement_snapshot()
-    off_snapshot = off_design.placement_snapshot()
-    if on_snapshot != off_snapshot:
-        diff = [
-            name
-            for name in off_snapshot
-            if on_snapshot[name] != off_snapshot[name]
-        ]
-        errors.append(
-            f"dirty tracking changed the placement of {len(diff)} "
-            f"cells: {diff[:5]}"
-        )
-    if abs(on.final_objective - off.final_objective) > _TOL:
-        errors.append(
-            f"dirty-on objective {on.final_objective} != dirty-off "
-            f"objective {off.final_objective}"
-        )
-    if on.iterations != off.iterations:
-        errors.append(
-            f"dirty-on iteration count {on.iterations} != dirty-off "
-            f"{off.iterations}"
-        )
+    for label, arch, params, shift in configs:
+        runs = {}
+        for memo in (True, False):
+            design = _axis_design(arch, scale=scale, seed=seed)
+            result = vm1_opt(
+                design,
+                params,
+                enable_shift=shift,
+                window_memo=memo,
+                objective_audit=True,
+            )
+            runs[memo] = (result, design.placement_snapshot())
+        (on, on_snapshot), (off, off_snapshot) = runs[True], runs[False]
+        if on_snapshot != off_snapshot:
+            diff = [
+                name
+                for name in off_snapshot
+                if on_snapshot[name] != off_snapshot[name]
+            ]
+            errors.append(
+                f"{label}: the memo changed the placement of "
+                f"{len(diff)} cells: {diff[:5]}"
+            )
+        if abs(on.final_objective - off.final_objective) > _TOL:
+            errors.append(
+                f"{label}: memo-on objective {on.final_objective} != "
+                f"memo-off objective {off.final_objective}"
+            )
+        if on.iterations != off.iterations:
+            errors.append(
+                f"{label}: memo-on iteration count {on.iterations} != "
+                f"memo-off {off.iterations}"
+            )
+        if not shift and on.windows_skipped_clean == 0:
+            errors.append(f"{label}: the memo skipped no window")
     return errors
 
 

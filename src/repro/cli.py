@@ -16,7 +16,7 @@ Subcommands:
 * ``repro check`` — differential verification: fuzz seeded window
   cases against the independent oracle + brute-force optimum
   (:mod:`repro.check`), replay corpus reproducers, and run the
-  executor/resume/dirty/chaos equivalence axes.
+  executor/resume/memo/chaos equivalence axes.
 * ``repro chaos`` — deterministic fault injection: run one fault
   plan faulted-vs-clean (:mod:`repro.chaos`), fuzz seeded random
   plans with failure shrinking, or list the hook-site inventory.
@@ -28,9 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -46,6 +44,7 @@ from repro.eval import (
 from repro.flow import FLOW_OPTIONS, FlowConfig, run_flow, table2_row
 from repro.lefdef import write_def, write_lef
 from repro.library import build_library
+from repro.milp.highs_backend import stdout_to_stderr
 from repro.netlist import generate_design
 from repro.netlist.verilog import write_verilog
 from repro.placement import place_design
@@ -59,7 +58,7 @@ _PRESETS = {
 
 #: ``repro check --axes`` names.  ``brute`` selects nothing: every
 #: fuzz case is certified against brute force anyway.
-CHECK_AXES = ("brute", "executor", "resume", "dirty_onoff", "chaos")
+CHECK_AXES = ("brute", "executor", "resume", "memo_onoff", "chaos")
 
 
 def _positive_int(text: str) -> int:
@@ -169,37 +168,11 @@ def _add_flow_config_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-@contextlib.contextmanager
 def _json_stdout(enabled: bool):
-    """Keep stdout for the ``--json`` document alone.
-
-    The bundled HiGHS writes some messages straight to file descriptor
-    1, whatever its log options say.  While the command works, fd 1
-    points at stderr (worker processes inherit that); Python's and the
-    C library's stdio are flushed before fd 1 comes back, so the
-    document printed after the block is all that reaches stdout.
-    """
-    if not enabled:
-        yield
-        return
-    _flush_stdio()
-    saved = os.dup(1)
-    os.dup2(2, 1)
-    try:
-        yield
-    finally:
-        _flush_stdio()
-        os.dup2(saved, 1)
-        os.close(saved)
-
-
-def _flush_stdio() -> None:
-    sys.stdout.flush()
-    sys.stderr.flush()
-    fflush = ctypes.CDLL(None).fflush
-    fflush.argtypes = [ctypes.c_void_p]
-    fflush.restype = ctypes.c_int
-    fflush(None)  # NULL: every C stdio output stream
+    """Keep stdout for the ``--json`` document alone: while the command
+    works, fd 1 points at stderr (see
+    :func:`~repro.milp.highs_backend.stdout_to_stderr`)."""
+    return stdout_to_stderr() if enabled else contextlib.nullcontext()
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -410,8 +383,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.check import fuzz, replay_reproducer
     from repro.check.differential import (
         check_chaos_axis,
-        check_dirty_onoff_axis,
         check_executor_axis,
+        check_memo_onoff_axis,
         check_resume_axis,
     )
 
@@ -461,8 +434,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             axis_errors["executor"] = check_executor_axis()
         if "resume" in axes:
             axis_errors["resume"] = check_resume_axis()
-        if "dirty_onoff" in axes:
-            axis_errors["dirty_onoff"] = check_dirty_onoff_axis()
+        if "memo_onoff" in axes:
+            axis_errors["memo_onoff"] = check_memo_onoff_axis()
         if "chaos" in axes:
             axis_errors["chaos"] = check_chaos_axis()
 

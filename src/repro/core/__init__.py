@@ -11,11 +11,10 @@ placement.
   selection of independently-optimizable (disjoint-projection) window
   sets (§4.1).
 * :mod:`repro.core.objective` — the global objective CalculateObj.
-* :mod:`repro.core.distopt` — Algorithm 2 (DistOpt).
+* :mod:`repro.core.distopt` — Algorithm 2 (DistOpt), with the window
+  memo, the one mechanism that skips re-solving settled windows.
 * :mod:`repro.core.vm1opt` — Algorithm 1 (VM1Opt), the metaheuristic
   outer loop.
-* :mod:`repro.core.dirty` — cross-pass dirty tracking, the one
-  mechanism that skips re-solving settled windows.
 * :mod:`repro.core.checkpoint` — per-pass VM1Opt checkpoints for
   crash-safe resume (used by :mod:`repro.service` and
   :mod:`repro.shard`).

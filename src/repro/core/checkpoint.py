@@ -1,4 +1,4 @@
-"""Crash-safe VM1Opt checkpoints (per-pass placement + dirty state).
+"""Crash-safe VM1Opt checkpoints (per-pass placement).
 
 A :class:`VM1Checkpoint` captures everything :func:`repro.core.vm1opt.
 vm1_opt` needs to continue after the last *completed* DistOpt pass:
@@ -11,13 +11,12 @@ vm1_opt` needs to continue after the last *completed* DistOpt pass:
   interrupted iteration, needed for the θ convergence test),
   ``objective`` (after the checkpointed pass), and
   ``initial_objective`` / ``iterations`` for result bookkeeping;
-* the full placement (every instance's ``x/y/orientation``);
-* the :class:`~repro.core.dirty.DirtyTracker` state (its
-  clean-window marks), so a resumed run's incremental engine skips
-  exactly what the uninterrupted run would skip.  The
-  ``dirty`` document key is optional: a checkpoint without it resumes
-  with everything presumed dirty, which is always sound — identical
-  placements, merely slower first pass.
+* the full placement (every instance's ``x/y/orientation``).
+
+DistOpt's window memo is not checkpointed: a resumed run starts with
+an empty memo and re-solves the windows the uninterrupted run would
+have skipped, to the same non-moves — identical placements, merely
+slower first passes.
 
 Every DistOpt pass is deterministic given (placement, params, grid
 offsets) — the λ tie-break of :mod:`repro.core.formulation` makes
@@ -28,8 +27,9 @@ over checkpointed values and is simply re-executed on resume.
 
 Serialization is plain JSON; ``json`` round-trips Python floats via
 ``repr`` exactly, so the θ test sees bit-identical objectives after a
-save/load cycle.  Documents written before the dirty tracker became
-the only cross-pass skip may also carry a ``cache`` key; it is ignored.
+save/load cycle.  Documents written by older versions may carry a
+``dirty`` key (the state of the cross-pass skip the memo replaced) or
+a ``cache`` key (the window cache before it); both are ignored.
 
 :func:`atomic_write_text` is the one durable-write primitive of the
 package (temp + fsync + rename): :meth:`VM1Checkpoint.save`, the shard
@@ -40,14 +40,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.geometry import Orientation
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
-    from repro.core.dirty import DirtyTracker
     from repro.netlist.design import Design
 
 #: Schema identifier written into every checkpoint document.
@@ -76,8 +75,6 @@ class VM1Checkpoint:
     iterations: int
     #: instance name -> (x, y, DEF orientation string).
     placement: dict[str, tuple[int, int, str]]
-    #: serialized DirtyTracker state (see dirty module); [] = none.
-    dirty_state: list = field(default_factory=list)
     #: ``(trace_id, root_span_id)`` of the run that wrote this
     #: checkpoint, when it was traced; a resumed run seeds its tracer
     #: from it so both attempts append to one coherent trace.  ``None``
@@ -90,7 +87,6 @@ class VM1Checkpoint:
     def capture(
         cls,
         design: "Design",
-        dirty: "DirtyTracker | None" = None,
         *,
         u_index: int,
         iteration: int,
@@ -103,7 +99,7 @@ class VM1Checkpoint:
         iterations: int,
         trace: tuple[str, str | None] | None = None,
     ) -> "VM1Checkpoint":
-        """Snapshot the design placement + dirty state."""
+        """Snapshot the design placement."""
         placement = {
             name: (inst.x, inst.y, inst.orientation.value)
             for name, inst in design.instances.items()
@@ -119,25 +115,16 @@ class VM1Checkpoint:
             initial_objective=initial_objective,
             iterations=iterations,
             placement=placement,
-            dirty_state=(
-                dirty.export_state() if dirty is not None else []
-            ),
             trace=trace,
         )
 
     # ------------------------------------------------------- restore
-    def restore(
-        self,
-        design: "Design",
-        dirty: "DirtyTracker | None" = None,
-    ) -> None:
-        """Write the checkpointed placement (+ dirty state) back."""
+    def restore(self, design: "Design") -> None:
+        """Write the checkpointed placement back."""
         for name, (x, y, orient) in self.placement.items():
             inst = design.instances[name]
             inst.x, inst.y = int(x), int(y)
             inst.orientation = Orientation(orient)
-        if dirty is not None and self.dirty_state:
-            dirty.import_state(self.dirty_state)
 
     # --------------------------------------------------- (de)serialize
     def to_dict(self) -> dict:
@@ -156,7 +143,6 @@ class VM1Checkpoint:
                 name: list(state)
                 for name, state in self.placement.items()
             },
-            "dirty": self.dirty_state,
             "trace": (
                 list(self.trace) if self.trace is not None else None
             ),
@@ -184,7 +170,6 @@ class VM1Checkpoint:
                 name: (int(x), int(y), str(orient))
                 for name, (x, y, orient) in doc["placement"].items()
             },
-            dirty_state=list(doc.get("dirty", [])),
             trace=_trace_from_doc(doc.get("trace")),
         )
 

@@ -16,11 +16,12 @@ index carries over to the next family until a window applies a move
 
 The incremental engine rides on three cooperating pieces:
 
-* an optional :class:`~repro.core.dirty.DirtyTracker` skips windows
-  that were verified fixpoints and whose probe neighborhood nothing
-  has touched since — before any slicing or building; it is the only
-  cross-pass skip, so without it every window is re-solved every pass
-  (plain Algorithm 2);
+* an optional window memo skips a window whose slice is exactly what
+  an earlier solve of the same window answered without moving a cell
+  — after slicing, before any building (see :func:`dist_opt`'s
+  ``memo``); it
+  is the only cross-pass skip, so without it every window is re-solved
+  every pass (plain Algorithm 2);
 * the pass objective is maintained as a running delta (the guarded
   apply already computes exact before/after local objectives over the
   window's touched nets, and those nets fully cover the global
@@ -39,8 +40,7 @@ Under an active tracer the pass is recorded as spans, which
 :class:`~repro.runtime.RunTelemetry` is a view of: the ``distopt``
 span carries every :class:`PassTotals` field and the pass's fault
 counts, each window root span the apply verdict (see
-:func:`_absorb_spans`), each dirty-tracker skip a ``skipped_clean``
-span.
+:func:`_absorb_spans`), each memo skip a ``skipped_clean`` span.
 
 Every applied window solution is guarded: the local objective
 (HPWL − α·alignments over the window's touched nets) is recomputed
@@ -54,8 +54,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 from repro.chaos.inject import active_chaos
-from repro.core.dirty import DirtyTracker, dirty_write_for_moves
-from repro.core.formulation import SliceIndex, probe_rect, window_slice
+from repro.core.formulation import SliceIndex, window_slice
 from repro.core.objective import calculate_objective
 from repro.core.params import OptParams
 from repro.core.window import independent_families, partition
@@ -113,7 +112,7 @@ class PassTotals:
     windows_applied: int = _total(0, "applied")
     windows_failed: int = _total(0, "failed")
     windows_timed_out: int = _total(0, "timed_out")
-    #: windows skipped by the dirty tracker before slicing/building.
+    #: windows the window memo skipped before building.
     windows_skipped_clean: int = _total(0, "windows_skipped_clean")
     # Not in the telemetry pass entry:
     windows_reverted: int = 0
@@ -168,7 +167,7 @@ def dist_opt(
     schedule: ScheduleConfig | None = None,
     pass_label: str = "distopt",
     window_filter=None,
-    dirty: DirtyTracker | None = None,
+    memo: dict | None = None,
     objective: float | None = None,
     audit: bool = False,
 ) -> DistOptResult:
@@ -193,10 +192,21 @@ def dist_opt(
             given, only accepted windows are optimized (the shard
             layer's seam pass restricts a DistOpt to the windows
             straddling shard boundaries).
-        dirty: optional cross-pass :class:`~repro.core.dirty.
-            DirtyTracker`; verified-clean windows are skipped before
-            slicing (no slice, no build), applied moves are
-            recorded as dirty regions, and fixpoints are marked clean.
+        memo: optional cross-pass window memo, a dict the caller
+            keeps across passes (``vm1_opt`` keeps one per run).  Its
+            key is ``(window rect, lx, ly, allow_flip)``, its value
+            ``(state, reverted)``: the window's slice state,
+            ``(name, x, y, orientation)`` per slice instance in slice
+            order, recorded when a solve of that slice ended
+            ``OPTIMAL`` with no move or with its move reverted; any
+            other outcome drops the entry.  A window whose slice state
+            equals its entry is skipped before the build: its model
+            would be the remembered one, array for array, so its
+            solve would again move nothing.  A reverted entry also
+            needs its guard to read the same slice, so it is recorded
+            only while no earlier apply of the family moved a slice
+            instance, and used only while no window dispatched before
+            it in the family could (DESIGN.md §11).
         objective: the design's exact global objective *before* this
             pass.  When given, the post-pass objective is accounted
             incrementally (``objective`` + the guarded applies' local
@@ -260,7 +270,7 @@ def dist_opt(
                 design, params, family, family_index,
                 solver=solver, scheduler=scheduler, result=result,
                 lx=lx, ly=ly, allow_flip=allow_flip,
-                next_task_id=next_task_id, dirty=dirty,
+                next_task_id=next_task_id, memo=memo,
                 trace_ctx=trace_ctx, index=index,
             )
 
@@ -315,7 +325,7 @@ def _run_family(
     ly: int,
     allow_flip: bool,
     next_task_id: int,
-    dirty: DirtyTracker | None,
+    memo: dict | None,
     trace_ctx: tuple[str, str | None] | None = None,
     index: SliceIndex | None = None,
 ) -> tuple[int, SliceIndex | None]:
@@ -327,20 +337,29 @@ def _run_family(
     may slice with: this family's, unless one of its windows applied a
     move (which leaves None)."""
     tasks: list[WindowTask] = []
-    # task id -> (dirty key, probe rect) for the fixpoint mark.
-    marks: dict[int, tuple] = {}
+    # task id -> (memo key, slice state) the task's model is built from.
+    states: dict[int, tuple] = {}
     tracer = active_tracer() if trace_ctx is not None else None
     # The placement holds still until the family's applies, so one
     # index serves every slice; without one from an earlier family it
-    # is built on the first window not skipped.
+    # is built on the family's first window.
     for window in family:
-        key = probe = None
-        if dirty is not None:
-            key = DirtyTracker.window_key(window, lx, ly, allow_flip)
-            if dirty.is_clean(key):
-                # Previously verified fixpoint, nothing written in its
-                # neighborhood since: re-solving would provably
-                # reproduce the same non-move (see repro.core.dirty).
+        if index is None:
+            index = SliceIndex(design)
+        sliced = window_slice(design, window, index)
+        if sliced is None:
+            continue
+        if memo is not None:
+            key = (window.rect, lx, ly, allow_flip)
+            state = _slice_state(sliced)
+            entry = memo.get(key)
+            if (
+                entry is not None
+                and entry[0] == state
+                and (not entry[1] or _out_of_reach(sliced, tasks))
+            ):
+                # The model would be the remembered one, so its solve
+                # would move nothing again.
                 result.windows_skipped_clean += 1
                 # Not a ``window`` span: nothing was built.
                 with span(
@@ -352,18 +371,7 @@ def _run_family(
                 ):
                     pass
                 continue
-            probe = probe_rect(design, window)
-        if index is None:
-            index = SliceIndex(design)
-        sliced = window_slice(design, window, index)
-        if sliced is None:
-            # No movable cells, so the build reads no nets at all —
-            # the mark's net set is empty.  Clean by construction: a
-            # cell can only appear inside this window via a move whose
-            # cell rect intersects the window rect (⊆ probe rect).
-            if dirty is not None:
-                dirty.mark_clean(key, probe)
-            continue
+            states[next_task_id] = (key, state)
         task = WindowTask(
             task_id=next_task_id,
             family=family_index,
@@ -378,8 +386,6 @@ def _run_family(
         )
         next_task_id += 1
         tasks.append(task)
-        if dirty is not None:
-            marks[task.task_id] = (key, probe)
     if not tasks:
         return next_task_id, index
 
@@ -390,8 +396,6 @@ def _run_family(
     )
 
     slowest_path = 0.0
-    family_cell_rects: list = []
-    family_nets: list[str] = []
     for task in tasks:  # canonical order — determinism contract
         outcome = outcomes[task.task_id]
         slowest_path = max(
@@ -399,48 +403,66 @@ def _run_family(
         )
         result.build_seconds += outcome.build_seconds
         result.solve_seconds += outcome.solve_seconds
-        if (
-            not outcome.built
-            and not outcome.error
-            and not outcome.timed_out
-        ):
+        if outcome.built or outcome.error or outcome.timed_out:
+            if outcome.built:
+                result.windows_built += 1
+                result.pairs_considered += outcome.num_pairs
+            status, moved, delta = _apply_outcome(
+                design, params, outcome, result
+            )
+        else:
             # The worker-side build found nothing optimizable —
             # silently dropped, like the parent-side build returning
             # None used to be.
-            _absorb_spans(tracer, task, outcome, "empty", 0)
-            continue
-        if outcome.built:
-            result.windows_built += 1
-            result.pairs_considered += outcome.num_pairs
-        status, moved, delta, write = _apply_outcome(
-            design, params, outcome, result
-        )
+            status, moved, delta = "empty", 0, 0.0
         _absorb_spans(tracer, task, outcome, status, moved)
         result.moved_cells += moved
         if status == "applied":
             index = None
             result.objective_delta += delta
-            family_cell_rects.extend(write.cell_rects)
-            family_nets.extend(write.nets)
-        is_fixpoint = (
-            status in ("no_move", "reverted")
-            and outcome.solution is not None
-            and outcome.solution.status is SolveStatus.OPTIMAL
-        )
-        if is_fixpoint and dirty is not None:
-            # Fixpoint: the optimal solve produced no (surviving)
-            # move, so the window may be skipped until something it
-            # reads is written.  Applied windows are NOT marked — the
-            # next pass enumerates candidates around the new positions.
-            dirty.mark_clean(*marks[task.task_id], nets=outcome.nets)
+        if memo is not None:
+            key, state = states[task.task_id]
+            fixpoint = (
+                status in ("no_move", "reverted")
+                and outcome.solution.status is SolveStatus.OPTIMAL
+            )
+            # A reverted move's guard read the slice when the window
+            # was applied: remembered only if no earlier apply of the
+            # family had moved a slice instance by then.
+            if fixpoint and (
+                status == "no_move" or _slice_state(task.design) == state
+            ):
+                memo[key] = (state, status == "reverted")
+            else:
+                memo.pop(key, None)
     result.modeled_parallel_seconds += slowest_path
-    if dirty is not None and (family_cell_rects or family_nets):
-        # Batched per family, after its applies: this matches the
-        # slice-before-apply ordering of the engine itself, so a
-        # skipped window never observes a placement state a non-skip
-        # run would not also have observed.
-        dirty.note_dirty(family_cell_rects, nets=family_nets)
     return next_task_id, index
+
+
+def _out_of_reach(sliced: Design, tasks: list[WindowTask]) -> bool:
+    """True when no window dispatched so far in the family can move an
+    instance of ``sliced``: a window moves only the cells inside its
+    rect."""
+    for task in tasks:
+        rect = task.window.rect
+        for inst in sliced.instances.values():
+            if (
+                rect.xlo <= inst.x
+                and inst.x + inst.macro.width <= rect.xhi
+                and rect.ylo <= inst.y
+                and inst.y + inst.macro.height <= rect.yhi
+            ):
+                return False
+    return True
+
+
+def _slice_state(sliced: Design) -> tuple:
+    """The placement of every slice instance, in slice order: all of
+    the design a window build reads that can change within a run."""
+    return tuple([
+        (name, inst.x, inst.y, inst.orientation)
+        for name, inst in sliced.instances.items()
+    ])
 
 
 def _absorb_spans(
@@ -495,24 +517,24 @@ def _apply_outcome(
     params: OptParams,
     outcome: WindowTaskResult,
     result: DistOptResult,
-) -> tuple[str, int, float, tuple]:
+) -> tuple[str, int, float]:
     """Fold one solve outcome into the design; returns
-    ``(status, moved, objective_delta, dirty_rects)``."""
+    ``(status, moved, objective_delta)``."""
     if outcome.timed_out:
         result.windows_timed_out += 1
-        return "timed_out", 0, 0.0, ()
+        return "timed_out", 0, 0.0
     if outcome.error:
         result.windows_failed += 1
-        return "failed", 0, 0.0, ()
+        return "failed", 0, 0.0
     solution = outcome.solution
     if solution is None or not solution.status.has_solution:
         result.windows_failed += 1
-        return "no_solution", 0, 0.0, ()
+        return "no_solution", 0, 0.0
     if outcome.apply_error or outcome.moves is None:
         # The worker could not decode the solution into moves
         # (corrupt λ selection) — deterministic, not retried.
         result.windows_failed += 1
-        return "failed", 0, 0.0, ()
+        return "failed", 0, 0.0
     return _apply_guarded(design, params, outcome, result)
 
 
@@ -521,16 +543,14 @@ def _apply_guarded(
     params: OptParams,
     outcome: WindowTaskResult,
     result: DistOptResult,
-) -> tuple[str, int, float, tuple]:
+) -> tuple[str, int, float]:
     """Apply one window's moves behind the local-objective guard.
 
-    Returns ``(status, moved, delta, write)`` where ``delta`` is the
-    *exact* global objective change (``after − before`` over the
-    window's touched nets — every net whose HPWL/alignment terms an
-    applied move can change is in that set, so the local delta IS the
-    global delta) and ``write`` is the applied move's
-    :class:`~repro.core.dirty.DirtyWrite` (``()`` when nothing was
-    applied).
+    Returns ``(status, moved, delta)`` where ``delta`` is the *exact*
+    global objective change (``after − before`` over the window's
+    touched nets — every net whose HPWL/alignment terms an applied
+    move can change is in that set, so the local delta IS the global
+    delta).
     """
     snapshot = {
         name: _placement_of(design, name) for name in outcome.movable
@@ -541,7 +561,7 @@ def _apply_guarded(
         if design.placement_at(column, row, flipped) != snapshot[name]
     ]
     if not changed:
-        return "no_move", 0, 0.0, ()
+        return "no_move", 0, 0.0
     # The guard's "before" objective is only needed when something
     # moves, so a no-move window evaluates no objective at all.
     nets = [design.nets[name] for name in outcome.nets]
@@ -554,10 +574,9 @@ def _apply_guarded(
             inst = design.instances[name]
             inst.x, inst.y, inst.orientation = state
         result.windows_reverted += 1
-        return "reverted", 0, 0.0, ()
+        return "reverted", 0, 0.0
     result.windows_applied += 1
-    write = dirty_write_for_moves(design, changed, snapshot)
-    return "applied", len(changed), after_local - before_local, write
+    return "applied", len(changed), after_local - before_local
 
 
 def _placement_of(design: Design, name: str):

@@ -46,9 +46,9 @@ internal ordering.  Every λ gets a tiny objective perturbation —
 deterministic in the cell name and the candidate index, total weight
 below ``_TIE_BREAK_BUDGET`` — which makes the selected optimum a
 property of the *model*, not of the solve path.  That is what makes
-the reduced model select the optimum of the unreduced one at gap 0,
-and what makes a re-solved fixpoint window reproduce its earlier
-non-move (the soundness argument of :mod:`repro.core.dirty`).
+the reduced model select the optimum of the unreduced one at gap 0.
+(DistOpt's window memo does not lean on it: a skipped window's model
+is the remembered one, array for array, so it holds at any gap.)
 
 Every window model admits the identity assignment: candidate 0 (the
 current placement) for every cell, every alignment binary off and
@@ -65,7 +65,6 @@ import hashlib
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import add
 
 import numpy as np
 
@@ -401,41 +400,25 @@ def apply_solution(
 
 class SliceIndex:
     """A design's instances bucketed by row origin, so slicing a window
-    visits only the rows its probe rect spans.  Valid while the
-    placement does not change: DistOpt slices each family's windows
-    before applying any of them, and builds a new index only after a
-    family applied a move."""
+    visits only the rows its rect spans.  Valid while the placement
+    does not change: DistOpt slices each family's windows before
+    applying any of them, and builds a new index only after a family
+    applied a move."""
 
     def __init__(self, design: Design) -> None:
         instances = self.instances = list(design.instances.values())
-        xs = [inst.x for inst in instances]
-        ys = [inst.y for inst in instances]
-        heights = [inst.macro.height for inst in instances]
-        # A rect past every bbox's extremes overlaps every instance,
-        # the usual case on a small die; the rows are built only for
-        # a rect that is not.
-        self.extremes = (
-            max(xs, default=0),
-            max(ys, default=0),
-            min((inst.x + inst.macro.width for inst in instances), default=0),
-            min(map(add, ys, heights), default=0),
+        rows: dict[int, list[int]] = {}
+        for pos, inst in enumerate(instances):
+            rows.setdefault(inst.y, []).append(pos)
+        self._row_ys = sorted(rows)
+        self._rows = [rows[y] for y in self._row_ys]
+        self.max_h = max(
+            (inst.macro.height for inst in instances), default=0
         )
-        self.max_h = max(heights, default=0)
-        self._ys = ys
-        self._rows = None
 
     def overlapping(self, xlo: int, ylo: int, xhi: int, yhi: int):
         """Every instance whose bbox overlaps the open rect, in design
         order."""
-        x_max, y_max, x_end, y_end = self.extremes
-        if x_max < xhi and xlo < x_end and y_max < yhi and ylo < y_end:
-            return self.instances
-        if self._rows is None:
-            rows: dict[int, list[int]] = {}
-            for pos, y in enumerate(self._ys):
-                rows.setdefault(y, []).append(pos)
-            self._row_ys = sorted(rows)
-            self._rows = [rows[y] for y in self._row_ys]
         instances = self.instances
         found = []
         first = bisect_right(self._row_ys, ylo - self.max_h)
@@ -458,17 +441,19 @@ def window_slice(
 ) -> Design | None:
     """The minimal sub-design a worker-side window build needs.
 
-    Collects every instance whose bbox overlaps the window's probe
-    rect (everything :func:`build_window_model` reads spatially: the
-    movables plus every potential site blocker), the movable cells'
-    nets, and those nets' off-window terminal instances (HPWL anchors
-    read through ``pin_position``).  ``build_window_model`` on the
-    slice is input-identical to a build on the full design — same
-    movables, same blocked sites, same touched nets, same pin
-    geometry — so it produces the same model, bit for bit.
+    Collects every instance whose bbox overlaps the window rect (what
+    :func:`build_window_model` reads spatially: the movables, which lie
+    inside the rect, and every cell that may block one of its sites),
+    the movable cells' nets, and those nets' off-window terminal
+    instances (HPWL anchors read through ``pin_position``).  That is
+    the build's whole input: ``build_window_model`` on the slice is
+    input-identical to a build on the full design — same movables,
+    same blocked sites, same touched nets, same pin geometry — so it
+    produces the same model, bit for bit.  DistOpt's window memo keys
+    on exactly this set of instances.
 
     ``index`` is a :class:`SliceIndex` of the current placement (one
-    is built when none is given); it finds the probe rect's instances
+    is built when none is given); it finds the rect's instances
     without scanning the design.
 
     Returns ``None`` when the window holds no movable cell (nothing
@@ -480,10 +465,9 @@ def window_slice(
     """
     if index is None:
         index = SliceIndex(design)
-    probe = probe_rect(design, window)
     rect = window.rect
     wx0, wy0, wx1, wy1 = rect.xlo, rect.ylo, rect.xhi, rect.yhi
-    hits = index.overlapping(probe.xlo, probe.ylo, probe.xhi, probe.yhi)
+    hits = index.overlapping(wx0, wy0, wx1, wy1)
     instances: dict[str, Instance] = {}
     movable: set[str] = set()
     # Rect.contains_rect for the movables, without a bbox Rect per
@@ -545,18 +529,6 @@ def _perturb_ties(
             costs[col] += step * (k + 1)
 
 
-def probe_rect(design: Design, window: Window):
-    """The neighborhood a window build actually reads: the window rect
-    expanded far enough to see every blocking cell.  The dirty
-    tracker invalidates a window's clean mark when a moved cell
-    touches exactly this neighborhood, which covers every placement
-    the build reads."""
-    tech = design.tech
-    return window.rect.expanded(
-        max(tech.site_width * 64, tech.row_height * 4)
-    )
-
-
 def _blocked_sites(
     design: Design, window: Window, movable: set[str]
 ) -> set[tuple[int, int]]:
@@ -565,8 +537,8 @@ def _blocked_sites(
 
     Only cells overlapping the window rect can cover such a site, and
     every candidate footprint lies inside the window rect, so the scan
-    skips the rest of the probe neighborhood: the sites it leaves out
-    could never meet a candidate."""
+    skips every other instance (a slice holds terminals outside the
+    rect): the sites it leaves out could never meet a candidate."""
     blocked: set[tuple[int, int]] = set()
     rect = window.rect
     xlo, ylo, xhi, yhi = rect.xlo, rect.ylo, rect.xhi, rect.yhi

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from repro.chaos.inject import active_chaos
 from repro.chaos.inject import barrier as chaos_barrier
 from repro.core.checkpoint import VM1Checkpoint
-from repro.core.dirty import DirtyTracker
 from repro.core.distopt import DistOptResult, PassTotals, dist_opt
 from repro.core.objective import calculate_objective
 from repro.core.params import OptParams
@@ -58,7 +57,7 @@ def vm1_opt(
     progress=None,
     enable_flip: bool = True,
     enable_shift: bool = True,
-    dirty_tracking: bool = True,
+    window_memo: bool = True,
     objective_audit: bool = False,
     checkpoint_sink=None,
     resume: VM1Checkpoint | None = None,
@@ -84,27 +83,28 @@ def vm1_opt(
         enable_shift: shift the window grid between iterations so
             boundary cells get optimized (ablation knob; Algorithm 1
             line 9).
-        dirty_tracking: run the incremental convergence engine — a
-            cross-pass :class:`~repro.core.dirty.DirtyTracker` skips
-            verified-clean windows before slice/build, and the global
-            objective is delta-accounted from the guarded applies
-            instead of re-swept after every pass (both
-            behaviour-preserving; placements stay byte-identical with
-            the flag on or off).  Off, every pass re-solves every
+        window_memo: keep a window memo across the run's passes
+            (see :func:`~repro.core.distopt.dist_opt`'s ``memo``): a
+            window whose slice is unchanged since a solve of it that
+            moved nothing is skipped before the build.  The skip is
+            behaviour-preserving (placements stay byte-identical with
+            the memo on or off).  Off, every pass re-solves every
             window (plain Algorithm 2).
-        objective_audit: paranoia knob — with ``dirty_tracking``,
-            every pass also runs the full objective sweep and raises
-            if the delta-accounted value drifts ≥ 1e-6 from it.
+        objective_audit: paranoia knob — every pass also runs the
+            full objective sweep and raises if the delta-accounted
+            value drifts ≥ 1e-6 from it.
         checkpoint_sink: optional callable invoked with a
             :class:`~repro.core.checkpoint.VM1Checkpoint` after every
             completed DistOpt pass (crash-safe persistence is the
             caller's job, e.g. ``repro.service.jobstore``).
         resume: optional :class:`~repro.core.checkpoint.VM1Checkpoint`
-            to continue from: the checkpointed placement and dirty
-            state are restored and every pass up to and including the
-            checkpointed one is skipped.  Passes are deterministic, so
-            the resumed run finishes with a placement byte-identical
-            to the uninterrupted run.
+            to continue from: the checkpointed placement is restored
+            and every pass up to and including the checkpointed one
+            is skipped.  Passes are deterministic, so the resumed run
+            finishes with a placement byte-identical to the
+            uninterrupted run; the memo starts empty, so it re-solves
+            the windows the uninterrupted run skipped, to the same
+            non-moves.
 
     Returns:
         A :class:`VM1OptResult` with objective history and timing.
@@ -112,7 +112,8 @@ def vm1_opt(
         work done after the checkpoint; ``iterations`` continues the
         checkpointed count.
     """
-    dirty = DirtyTracker() if dirty_tracking else None
+    # Valid for this run only: params and the pass solvers are fixed.
+    memo: dict | None = {} if window_memo else None
     if executor is None:
         executor = SerialExecutor()
     started = time.perf_counter()
@@ -121,7 +122,7 @@ def vm1_opt(
     resume_u = resume_iter = -1
     resume_phase = ""
     if resume is not None:
-        resume.restore(design, dirty)
+        resume.restore(design)
         initial = resume.initial_objective
         objective = resume.objective
         tx, ty = resume.tx, resume.ty
@@ -150,7 +151,6 @@ def vm1_opt(
         checkpoint_sink(
             VM1Checkpoint.capture(
                 design,
-                dirty,
                 u_index=u_index,
                 iteration=iteration,
                 phase=phase,
@@ -212,10 +212,8 @@ def vm1_opt(
                             allow_flip=False,
                             executor=executor,
                             pass_label=f"move[{label}]",
-                            dirty=dirty,
-                            objective=(
-                                objective if dirty_tracking else None
-                            ),
+                            memo=memo,
+                            objective=objective,
                             audit=objective_audit,
                         )
                         _absorb(result, move_pass)
@@ -237,10 +235,8 @@ def vm1_opt(
                             allow_flip=True,
                             executor=executor,
                             pass_label=f"flip[{label}]",
-                            dirty=dirty,
-                            objective=(
-                                objective if dirty_tracking else None
-                            ),
+                            memo=memo,
+                            objective=objective,
                             audit=objective_audit,
                         )
                         _absorb(result, flip_pass)

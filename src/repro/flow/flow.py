@@ -149,7 +149,7 @@ class FlowConfig:
             (ignored when the resolved shard count is 1).
 
     Every window model is built already reduced (DESIGN.md §7), and the
-    dirty tracker always runs; the switch that turns it off is
+    window memo always runs; the switch that turns it off is
     ``vm1_opt``'s (see DESIGN.md §11).
     """
 

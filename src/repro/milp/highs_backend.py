@@ -41,10 +41,19 @@ with it off, HiGHS 1.12.0 reports a wrong optimum on one OpenM1 window
 certifier's setting.  The census result is committed as
 ``benchmarks/results/highs_census.json``; DESIGN.md §7 says why no
 other option joined these two.
+
+HiGHS 1.12.0 writes some messages straight to file descriptor 1 (e.g.
+``HighsMipSolverData::transformNewIntegerFeasibleSolution
+tmpSolver.run();``), whatever its log options say;
+:func:`stdout_to_stderr` keeps a program's own stdout report clean.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import os
+import sys
 import time
 
 import numpy as np
@@ -58,6 +67,36 @@ try:  # pragma: no cover - exercised implicitly on this SciPy
     from scipy.optimize._highspy import _core as _highs
 except ImportError:  # pragma: no cover - future SciPy layouts
     _highs = None
+
+@contextlib.contextmanager
+def stdout_to_stderr():
+    """Point file descriptor 1 at stderr while the block runs.
+
+    Whatever HiGHS (or anything else) writes to fd 1 inside the block
+    lands on stderr, in worker processes started inside it too.
+    Python's and the C library's stdio are flushed on the way in and
+    out, so what the caller prints after the block is all that reaches
+    stdout.
+    """
+    _flush_stdio()
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        yield
+    finally:
+        _flush_stdio()
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
+def _flush_stdio() -> None:
+    sys.stdout.flush()
+    sys.stderr.flush()
+    fflush = ctypes.CDLL(None).fflush
+    fflush.argtypes = [ctypes.c_void_p]
+    fflush.restype = ctypes.c_int
+    fflush(None)  # NULL: every C stdio output stream
+
 
 #: ``scipy.optimize.milp`` status codes (the fallback path).
 _STATUS_MAP = {

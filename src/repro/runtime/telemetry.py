@@ -2,7 +2,7 @@
 
 Spans are the one run record.  Every built window leaves a ``window``
 span (``build``/``solve`` children, and the apply verdict
-stamped on it by the submitting side), every dirty-tracker skip a
+stamped on it by the submitting side), every window-memo skip a
 zero-length ``skipped_clean`` span, every DistOpt pass a ``distopt``
 span with the pass totals, and the run root — ``vm1_opt``, or a
 flow's ``opt`` stage — the run totals.  :meth:`RunTelemetry.from_spans`

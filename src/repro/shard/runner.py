@@ -170,8 +170,7 @@ class ShardOutcome(PassTotals):
 class ShardTask:
     """Picklable shard work unit; ``run()`` executes in any executor.
 
-    The shard's ``vm1_opt`` runs with its defaults: dirty tracking
-    on.
+    The shard's ``vm1_opt`` runs with its defaults: window memo on.
     """
 
     index: int
@@ -490,7 +489,7 @@ def run_sharded(
     The shard runs are followed by the seam pass and an oracle check
     of the stitched placement, which raises
     :class:`StitchVerificationError` on any violation.  The shards
-    track dirty regions (``vm1_opt``'s default); there is no switch
+    keep a window memo (``vm1_opt``'s default); there is no switch
     here.
 
     Args:

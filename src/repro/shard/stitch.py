@@ -15,8 +15,8 @@ straddle a seam (within the halo margin) are optimized, letting both
 sides co-optimize with the real, post-shard positions.  It reuses the
 standard window machinery — independent families, guarded applies —
 so it can only improve the objective and always preserves legality.
-It carries no dirty tracker: a single pass has no earlier fixpoints
-to skip, and every window the filter admits is built.
+It keeps no window memo: a single pass has no earlier solves to
+remember, and every window the filter admits is built.
 
 The stitched result is finally verified with the independent
 :mod:`repro.check` oracle (plus the production checker); a non-empty

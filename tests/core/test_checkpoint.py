@@ -11,7 +11,6 @@ from repro.core import (
     VM1Checkpoint,
     vm1_opt,
 )
-from repro.core.dirty import DirtyTracker
 from repro.library import build_library
 from repro.netlist import generate_design
 from repro.placement import place_design
@@ -68,21 +67,33 @@ def test_from_dict_rejects_unknown_schema(reference):
         VM1Checkpoint.from_dict(doc)
 
 
-@pytest.mark.parametrize("which", ["first", "last", "parent_cache"])
+#: A ``dirty`` entry as the dirty tracker (the window memo's
+#: predecessor) wrote it: ``[mode, background rects, marks]``, each
+#: mark ``[key, probe rect, net names]``.
+DIRTY_ENTRY = [0, [], [[[0, 0, 1000, 1000, 2, 1, False],
+                        [-3500, -3500, 4500, 4500], ["n1", "n2"]]]]
+
+
+@pytest.mark.parametrize(
+    "which", ["first", "last", "parent_cache", "parent_dirty"]
+)
 def test_resume_reproduces_placement_byte_identical(
     reference, which
 ):
     """Resuming from any checkpoint finishes with the exact placement
     (and iteration count) of the uninterrupted run — the contract the
-    service's crash recovery rests on.  ``parent_cache`` resumes a
-    document in the older format that still carried window-cache
-    entries under ``cache``; the key is ignored."""
+    service's crash recovery rests on.  ``parent_cache`` and
+    ``parent_dirty`` resume documents in older formats that carried
+    window-cache entries under ``cache`` or dirty-tracker marks under
+    ``dirty``; both keys are ignored."""
     params, checkpoints, final_placement, result = reference
     cp = checkpoints[0] if which == "first" else checkpoints[-2]
     # Serialize across the "crash": resume from JSON, not the object.
     doc = cp.to_dict()
     if which == "parent_cache":
         doc["cache"] = [[[0, 0, 10, 10, 2, 1, False], "ab" * 16]]
+    if which == "parent_dirty":
+        doc["dirty"] = DIRTY_ENTRY
     cp = VM1Checkpoint.from_dict(json.loads(json.dumps(doc)))
     design = _fresh_design()
     resumed = vm1_opt(design, params, resume=cp)
@@ -91,34 +102,3 @@ def test_resume_reproduces_placement_byte_identical(
     assert resumed.final_objective == pytest.approx(
         result.final_objective
     )
-
-
-def test_mode_prefixed_dirty_state_imports_and_resumes():
-    """Checkpoints written while the dirty tracker had a second mode
-    store its state as ``[0, [], marks]``: a mode flag and background
-    dirt rects, always off and empty in a checkpoint.  The marks
-    import, and the run resumes to the uninterrupted placement."""
-    params = OptParams.for_arch(
-        CellArchitecture.CLOSED_M1,
-        sequence=(ParamSet.square(1.0, 3, 1),),
-        time_limit=2.0,
-    )
-    checkpoints = []
-    design = _fresh_design()
-    result = vm1_opt(design, params, checkpoint_sink=checkpoints.append)
-    final_placement = design.placement_snapshot()
-
-    doc = max(checkpoints[:-1], key=lambda c: len(c.dirty_state)).to_dict()
-    marks = doc["dirty"]
-    assert marks
-    doc["dirty"] = [0, [], marks]
-    cp = VM1Checkpoint.from_dict(json.loads(json.dumps(doc)))
-
-    tracker = DirtyTracker()
-    cp.restore(_fresh_design(), tracker)
-    assert tracker.export_state() == marks
-
-    design = _fresh_design()
-    resumed = vm1_opt(design, params, resume=cp)
-    assert design.placement_snapshot() == final_placement
-    assert resumed.iterations == result.iterations

@@ -107,16 +107,39 @@ def test_determinism(placed):
     assert first == second
 
 
+def brute_force_slice(design, window):
+    """A window slice by a full scan of the design: every instance
+    whose bbox overlaps the window rect (open test), in design order,
+    then the terminals of the contained movables' nets, in net order."""
+    rect = window.rect
+    instances = {
+        name: inst
+        for name, inst in design.instances.items()
+        if inst.bbox.overlaps_open(rect)
+    }
+    movable = {
+        name
+        for name, inst in instances.items()
+        if not inst.fixed and rect.contains_rect(inst.bbox)
+    }
+    if not movable:
+        return None
+    nets = design.nets_of_instances(movable)
+    for net in nets:
+        for ref in net.pins:
+            instances.setdefault(ref.instance, design.instances[ref.instance])
+    return list(instances), [net.name for net in nets]
+
+
 def test_indexed_slices_equal_full_scans(monkeypatch):
     """Over every pass of a reference flow, the slice each window gets
-    through its family's SliceIndex equals the full instance scan's
-    (the reference ``window_slice``): the same instances in the same
-    order, and the same nets.  The flow has a family that applies
-    nothing and hands its index to a next family that applies a move,
-    and every applied move drops the index."""
+    through its family's SliceIndex equals a brute-force scan of the
+    window rect: the same instances in the same order, and the same
+    nets.  The flow has a family that applies nothing and hands its
+    index to a next family that applies a move, and every applied move
+    drops the index."""
     from repro.core import ParamSet, distopt
     from repro.core.vm1opt import vm1_opt
-    from tests.reference.formulation import window_slice as full_scan
 
     tech = make_tech(CellArchitecture.CLOSED_M1)
     design = generate_design(
@@ -131,11 +154,10 @@ def test_indexed_slices_equal_full_scans(monkeypatch):
 
     def both(design, window, index):
         indexed = indexed_slice(design, window, index)
-        full = full_scan(design, window)
+        full = brute_force_slice(design, window)
         assert (indexed is None) == (full is None)
         if full is not None:
-            assert list(indexed.instances) == list(full.instances)
-            assert list(indexed.nets) == list(full.nets)
+            assert (list(indexed.instances), list(indexed.nets)) == full
         compared.append(window)
         return indexed
 
@@ -160,3 +182,54 @@ def test_indexed_slices_equal_full_scans(monkeypatch):
         )
         if not previous_applied
     )
+
+
+@pytest.mark.parametrize("arch", list(CellArchitecture))
+def test_slice_builds_equal_full_design_builds(monkeypatch, arch):
+    """For every window of a reference flow (memo off, so every window
+    is built), the model built on the window-rect slice equals the one
+    built on the full design, bit for bit: the slice is the build's
+    whole input."""
+    import numpy as np
+
+    from repro.core import ParamSet, distopt
+    from repro.core.formulation import build_window_model
+    from repro.core.vm1opt import vm1_opt
+
+    tech = make_tech(arch)
+    design = generate_design(
+        "aes", tech, build_library(tech), scale=0.008, seed=1
+    )
+    place_design(design, seed=1)
+    params = OptParams.for_arch(
+        arch, sequence=(ParamSet.square(1.0, 2, 1),), time_limit=10.0
+    )
+    task_class = distopt.WindowTask
+    compared = []
+
+    def checked_task(**task):
+        kwargs = dict(
+            lx=task["lx"], ly=task["ly"], allow_flip=task["allow_flip"]
+        )
+        on_slice = build_window_model(
+            task["design"], task["window"], task["params"], **kwargs
+        )
+        on_design = build_window_model(
+            design, task["window"], params, **kwargs
+        )
+        for name, value in vars(on_design.arrays).items():
+            other = getattr(on_slice.arrays, name)
+            if isinstance(value, np.ndarray):
+                assert value.dtype == other.dtype, name
+                assert value.tobytes() == other.tobytes(), name
+            else:
+                assert value == other, name
+        assert on_slice.movable == on_design.movable
+        assert on_slice.nets == on_design.nets
+        assert on_slice.pairs == on_design.pairs
+        compared.append(task["window"])
+        return task_class(**task)
+
+    monkeypatch.setattr(distopt, "WindowTask", checked_task)
+    vm1_opt(design, params, window_memo=False)
+    assert len(compared) >= 30

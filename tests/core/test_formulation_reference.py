@@ -8,7 +8,9 @@ architecture, as move and as flip passes, on pin shapes no generated
 case has, and on every window of two small flows.  The same flows pin the HiGHS input itself: a digest of
 the arrays and options of every HiGHS call, recorded before the build
 wrote its model reduced.  A change to the formulation must re-pin it
-openly.
+openly.  Each flow runs with the window memo off and on: off, HiGHS
+receives what it received before the memo existed; on, the same calls
+less those of the windows the memo skipped.
 """
 
 import dataclasses
@@ -42,20 +44,36 @@ FIELDS = (
 )
 
 #: (HiGHS calls, SHA-256 of their arrays and options) of each pinned
-#: flow.  The arrays were recorded while window models were still built
-#: as a ``Model`` and reduced by a separate presolve; the digests were
-#: re-pinned when the options gained ``mip_heuristic_run_rens: False``
-#: (without that key they hash to the earlier pins, so every call's
-#: arrays stayed the same).
+#: flow, with the window memo off and on.  The arrays were recorded
+#: while window models were still built as a ``Model`` and reduced by
+#: a separate presolve; the digests were re-pinned when the options
+#: gained ``mip_heuristic_run_rens: False`` (without that key they hash
+#: to the earlier pins, so every call's arrays stayed the same).  The
+#: memo-off pins are the calls the flows made under the dirty tracker
+#: the memo replaced, which skipped no window of either flow; the
+#: memo-on pins drop the calls of the windows the memo skips
+#: (:func:`test_memo_drops_only_the_skipped_calls`).
 PINNED_HIGHS_INPUT = {
-    CellArchitecture.CLOSED_M1: (
-        96,
-        "e73891b4fec838ccdd41a26b0dad7ef279f7afceb7dbffddc0099f76b90616df",
-    ),
-    CellArchitecture.OPEN_M1: (
-        100,
-        "17bc30a2a976cb8a310b03ea6acc3e2b50ab28bc18b816263376043ae8dffe7c",
-    ),
+    CellArchitecture.CLOSED_M1: {
+        False: (
+            96,
+            "e73891b4fec838ccdd41a26b0dad7ef279f7afceb7dbffddc0099f76b90616df",
+        ),
+        True: (
+            94,
+            "7796da5e2fd401ba0b37add5a66e91785ac09595cfe5db47fa219e03e1c4e2e7",
+        ),
+    },
+    CellArchitecture.OPEN_M1: {
+        False: (
+            100,
+            "17bc30a2a976cb8a310b03ea6acc3e2b50ab28bc18b816263376043ae8dffe7c",
+        ),
+        True: (
+            96,
+            "c0e6f57b39c4fe43ccec3e614782510f20ecb5cca26f725034790570c36b6373",
+        ),
+    },
 }
 
 
@@ -133,58 +151,88 @@ def test_check_cases_cover_every_architecture():
 
 @pytest.fixture(scope="module", params=list(PINNED_HIGHS_INPUT))
 def pinned_flow(request):
-    """Run the pinned flow of one architecture, checking every window
-    build against the reference and hashing every HiGHS call."""
+    """Run the pinned flow of one architecture with the memo off and
+    on, checking every window build against the reference and hashing
+    every HiGHS call, whole and one by one."""
     arch = request.param
     tech = make_tech(arch)
-    design = generate_design(
-        "aes", tech, build_library(tech), scale=0.008, seed=1
-    )
-    place_design(design, seed=1)
     params = OptParams.for_arch(
         arch, sequence=(ParamSet.square(1.0, 2, 1),), time_limit=10.0
     )
-    run = {"windows": 0, "mismatches": [], "calls": 0}
-    digest = hashlib.sha256()
-    build = formulation.build_window_model
-    invoke = HighsBackend._invoke
-
-    def checked_build(design, window, params, *, lx, ly, allow_flip):
-        built = build(
-            design, window, params, lx=lx, ly=ly, allow_flip=allow_flip
+    runs = {}
+    for memo in (False, True):
+        design = generate_design(
+            "aes", tech, build_library(tech), scale=0.008, seed=1
         )
-        reference = reference_arrays(
-            design, window, params, lx=lx, ly=ly, allow_flip=allow_flip
-        )
-        run["windows"] += 1
-        field = mismatch(None if built is None else built.arrays, reference)
-        if field:
-            run["mismatches"].append((window.ix, window.iy, field))
-        return built
+        place_design(design, seed=1)
+        runs[memo] = run = {
+            "windows": 0, "mismatches": [], "calls": [], "skipped": 0
+        }
+        digest = hashlib.sha256()
+        build = formulation.build_window_model
+        invoke = HighsBackend._invoke
 
-    def hashed_invoke(arrays, options):
-        run["calls"] += 1
-        for name, dtype in FIELDS:
-            values = np.ascontiguousarray(getattr(arrays, name), dtype=dtype)
-            digest.update(f"{name}:{values.size};".encode())
-            digest.update(values.tobytes())
-        digest.update(repr(sorted(options.items())).encode())
-        return invoke(arrays, options)
+        def checked_build(design, window, params, *, lx, ly, allow_flip):
+            built = build(
+                design, window, params, lx=lx, ly=ly, allow_flip=allow_flip
+            )
+            reference = reference_arrays(
+                design, window, params, lx=lx, ly=ly, allow_flip=allow_flip
+            )
+            run["windows"] += 1
+            field = mismatch(
+                None if built is None else built.arrays, reference
+            )
+            if field:
+                run["mismatches"].append((window.ix, window.iy, field))
+            return built
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(formulation, "build_window_model", checked_build)
-        patch.setattr(HighsBackend, "_invoke", staticmethod(hashed_invoke))
-        vm1_opt(design, params)
-    run["digest"] = digest.hexdigest()
-    return arch, run
+        def hashed_invoke(arrays, options):
+            call = hashlib.sha256()
+            for name, dtype in FIELDS:
+                values = np.ascontiguousarray(
+                    getattr(arrays, name), dtype=dtype
+                )
+                for hashed in (digest, call):
+                    hashed.update(f"{name}:{values.size};".encode())
+                    hashed.update(values.tobytes())
+            for hashed in (digest, call):
+                hashed.update(repr(sorted(options.items())).encode())
+            run["calls"].append(call.hexdigest())
+            return invoke(arrays, options)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formulation, "build_window_model", checked_build)
+            patch.setattr(
+                HighsBackend, "_invoke", staticmethod(hashed_invoke)
+            )
+            result = vm1_opt(design, params, window_memo=memo)
+        run["digest"] = digest.hexdigest()
+        run["skipped"] = result.windows_skipped_clean
+    return arch, runs
 
 
 def test_arrays_match_reference_on_every_window_of_a_flow(pinned_flow):
-    _, run = pinned_flow
-    assert run["windows"] >= 90
-    assert run["mismatches"] == []
+    _, runs = pinned_flow
+    assert runs[False]["windows"] >= 90
+    assert runs[False]["mismatches"] == runs[True]["mismatches"] == []
 
 
 def test_highs_input_is_pinned(pinned_flow):
-    arch, run = pinned_flow
-    assert (run["calls"], run["digest"]) == PINNED_HIGHS_INPUT[arch]
+    arch, runs = pinned_flow
+    pinned = {
+        memo: (len(run["calls"]), run["digest"])
+        for memo, run in runs.items()
+    }
+    assert pinned == PINNED_HIGHS_INPUT[arch]
+
+
+def test_memo_drops_only_the_skipped_calls(pinned_flow):
+    """The memo-on call list is the memo-off list with one call taken
+    out per skipped window, every other call in order and unchanged."""
+    _, runs = pinned_flow
+    off, on = runs[False]["calls"], runs[True]["calls"]
+    assert runs[True]["skipped"] > 0
+    assert len(off) - len(on) == runs[True]["skipped"]
+    remaining = iter(off)
+    assert all(call in remaining for call in on)

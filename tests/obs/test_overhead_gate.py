@@ -98,7 +98,7 @@ def incremental_doc(**overrides):
         "speedup": 1.5,
         "placements_identical": True,
         "objective_delta": 0.0,
-        "dirty_on": {"windows_skipped_clean": 12},
+        "memo_on": {"windows_skipped_clean": 12},
     }
     doc.update(overrides)
     return doc
@@ -124,9 +124,9 @@ CASES = {
         ),
         "drift": (incremental_doc(objective_delta=1e-6), 1),
         "no_skips": (
-            incremental_doc(dirty_on={"windows_skipped_clean": 0}), 1
+            incremental_doc(memo_on={"windows_skipped_clean": 0}), 1
         ),
-        "skips_absent": (incremental_doc(dirty_on={}), 2),
+        "skips_absent": (incremental_doc(memo_on={}), 2),
     },
 }
 for _cases in CASES.values():

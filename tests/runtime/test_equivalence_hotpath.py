@@ -71,7 +71,7 @@ def full_run():
     )
     design = fresh_design()
     result = vm1_opt(
-        design, params, enable_shift=False, dirty_tracking=False
+        design, params, enable_shift=False, window_memo=False
     )
     return design.placement_snapshot(), result
 

@@ -204,21 +204,20 @@ def test_v5_json_roundtrip_from_real_run(tmp_path):
     """Write → read → validate the fields the service's progress
     stream depends on (schema id, presolve seconds, clean-skip
     counts), and that v5 carries no window-cache section."""
-    from repro.core.dirty import DirtyTracker
     from repro.core.distopt import dist_opt
 
     design, params = _small_design()
-    dirty = DirtyTracker()
+    memo: dict = {}
     tracer = Tracer()
     with tracer_scope(tracer):
         for pass_label in ("flip[u0.i0]", "flip[u0.i1]", "flip[u0.i2]"):
             # Same grid each time: flip passes settle within two
-            # passes, and a later pass skips the windows verified as
-            # fixpoints that no apply has touched since.
+            # passes, and a later pass skips the windows whose slices
+            # are unchanged since a solve of them moved nothing.
             dist_opt(
                 design, params, tx=0, ty=0, bw=1250, bh=1080, lx=0,
                 ly=0, allow_flip=True, pass_label=pass_label,
-                dirty=dirty,
+                memo=memo,
             )
     telemetry = RunTelemetry.from_spans(tracer.spans)
     # In-memory recording is not a trace.
