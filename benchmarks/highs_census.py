@@ -22,8 +22,15 @@ Every answer must be sound:
 The backend's own options must be one of the candidates, so the census
 always judges what the flow sends.  The script exits 1 on any unsound
 answer and 0 otherwise.  It reports the total and the slowest HiGHS
-call of each set per group, but does not gate them.  The report
-names the HiGHS and SciPy versions and goes to
+call of each set per group, but does not gate them.
+
+While the flows run, the script also times the window path: per group
+the flows' ``opt`` seconds, the seconds HiGHS spent in ``run()``
+(through a timing subclass of the binding's ``_Highs``) and, from
+those, the milliseconds per call spent outside ``run()``: the model
+build, the load and read-back, the decode, the guarded apply and the
+bookkeeping around them.  Also reported, not gated.  The report names
+the HiGHS and SciPy versions and goes to
 ``benchmarks/results/highs_census.json``.  Progress goes to stderr,
 with whatever HiGHS writes to fd 1 during the solves; stdout holds the
 one verdict line.
@@ -32,6 +39,7 @@ one verdict line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -107,18 +115,52 @@ def flow_config(
     )
 
 
-def capture(config: FlowConfig) -> list[tuple]:
-    """``(arrays, options)`` of every HiGHS call ``run_flow`` makes."""
+def capture(config: FlowConfig) -> tuple[list[tuple], float, float]:
+    """``(arrays, options)`` of every HiGHS call ``run_flow`` makes,
+    the flow's ``opt`` seconds and the seconds HiGHS spent in
+    ``run()``."""
     calls = []
     invoke = HighsBackend._invoke
+    run_seconds = [0.0]
 
     def record(arrays, options):
         calls.append((arrays, dict(options)))
         return invoke(arrays, options)
 
-    with mock.patch.object(HighsBackend, "_invoke", staticmethod(record)):
-        run_flow(config)
-    return calls
+    with mock.patch.object(
+        HighsBackend, "_invoke", staticmethod(record)
+    ), timed_highs(run_seconds):
+        result = run_flow(config)
+    return calls, result.opt.wall_seconds, run_seconds[0]
+
+
+def timed_highs(seconds: list[float]):
+    """Patch the binding's ``_Highs`` with a subclass whose ``run()``
+    adds its wall seconds to ``seconds[0]``; a no-op on the public
+    ``milp`` path, which has no ``run()`` of its own to time."""
+    if highs_backend._highs is None:
+        return contextlib.nullcontext()
+    base = highs_backend._highs._Highs
+
+    class TimedHighs(base):
+        def run(self):
+            started = time.perf_counter()
+            try:
+                return super().run()
+            finally:
+                seconds[0] += time.perf_counter() - started
+
+    return mock.patch.object(highs_backend._highs, "_Highs", TimedHighs)
+
+
+def window_path(calls: int, opt_s: float, run_s: float) -> dict:
+    """The timing report of one group's flows."""
+    return {
+        "calls": calls,
+        "opt_s": round(opt_s, 4),
+        "run_s": round(run_s, 4),
+        "outside_run_ms_per_call": round(1e3 * (opt_s - run_s) / calls, 4),
+    }
 
 
 def options_for(recorded: dict, name: str) -> dict:
@@ -282,7 +324,7 @@ def main(argv=None) -> int:
     )
     started = time.perf_counter()
     report = {
-        "schema": "repro.bench.highs_census/v2",
+        "schema": "repro.bench.highs_census/v3",
         "highs_version": highs_version(),
         "scipy_version": scipy.__version__,
         "numpy_version": np.__version__,
@@ -302,12 +344,18 @@ def main(argv=None) -> int:
     with stdout_to_stderr():
         for label, arch, scale, lx, seeds in FLOWS:
             calls = []
+            opt_s = run_s = 0.0
             for seed in seeds:
-                captured = capture(flow_config(arch, scale, lx, seed))
+                captured, flow_opt_s, flow_run_s = capture(
+                    flow_config(arch, scale, lx, seed)
+                )
+                opt_s += flow_opt_s
+                run_s += flow_run_s
                 calls += [
                     (seed, index, arrays, options)
                     for index, (arrays, options) in enumerate(captured)
                 ]
+            timing = window_path(len(calls), opt_s, run_s)
             recorded += [(arrays, options) for _, _, arrays, options in calls]
             summary, flow_faults = census_of(calls)
             faults += [{"group": label, **fault} for fault in flow_faults]
@@ -317,9 +365,11 @@ def main(argv=None) -> int:
                 "lx": lx,
                 "seeds": list(seeds),
                 "models": len(calls),
+                "window_path": timing,
                 "sets": summary,
             }
             print(f"{label}: {len(calls)} models", file=sys.stderr)
+            print(f"  window path      {timing}", file=sys.stderr)
             for name, row in summary.items():
                 print(f"  {name:16s} {row}", file=sys.stderr)
     chosen = backend_set(recorded)

@@ -114,14 +114,23 @@ def run_chaos_case(
     profile: str = "m0",
     scale: float = 0.01,
     seed: int = 2,
-    time_limit: float = 1.0,
+    time_limit: float = 10.0,
 ) -> ChaosCaseResult:
     """Run one fault plan faulted-vs-clean; assert the invariant
-    ladder.  ``plan.run`` hints override the workload knobs."""
+    ladder.  ``plan.run`` hints override the workload knobs.
+
+    The VM1Opt workload runs the window geometry of the check axes
+    (:data:`repro.check.differential.AXIS_SEQUENCE`).  No window of the
+    clean run may time out or run to its limit
+    (:func:`~repro.runtime.telemetry.time_limit_errors`): its placement
+    would then depend on the machine's load.  The faulted run may, when
+    the plan injects a timeout."""
+    from repro.check.differential import AXIS_SEQUENCE
     from repro.core import OptParams
     from repro.core.vm1opt import vm1_opt
     from repro.obs.trace import Tracer, tracer_scope
     from repro.runtime import RunTelemetry, make_executor
+    from repro.runtime.telemetry import time_limit_errors
 
     hints = plan.run
     profile = str(hints.get("profile", profile))
@@ -132,14 +141,21 @@ def run_chaos_case(
 
     clean_design = _case_design(profile, scale, seed)
     params = OptParams.for_arch(
-        clean_design.tech.arch, time_limit=time_limit
+        clean_design.tech.arch,
+        sequence=AXIS_SEQUENCE,
+        time_limit=time_limit,
     )
-    clean = vm1_opt(clean_design, params)
+    clean_telemetry = RunTelemetry()
+    clean = vm1_opt(clean_design, params, telemetry=clean_telemetry)
     clean_snapshot = clean_design.placement_snapshot()
 
     controller = ChaosController(plan=plan)
     tracer = Tracer()
     result = ChaosCaseResult(plan=plan, converged=False)
+    result.errors.extend(
+        f"clean run: {error}"
+        for error in time_limit_errors(clean_telemetry.records, time_limit)
+    )
     faulted_design = _case_design(profile, scale, seed)
     checkpoints: list = []
     faulted = None
@@ -337,7 +353,7 @@ def run_fuzz(
     profile: str = "m0",
     scale: float = 0.01,
     case_seed: int = 2,
-    time_limit: float = 1.0,
+    time_limit: float = 10.0,
 ) -> dict:
     """Run ``count`` seeded random plans; shrink and save failures.
 

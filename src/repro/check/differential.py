@@ -52,13 +52,21 @@ from repro.milp import HighsBackend
 from repro.milp.solution import SolveStatus
 from repro.netlist import generate_design
 from repro.placement import place_design
-from repro.runtime import make_executor
+from repro.runtime import RunTelemetry, make_executor
+from repro.runtime.telemetry import time_limit_errors
 from repro.tech import AlignmentMode, CellArchitecture, make_tech
 
 #: Primary objectives are multiples of 0.5 (ε) and the λ tie-break
 #: budget is 0.45 < 0.5, so exact-optimum certification can use a
 #: purely numerical tolerance.
 _TOL = 1e-6
+
+#: The VM1Opt workload of the memo and resume axes (and of
+#: :func:`repro.chaos.runner.run_chaos_case`): perfbench's window
+#: geometry, whose windows solve far inside the limit, so every pass
+#: acts and no incumbent depends on the machine's load.
+AXIS_SEQUENCE = (ParamSet.square(1.0, 3, 1),)
+AXIS_TIME_LIMIT = 10.0
 
 
 def _certify_solver() -> HighsBackend:
@@ -433,17 +441,22 @@ def check_memo_onoff_axis(seed: int = 2, *, scale: float = 0.01) -> list[str]:
     fresh designs, memo on and off, with the drift audit armed (any
     delta-accounting drift raises inside the run).  Placements must
     match bit for bit, the objectives to the float tolerance, and the
-    iteration counts exactly.  The configurations are the default
-    shifting-grid ClosedM1 loop, where windows seldom repeat, and one
-    fixed-grid run to a small θ per architecture, where they do: each
-    of those memo-on runs must skip at least one window, or the axis
-    would not exercise the skip.
+    iteration counts exactly.  The configurations are the shifting-grid
+    ClosedM1 loop over :data:`AXIS_SEQUENCE`, where windows seldom
+    repeat, and one fixed-grid run to a small θ per architecture, where
+    they do: each of those memo-on runs must skip at least one window,
+    or the axis would not exercise the skip.  No window of any run may
+    time out or run to its limit (:func:`time_limit_errors`).
     """
     configs = [
         (
             "closedm1 shifting grid",
             CellArchitecture.CLOSED_M1,
-            OptParams.for_arch(CellArchitecture.CLOSED_M1, time_limit=5.0),
+            OptParams.for_arch(
+                CellArchitecture.CLOSED_M1,
+                sequence=AXIS_SEQUENCE,
+                time_limit=AXIS_TIME_LIMIT,
+            ),
             True,
         )
     ]
@@ -460,14 +473,22 @@ def check_memo_onoff_axis(seed: int = 2, *, scale: float = 0.01) -> list[str]:
         runs = {}
         for memo in (True, False):
             design = _axis_design(arch, scale=scale, seed=seed)
+            telemetry = RunTelemetry()
             result = vm1_opt(
                 design,
                 params,
                 enable_shift=shift,
                 window_memo=memo,
                 objective_audit=True,
+                telemetry=telemetry,
             )
             runs[memo] = (result, design.placement_snapshot())
+            errors.extend(
+                f"{label}, memo {'on' if memo else 'off'}: {error}"
+                for error in time_limit_errors(
+                    telemetry.records, params.time_limit
+                )
+            )
         (on, on_snapshot), (off, off_snapshot) = runs[True], runs[False]
         if on_snapshot != off_snapshot:
             diff = [
@@ -542,12 +563,20 @@ def check_resume_axis(
     arch: CellArchitecture = CellArchitecture.CLOSED_M1,
     scale: float = 0.01,
 ) -> list[str]:
-    """Checkpoint-resume must reproduce the straight run exactly."""
-    params = OptParams.for_arch(arch, time_limit=5.0)
+    """Checkpoint-resume must reproduce the straight run exactly, on
+    the :data:`AXIS_SEQUENCE` workload; no window of either run may
+    time out or run to its limit (:func:`time_limit_errors`)."""
+    params = OptParams.for_arch(
+        arch, sequence=AXIS_SEQUENCE, time_limit=AXIS_TIME_LIMIT
+    )
     checkpoints: list[VM1Checkpoint] = []
     design = _axis_design(arch, scale=scale, seed=seed)
+    straight_telemetry = RunTelemetry()
     straight = vm1_opt(
-        design, params, checkpoint_sink=checkpoints.append
+        design,
+        params,
+        checkpoint_sink=checkpoints.append,
+        telemetry=straight_telemetry,
     )
     final = design.placement_snapshot()
     if not checkpoints:
@@ -555,8 +584,21 @@ def check_resume_axis(
     # Resume across a serialization boundary, like a real crash.
     cp = VM1Checkpoint.loads(checkpoints[len(checkpoints) // 2].dumps())
     resumed_design = _axis_design(arch, scale=scale, seed=seed)
-    resumed = vm1_opt(resumed_design, params, resume=cp)
+    resumed_telemetry = RunTelemetry()
+    resumed = vm1_opt(
+        resumed_design, params, resume=cp, telemetry=resumed_telemetry
+    )
     errors: list[str] = []
+    for label, telemetry in (
+        ("straight", straight_telemetry),
+        ("resumed", resumed_telemetry),
+    ):
+        errors.extend(
+            f"{label} run: {error}"
+            for error in time_limit_errors(
+                telemetry.records, params.time_limit
+            )
+        )
     if resumed_design.placement_snapshot() != final:
         errors.append(
             "resumed placement differs from the straight run"

@@ -744,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="workload design/placement seed",
         )
         p.add_argument(
-            "--time-limit", type=_positive_float, default=1.0,
+            "--time-limit", type=_positive_float, default=10.0,
             help="per-window MILP time limit in seconds",
         )
         p.add_argument("--json", action="store_true")

@@ -24,8 +24,8 @@ The incremental engine rides on three cooperating pieces:
   every pass (plain Algorithm 2);
 * the pass objective is maintained as a running delta (the guarded
   apply already computes exact before/after local objectives over the
-  window's touched nets, and those nets fully cover the global
-  change), so passing ``objective=`` replaces the O(all-nets)
+  touched nets of the cells that move, and those nets fully cover the
+  global change), so passing ``objective=`` replaces the O(all-nets)
   ``calculate_objective`` sweep at pass end; ``audit=True`` recomputes
   the full sweep anyway and raises if the delta drifted;
 * per-window ``build_seconds`` now comes from the worker-side build.
@@ -43,8 +43,9 @@ counts, each window root span the apply verdict (see
 :func:`_absorb_spans`), each memo skip a ``skipped_clean`` span.
 
 Every applied window solution is guarded: the local objective
-(HPWL − α·alignments over the window's touched nets) is recomputed
-after the move and the move is reverted if it did not improve — this
+(HPWL − α·alignments over the nets of the cells that move) is
+recomputed after the move and the move is reverted if it did not
+improve — this
 protects against time-limited solves returning a worse incumbent.
 """
 
@@ -547,10 +548,10 @@ def _apply_guarded(
     """Apply one window's moves behind the local-objective guard.
 
     Returns ``(status, moved, delta)`` where ``delta`` is the *exact*
-    global objective change (``after − before`` over the window's
-    touched nets — every net whose HPWL/alignment terms an applied
-    move can change is in that set, so the local delta IS the global
-    delta).
+    global objective change (``after − before`` over the touched nets
+    of the cells that change place — every net whose HPWL/alignment
+    terms the move can change is in that set, so the local delta IS
+    the global delta).
     """
     snapshot = {
         name: _placement_of(design, name) for name in outcome.movable
@@ -562,9 +563,17 @@ def _apply_guarded(
     ]
     if not changed:
         return "no_move", 0, 0.0
-    # The guard's "before" objective is only needed when something
-    # moves, so a no-move window evaluates no objective at all.
-    nets = [design.nets[name] for name in outcome.nets]
+    # The guard's objectives are only needed when something moves, so
+    # a no-move window evaluates none; and only over the nets of the
+    # cells that move, in the window's net order, since no other
+    # net's terms change.
+    instances = design.instances
+    moving_nets = set()
+    for name in changed:
+        moving_nets.update(instances[name].net_of_pin.values())
+    nets = [
+        design.nets[name] for name in outcome.nets if name in moving_nets
+    ]
     before_local = calculate_objective(design, params, nets)
     for name, column, row, flipped in outcome.moves:
         design.place(name, column, row, flipped)

@@ -63,15 +63,16 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
 from repro.core.params import OptParams
-from repro.core.scp import Candidate, enumerate_candidates
+from repro.core.scp import Candidate
 from repro.core.window import Window
-from repro.geometry.orientation import X_MIRRORED
+from repro.geometry.orientation import X_MIRRORED, Orientation
 from repro.milp.extract import ModelArrays
 from repro.milp.solution import Solution
 from repro.netlist.design import Design, Instance, Net, PinRef
@@ -109,71 +110,86 @@ class WindowProblem:
         return len(self.pairs)
 
 
+#: Coordinate kinds, indexing a pin's ``lo``/``hi`` tuples the way
+#: :meth:`~repro.netlist.design.Instance.pin_access` lays out its
+#: answer: access point x and y, then the access shape's x-extent ends.
+_X, _Y, _LO, _HI = range(4)
+
+
 class _Pin:
     """One pin's attainable geometry.
 
-    A movable pin has one coordinate per candidate of its owner cell,
-    and ``cols`` are that cell's λ columns; a fixed pin has one
-    coordinate and no columns.  ``bound[kind]`` is the min and max of
-    coordinate ``kind``: ``x``, ``y``, and the x-interval ends ``lo``
-    and ``hi``.  The per-candidate lists (:meth:`values`) are built
-    only for the pins a row or a pair test reads.  A row holds
-    ``coordinate · λ`` terms for a movable pin and a constant for a
-    fixed one, so :meth:`part` gives the range of the pin's λ terms
-    and :meth:`const` its constant.
+    ``lo`` and ``hi`` hold, per coordinate kind (:data:`_X` …
+    :data:`_HI`), the least and largest value over the owner cell's
+    candidates.  A fixed pin has one placement, so they coincide, and
+    ``cols`` is empty.  A movable pin's
+    ``cols`` are its cell's λ columns, and its per-candidate
+    coordinates (:meth:`values`) are built only for the pins a row or a
+    pair test reads.  A row holds ``coordinate · λ`` terms for a
+    movable pin and a constant for a fixed one, so :meth:`part` gives
+    the range of the pin's λ terms and :meth:`const` its constant.
     """
 
-    __slots__ = ("inst", "cols", "movable", "bound", "_geo", "_values")
+    __slots__ = ("inst", "cols", "lo", "hi", "_geo", "_values")
 
-    def __init__(self, inst: str, cols, bound: dict, geo=None) -> None:
+    def __init__(self, inst: str, cols, lo: tuple, hi: tuple, geo=None):
         self.inst = inst
         self.cols = cols
-        self.movable = bool(cols)
-        self.bound = bound
-        #: the owner's candidate geometry and the pin's offsets, from
-        #: which :meth:`values` builds the coordinate lists.
+        self.lo = lo
+        self.hi = hi
+        #: the owner's candidate geometry and the pin's plain and
+        #: mirrored access tuples, from which :meth:`values` builds
+        #: the coordinate lists.
         self._geo = geo
-        self._values: dict = {}
+        self._values = [None] * 8 if cols else None
 
-    def values(self, kind: str) -> list[int]:
-        got = self._values.get(kind)
+    def values(self, kind: int) -> list[int]:
+        """The pin's ``kind`` coordinate under each candidate."""
+        if not self.cols:
+            return [self.lo[kind]]
+        got = self._values[kind]
         if got is None:
-            if not self.movable:
-                got = [self.bound[kind][0]]
+            cxs, cys, mirrored, plain, mirror = self._geo
+            if kind == _Y:
+                y_rel = plain[_Y]
+                got = [cy + y_rel for cy in cys]
+            elif mirrored is None:
+                off = plain[kind]
+                got = [cx + off for cx in cxs]
             else:
-                cxs, cys, mirrored, y_rel, offsets = self._geo
-                if kind == "y":
-                    got = [cy + y_rel for cy in cys]
-                else:
-                    off_n, off_m = offsets[kind]
-                    got = [
-                        cx + (off_m if m else off_n)
-                        for cx, m in zip(cxs, mirrored)
-                    ]
+                off_n = plain[kind]
+                off_m = mirror[kind]
+                got = [
+                    cx + (off_m if m else off_n)
+                    for cx, m in zip(cxs, mirrored)
+                ]
             self._values[kind] = got
         return got
 
-    def part(self, kind: str) -> tuple[int, int]:
+    def negated(self, kind: int) -> list[int]:
+        """``-values(kind)``: the coefficients of an HPWL row."""
+        got = self._values[kind + 4]
+        if got is None:
+            got = self._values[kind + 4] = [-v for v in self.values(kind)]
+        return got
+
+    def part(self, kind: int) -> tuple[int, int]:
         """Range of the pin's λ terms of ``kind`` in a row."""
-        return self.bound[kind] if self.movable else (0, 0)
+        return (self.lo[kind], self.hi[kind]) if self.cols else (0, 0)
 
-    def const(self, kind: str) -> float:
-        return 0.0 if self.movable else float(self.bound[kind][0])
+    def const(self, kind: int) -> float:
+        return 0.0 if self.cols else float(self.lo[kind])
 
-    def terms(self, kind: str, negate: bool) -> tuple[list, list]:
+    def terms(self, kind: int, negate: bool) -> tuple[list, list]:
         """Columns and coefficients of ``±kind`` over the pin's λ,
         zero coefficients left out."""
-        if not self.movable:
+        if not self.cols:
             return [], []
-        values = self.values(kind)
+        values = self.negated(kind) if negate else self.values(kind)
         if 0 in values:
-            kept = [
-                (col, -v if negate else v)
-                for col, v in zip(self.cols, values)
-                if v
-            ]
+            kept = [(col, v) for col, v in zip(self.cols, values) if v]
             return [c for c, _ in kept], [v for _, v in kept]
-        return list(self.cols), [-v for v in values] if negate else values
+        return list(self.cols), values
 
 
 class _Arrays:
@@ -198,14 +214,6 @@ class _Arrays:
         self.ub.append(ub)
         self.integer.append(integer)
         return len(self.c) - 1
-
-    def add_binaries(self, count: int) -> range:
-        start = len(self.c)
-        self.c.extend([0.0] * count)
-        self.lb.extend([0.0] * count)
-        self.ub.extend([1.0] * count)
-        self.integer.extend([1] * count)
-        return range(start, start + count)
 
     def add_row(self, cols, vals, lo: float, hi: float) -> None:
         self.cols.extend(cols)
@@ -238,96 +246,33 @@ def build_window_model(
     allow_flip: bool,
 ) -> WindowProblem | None:
     """Build the MILP for ``window``; None when nothing is optimizable."""
-    movable_insts = [
-        inst
-        for inst in design.instances_in(window.rect)
-        if not inst.fixed
-    ]
+    rect = window.rect
+    movable_insts, blocked = _scan(design, rect)
     if not movable_insts:
         return None
-    movable_names = [inst.name for inst in movable_insts]
-    movable_set = set(movable_names)
-
-    blocked = _blocked_sites(design, window, movable_set)
     out = _Arrays()
+    cells = _cells(design, rect, movable_insts, blocked, out,
+                   lx=lx, ly=ly, allow_flip=allow_flip)
+    if cells is None:  # should not happen: identity is always legal
+        return None
+    candidates, lambda_cols, geometry = cells
 
-    candidates: dict[str, list[Candidate]] = {}
-    lambda_cols: dict[str, range] = {}
-    #: λ column -> index of its cell
-    owner: list[int] = []
-    site_cover: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for cell, inst in enumerate(movable_insts):
-        cands = [
-            cand
-            for cand in enumerate_candidates(
-                design, inst, window.rect, lx=lx, ly=ly,
-                allow_flip=allow_flip,
-            )
-            if blocked.isdisjoint(cand.sites)
-        ]
-        if not cands:  # should not happen: identity is always legal
-            return None
-        candidates[inst.name] = cands
-        cols = out.add_binaries(len(cands))
-        lambda_cols[inst.name] = cols
-        owner.extend([cell] * len(cands))
-        if len(cands) == 1:
-            # The only candidate is selected: fixed, no selection row.
-            out.lb[cols.start] = 1.0
-        else:
-            out.add_row(list(cols), [1.0] * len(cands), 1.0, 1.0)
-        for cand, col in zip(cands, cols):
-            for site in cand.sites:
-                site_cover[site].append(col)
-
-    # A site row binds only where two cells' candidates meet: one
-    # cell's λ sum to at most 1 already.  λ columns ascend with the
-    # cell, so the first and last cover name the extreme cells.
-    covers: set[tuple[int, ...]] = set()
-    for _site, cols in sorted(site_cover.items()):
-        if owner[cols[0]] == owner[cols[-1]]:
-            continue
-        key = tuple(cols)
-        if key in covers:
-            continue
-        covers.add(key)
-        out.add_row(cols, [1.0] * len(cols), -_INF, 1.0)
-
-    nets = _touched_nets(design, movable_set)
+    cell_of = {inst.name: k for k, inst in enumerate(movable_insts)}
+    nets = _touched_nets(design, movable_insts)
     mode = design.tech.arch.alignment_mode
-    net_pins = _pin_geometry(
-        design, nets, movable_set, candidates, lambda_cols,
+    pins = _Pins(
+        design, nets, cell_of, geometry, lambda_cols,
         intervals=mode is AlignmentMode.OVERLAP,
     )
-    for net, pins in zip(nets, net_pins):
-        _hpwl_rows(out, net, pins, params.beta_of(net.name))
-
+    _hpwl_rows(out, pins, params)
     pairs: list[tuple[PinRef, PinRef, int]] = []
     if mode is not AlignmentMode.NONE and params.alpha > 0:
-        span = params.gamma * design.tech.row_height
-        reward = -float(params.alpha)
-        overlap_reward = -float(params.epsilon)
-        for net, pins in zip(nets, net_pins):
-            if not 2 <= net.degree <= params.max_net_degree:
-                continue
-            for i, j in _movable_pairs(pins):
-                p = pins[i]
-                q = pins[j]
-                if mode is AlignmentMode.ALIGN:
-                    d = _closedm1_pair(out, p, q, span)
-                else:
-                    d = _openm1_pair(
-                        out, p, q, span, params.delta, overlap_reward
-                    )
-                if d is not None:
-                    out.c[d] = reward
-                    pairs.append((net.pins[i], net.pins[j], d))
+        _pair_rows(out, pins, params, design.tech.row_height, mode, pairs)
 
-    _perturb_ties(out.c, movable_names, lambda_cols)
     return WindowProblem(
         window=window,
         arrays=out.finish(),
-        movable=movable_names,
+        movable=[inst.name for inst in movable_insts],
         candidates=candidates,
         lambda_cols=lambda_cols,
         pairs=pairs,
@@ -344,27 +289,23 @@ def solution_moves(
     the problem's canonical cell order.  This is the only part of a
     solution the parent needs to apply it, so it is what a
     :class:`~repro.runtime.task.WindowTask` ships back across the
-    process boundary.
+    process boundary.  Each cell's selection is read from its λ slice
+    of the solution's column vector (``Solution.x``); a λ is selected
+    when it exceeds 0.5, as :meth:`Solution.is_one` decides.
 
     Raises:
         ValueError: if any cell has no (or more than one) selected
             candidate — a corrupt solution.
     """
+    selected = (solution.x > 0.5).tolist()
     moves: list[tuple[str, int, int, bool]] = []
-    values = solution.values
     for name in problem.movable:
-        cands = problem.candidates[name]
         cols = problem.lambda_cols[name]
-        picked = [
-            cand
-            for cand, col in zip(cands, cols)
-            if values.get(col, 0.0) > 0.5  # Solution.is_one
-        ]
-        if len(picked) != 1:
-            raise ValueError(
-                f"{name}: {len(picked)} candidates selected"
-            )
-        cand = picked[0]
+        picks = selected[cols.start : cols.stop]
+        count = picks.count(True)
+        if count != 1:
+            raise ValueError(f"{name}: {count} candidates selected")
+        cand = problem.candidates[name][picks.index(True)]
         moves.append((name, cand.column, cand.row, cand.flipped))
     return tuple(moves)
 
@@ -501,155 +442,380 @@ def window_slice(
 
 
 # ---------------------------------------------------------------- helpers
-def _perturb_ties(
-    costs: list[float],
-    movable_names: list[str],
-    lambda_cols: dict[str, range],
-) -> None:
-    """Add the deterministic tie-break perturbation to the λ costs.
+#: A candidate's row-legal orientation by row parity and flip
+#: (:meth:`Orientation.for_row`).
+_ORIENTATION = {
+    (parity, flip): Orientation.for_row(parity, flip)
+    for parity in (0, 1)
+    for flip in (False, True)
+}
 
-    Per cell ``c`` each candidate ``k`` gains
-    ``scale_c * (k + 1) / (n_c + 1)`` where ``scale_c`` is derived
-    from a hash of the cell name.  Within a cell, adjacent candidates
-    are separated by at least ``scale_c / (n_c + 1)`` — orders of
-    magnitude above solver tolerances — and the total across all cells
-    stays below ``_TIE_BREAK_BUDGET`` so no primary-objective decision
-    can be reordered, only genuine ties.
-    """
-    budget = _TIE_BREAK_BUDGET / max(1, len(movable_names))
-    for name in movable_names:
-        digest = hashlib.blake2b(
-            name.encode(), digest_size=8
-        ).digest()
-        fraction = int.from_bytes(digest, "big") / 2**64
-        scale = budget * (0.5 + 0.5 * fraction)
-        cols = lambda_cols[name]
-        step = scale / (len(cols) + 1)
-        for k, col in enumerate(cols):
-            costs[col] += step * (k + 1)
+_name = attrgetter("name")
+
+#: ``Candidate``'s tuple constructor, without the generated ``__new__``.
+_new_candidate = tuple.__new__
 
 
-def _blocked_sites(
-    design: Design, window: Window, movable: set[str]
-) -> set[tuple[int, int]]:
-    """Sites inside the window footprinted by cells we may not move
-    (boundary-straddling or fixed cells).
+@lru_cache(maxsize=1 << 16)
+def _tie_weight(name: str) -> float:
+    """The share of its tie-break budget a cell spends, in [0.5, 1):
+    ``0.5 + 0.5 · f`` with ``f`` a hash of the cell name, so a
+    constant of the name."""
+    digest = hashlib.blake2b(name.encode(), digest_size=8).digest()
+    return 0.5 + 0.5 * (int.from_bytes(digest, "big") / 2**64)
 
-    Only cells overlapping the window rect can cover such a site, and
-    every candidate footprint lies inside the window rect, so the scan
-    skips every other instance (a slice holds terminals outside the
-    rect): the sites it leaves out could never meet a candidate."""
-    blocked: set[tuple[int, int]] = set()
-    rect = window.rect
+
+def _scan(design: Design, rect) -> tuple[list[Instance], dict]:
+    """One pass over the slice: the movable cells (inside the window
+    rect and not fixed), by name, and the sites of every other cell
+    overlapping the rect as ``row -> blocked columns``.
+
+    Only cells overlapping the rect can cover a site a candidate may
+    use, since every candidate footprint lies inside it; the slice's
+    other instances (terminals outside the rect) are skipped."""
     xlo, ylo, xhi, yhi = rect.xlo, rect.ylo, rect.xhi, rect.yhi
     die = design.die
     sw = design.tech.site_width
     rh = design.tech.row_height
-    # Set contents are order-independent — no need to sort the scan.
-    for name, inst in design.instances.items():
-        if name in movable:
-            continue
+    movable: list[Instance] = []
+    blocked: dict[int, set[int]] = {}
+    for inst in design.instances.values():
         x = inst.x
         y = inst.y
         macro = inst.macro
+        x_end = x + macro.width
+        y_end = y + macro.height
+        if x >= xhi or x_end <= xlo or y >= yhi or y_end <= ylo:
+            continue
         if (
-            x >= xhi
-            or x + macro.width <= xlo
-            or y >= yhi
-            or y + macro.height <= ylo
+            not inst.fixed
+            and xlo <= x
+            and x_end <= xhi
+            and ylo <= y
+            and y_end <= yhi
         ):
+            movable.append(inst)
             continue
         row = (y - die.ylo) // rh  # Design.row_of
         col = (x - die.xlo) // sw  # Design.column_of
-        for c in range(col, col + macro.width_sites):
-            blocked.add((row, c))
-    return blocked
+        taken = blocked.get(row)
+        if taken is None:
+            taken = blocked[row] = set()
+        taken.update(range(col, col + macro.width_sites))
+    movable.sort(key=_name)
+    return movable, blocked
 
 
-def _touched_nets(design: Design, movable: set[str]) -> list[Net]:
-    nets = design.nets_of_instances(movable)
-    return [net for net in nets if not net.is_trivial()]
+def _cells(design, rect, movable_insts, blocked, out, *, lx, ly, allow_flip):
+    """Every movable cell's candidates, λ columns and selection row,
+    then the site rows where two cells' candidates meet.
 
+    A cell's candidates are :func:`~repro.core.scp.enumerate_candidates`'
+    (the current placement first, then in (row, column, flip) order)
+    less those covering a blocked site.  Each λ column carries its
+    tie-break cost (module docstring): cell ``c``'s candidate ``k``
+    costs ``scale_c · (k + 1) / (n_c + 1)``, and the scales sum to at
+    most ``_TIE_BREAK_BUDGET``, so only genuine ties are reordered.
 
-def _pin_geometry(
-    design: Design,
-    nets: list[Net],
-    movable: set[str],
-    candidates: dict[str, list[Candidate]],
-    lambda_cols: dict[str, range],
-    *,
-    intervals: bool,
-) -> list[list[_Pin]]:
-    """Every touched pin's geometry, per net in pin order; the
-    x-interval ends ``lo``/``hi`` of movable pins only when
-    ``intervals`` (OpenM1 reads them)."""
-    pins: dict[PinRef, _Pin] = {}
-    # Candidate geometry is per *instance*, not per pin — hoist it out
-    # of the per-pin work so a cell's pins share one sweep.
-    inst_geo: dict[str, tuple] = {}
-    per_net = []
-    for net in nets:
-        net_pins = []
-        for ref in net.pins:
-            pin = pins.get(ref)
-            if pin is None:
-                pin = pins[ref] = _new_pin(
-                    design, ref, movable, candidates, lambda_cols,
-                    inst_geo, intervals,
+    Returns ``(candidates, lambda_cols, geometry)``, or None when a
+    cell has no candidate.  ``geometry`` holds per cell its candidates'
+    origins ``xs`` and ``ys``, their flips (None when all share the
+    flip given next), the ranges of the unflipped and flipped origin
+    x (None without such a candidate) and the y range.
+    """
+    die = design.die
+    sw = design.tech.site_width
+    rh = design.tech.row_height
+    dx = die.xlo
+    dy = die.ylo
+    num_columns = design.num_columns
+    last_row = design.num_rows - 1
+    # The die and window containment checks, clipped per axis.
+    first_col = -((dx - rect.xlo) // sw)
+    first_row = -((dy - rect.ylo) // rh)
+    budget = _TIE_BREAK_BUDGET / len(movable_insts)
+    c, lb, ub, integer = out.c, out.lb, out.ub, out.integer
+    candidates: dict[str, list[Candidate]] = {}
+    lambda_cols: dict[str, range] = {}
+    geometry = []
+    #: per row, each cell's ``(first column, end column)`` of its
+    #: candidates in the row.
+    spans: dict[int, list[tuple[int, int, int]]] = {}
+    widths = []
+    for cell, inst in enumerate(movable_insts):
+        macro = inst.macro
+        width = macro.width_sites
+        col0 = (inst.x - dx) // sw
+        row0 = (inst.y - dy) // rh
+        flip0 = inst.orientation in X_MIRRORED
+        col_lo = max(0, col0 - lx, first_col)
+        col_hi = min(
+            num_columns - width, col0 + lx, (rect.xhi - dx - macro.width) // sw
+        )
+        row_lo = max(0, row0 - ly, first_row)
+        row_hi = min(last_row, row0 + ly, (rect.yhi - dy - macro.height) // rh)
+        flips = (False, True) if allow_flip else (flip0,)
+        identity = col_lo <= col0 <= col_hi and row_lo <= row0 <= row_hi
+        cands: list[Candidate] = []
+        if identity:
+            taken = blocked.get(row0)
+            if not taken or taken.isdisjoint(range(col0, col0 + width)):
+                cands.append(
+                    _new_candidate(Candidate, (
+                        col0, row0, flip0, dx + col0 * sw, dy + row0 * rh,
+                        _ORIENTATION[row0 % 2, flip0], (),
+                    ))
                 )
-            net_pins.append(pin)
-        per_net.append(net_pins)
-    return per_net
+        for row in range(row_lo, row_hi + 1):
+            y = dy + row * rh
+            taken = blocked.get(row)
+            orients = [(flip, _ORIENTATION[row % 2, flip]) for flip in flips]
+            # The identity was placed first; its column skips its flip.
+            skip = col0 if identity and row == row0 else None
+            first = last = None
+            for col in range(col_lo, col_hi + 1):
+                if taken and not taken.isdisjoint(range(col, col + width)):
+                    continue
+                if first is None:
+                    first = col
+                last = col
+                x = dx + col * sw
+                for flip, orientation in orients:
+                    if col == skip and flip == flip0:
+                        continue
+                    cands.append(_new_candidate(
+                        Candidate, (col, row, flip, x, y, orientation, ())
+                    ))
+            if first is not None:
+                spans.setdefault(row, []).append((first, last + width, cell))
+        if not cands:
+            return None
+        count = len(cands)
+        start = len(c)
+        cols = range(start, start + count)
+        candidates[inst.name] = cands
+        lambda_cols[inst.name] = cols
+        widths.append(width)
+        step = budget * _tie_weight(inst.name) / (count + 1)
+        c.extend([step * k for k in range(1, count + 1)])
+        lb.extend([0.0] * count)
+        ub.extend([1.0] * count)
+        integer.extend([1] * count)
+        if count == 1:
+            # The only candidate is selected: fixed, no selection row.
+            lb[start] = 1.0
+        else:
+            out.add_row(cols, [1.0] * count, 1.0, 1.0)
+        _, _, cand_flips, xs, ys, _, _ = zip(*cands)
+        y_range = (min(ys), max(ys))
+        if cand_flips.count(flip0) == count:
+            x_range = (min(xs), max(xs))
+            geometry.append(
+                (xs, ys, None, flip0,
+                 None if flip0 else x_range, x_range if flip0 else None,
+                 *y_range)
+            )
+        else:
+            plain = [x for x, m in zip(xs, cand_flips) if not m]
+            mirror = [x for x, m in zip(xs, cand_flips) if m]
+            geometry.append(
+                (xs, ys, cand_flips, flip0,
+                 (min(plain), max(plain)) if plain else None,
+                 (min(mirror), max(mirror)) if mirror else None,
+                 *y_range)
+            )
+    _site_rows(out, spans, movable_insts, candidates, lambda_cols, widths)
+    return candidates, lambda_cols, geometry
 
 
-def _new_pin(
-    design, ref, movable, candidates, lambda_cols, inst_geo, intervals
-) -> _Pin:
-    inst = design.instances[ref.instance]
-    if ref.instance not in movable:
-        x, y, lo, hi = inst.pin_access(ref.pin)
-        return _Pin(
-            ref.instance,
-            (),
-            {"x": (x, x), "y": (y, y), "lo": (lo, lo), "hi": (hi, hi)},
-        )
-    geo = inst_geo.get(ref.instance)
-    if geo is None:
-        cands = candidates[ref.instance]
-        cxs = [c.x for c in cands]
-        cys = [c.y for c in cands]
-        mirrored = [c.orientation in X_MIRRORED for c in cands]
-        plain = [cx for cx, m in zip(cxs, mirrored) if not m]
-        mirror = [cx for cx, m in zip(cxs, mirrored) if m]
-        geo = inst_geo[ref.instance] = (
-            cxs,
-            cys,
-            mirrored,
-            (min(plain), max(plain)) if plain else None,
-            (min(mirror), max(mirror)) if mirror else None,
-            min(cys),
-            max(cys),
-        )
-    cxs, cys, mirrored, plain, mirror, cy_min, cy_max = geo
-    # The pin's relative geometry has exactly two variants (plain /
-    # x-mirrored), both precomputed in the macro's pin table.
-    (x_n, y_rel, lo_n, hi_n), (x_m, _, lo_m, hi_m) = (
-        inst.macro.pin_access[ref.pin]
-    )
-    offsets = {"x": (x_n, x_m), "lo": (lo_n, lo_m), "hi": (hi_n, hi_m)}
-    bound = {
-        "x": _ends(plain, mirror, x_n, x_m),
-        "y": (cy_min + y_rel, cy_max + y_rel),
+def _site_rows(out, spans, movable_insts, candidates, lambda_cols, widths):
+    """Constraint (9) where it can bind, in site order.
+
+    A site row binds only where two cells' candidates meet: one cell's
+    λ sum to at most 1 already.  Every distinct cover is written once.
+    A site two cells cover lies in both cells' spans of that row, so
+    only cells whose span meets another's are swept; a flip window's
+    candidates keep their cells' own footprints, which meet nothing.
+    """
+    #: per row with a meeting, its first site and its meeting cells
+    base: dict[int, int] = {}
+    meeting: set[tuple[int, int]] = set()
+    for row, row_spans in spans.items():
+        for i, (first, end, cell) in enumerate(row_spans):
+            for other_first, other_end, other in row_spans[i + 1 :]:
+                if first < other_end and other_first < end:
+                    meeting.add((row, cell))
+                    meeting.add((row, other))
+                    low = min(first, other_first)
+                    if base.get(row, low) >= low:
+                        base[row] = low
+    if not meeting:
+        return
+    # row -> covering λ columns per site from the row's base, ascending:
+    # cells and their candidates are visited in column order.
+    cover = {
+        row: [[] for _ in range(max(end for _, end, _ in spans[row]) - low)]
+        for row, low in base.items()
     }
-    if intervals:
-        bound["lo"] = _ends(plain, mirror, lo_n, lo_m)
-        bound["hi"] = _ends(plain, mirror, hi_n, hi_m)
-    return _Pin(
-        ref.instance,
-        lambda_cols[ref.instance],
-        bound,
-        (cxs, cys, mirrored, y_rel, offsets),
-    )
+    owner: dict[int, int] = {}
+    for cell, inst in enumerate(movable_insts):
+        width = widths[cell]
+        for cand, col in zip(candidates[inst.name], lambda_cols[inst.name]):
+            row = cand.row
+            if (row, cell) not in meeting:
+                continue
+            owner[col] = cell
+            sites = cover[row]
+            first = cand.column - base[row]
+            for site in range(first, first + width):
+                sites[site].append(col)
+    covers: set[tuple[int, ...]] = set()
+    for row in sorted(cover):
+        for cols in cover[row]:
+            if not cols or owner[cols[0]] == owner[cols[-1]]:
+                continue
+            key = tuple(cols)
+            if key in covers:
+                continue
+            covers.add(key)
+            out.add_row(cols, [1.0] * len(cols), -_INF, 1.0)
+
+
+def _touched_nets(design: Design, movable_insts: list[Instance]) -> list[Net]:
+    """The non-trivial nets of the movable cells, by name."""
+    names: set[str] = set()
+    for inst in movable_insts:
+        names.update(inst.net_of_pin.values())
+    nets = design.nets
+    return [
+        net
+        for net in (nets[name] for name in sorted(names))
+        if net.degree >= 2
+    ]
+
+
+class _Pins:
+    """The attainable coordinates of every touched net's pins, as flat
+    lists indexed by pin: the nets' pins in net order, each net's in pin
+    order (``start[n]`` is net ``n``'s first pin, ``start[-1]`` their
+    count).  Every pin is on exactly one net
+    (:meth:`~repro.netlist.design.Design.connect`), so each appears once.
+
+    Per pin, ``x_lo``/``x_hi`` and ``y_lo``/``y_hi`` bound its access
+    point over the owner cell's candidates, and with ``intervals``
+    (OpenM1) ``lo_lo``/``lo_hi`` and ``hi_lo``/``hi_hi`` the ends of
+    its access shape's x-extent.  A fixed pin has one placement, so its
+    bounds coincide and ``cell`` is -1; a movable pin's ``cell`` is its
+    cell's index, and ``movers[n]`` lists net ``n``'s movable pins.
+    The bounds decide which rows and pairs exist; only the pins those
+    read become :class:`_Pin` objects (:meth:`pin`).
+    """
+
+    def __init__(
+        self,
+        design: Design,
+        nets: list[Net],
+        cell_of: dict[str, int],
+        geometry: list[tuple],
+        lambda_cols: dict[str, range],
+        *,
+        intervals: bool,
+    ) -> None:
+        self.nets = nets
+        self.geometry = geometry
+        self.lambda_cols = lambda_cols
+        self.intervals = intervals
+        instances = design.instances
+        self.start = start = []
+        self.movers = movers = []
+        self.inst = inst_of = []
+        self.cell = cell_list = []
+        #: per pin, its ``pin_access`` answer when fixed, else its
+        #: macro's plain and mirrored access tuples.
+        self.access = access_list = []
+        self.x_lo = x_lo = []
+        self.x_hi = x_hi = []
+        self.y_lo = y_lo = []
+        self.y_hi = y_hi = []
+        if intervals:
+            self.lo_lo = lo_lo = []
+            self.lo_hi = lo_hi = []
+            self.hi_lo = hi_lo = []
+            self.hi_hi = hi_hi = []
+        for net in nets:
+            start.append(len(inst_of))
+            net_movers = []
+            movers.append(net_movers)
+            for ref in net.pins:
+                name = ref.instance
+                inst = instances[name]
+                cell = cell_of.get(name, -1)
+                if cell >= 0:
+                    net_movers.append(len(inst_of))
+                inst_of.append(name)
+                cell_list.append(cell)
+                if cell < 0:
+                    access = inst.pin_access(ref.pin)
+                    access_list.append(access)
+                    x, y, lo, hi = access
+                    x_lo.append(x)
+                    x_hi.append(x)
+                    y_lo.append(y)
+                    y_hi.append(y)
+                    if intervals:
+                        lo_lo.append(lo)
+                        lo_hi.append(lo)
+                        hi_lo.append(hi)
+                        hi_hi.append(hi)
+                    continue
+                _, _, _, _, x_plain, x_mirror, y_min, y_max = geometry[cell]
+                plain, mirror = access = inst.macro.pin_access[ref.pin]
+                access_list.append(access)
+                low, high = _ends(x_plain, x_mirror, plain[_X], mirror[_X])
+                x_lo.append(low)
+                x_hi.append(high)
+                y_lo.append(y_min + plain[_Y])
+                y_hi.append(y_max + plain[_Y])
+                if intervals:
+                    low, high = _ends(
+                        x_plain, x_mirror, plain[_LO], mirror[_LO]
+                    )
+                    lo_lo.append(low)
+                    lo_hi.append(high)
+                    low, high = _ends(
+                        x_plain, x_mirror, plain[_HI], mirror[_HI]
+                    )
+                    hi_lo.append(low)
+                    hi_hi.append(high)
+        start.append(len(inst_of))
+        self._pins: dict[int, _Pin] = {}
+
+    def pin(self, k: int) -> _Pin:
+        """Pin ``k`` as a :class:`_Pin`, built on first use."""
+        got = self._pins.get(k)
+        if got is not None:
+            return got
+        if self.intervals:
+            lo = (self.x_lo[k], self.y_lo[k], self.lo_lo[k], self.hi_lo[k])
+            hi = (self.x_hi[k], self.y_hi[k], self.lo_hi[k], self.hi_hi[k])
+        else:
+            lo = (self.x_lo[k], self.y_lo[k])
+            hi = (self.x_hi[k], self.y_hi[k])
+        name = self.inst[k]
+        cell = self.cell[k]
+        if cell < 0:
+            got = _Pin(name, (), lo, hi)
+        else:
+            xs, ys, flips, flip0, *_ = self.geometry[cell]
+            plain, mirror = self.access[k]
+            if flips is None:
+                # Every candidate has one flip: one access tuple.
+                geo = (xs, ys, None, mirror if flip0 else plain, None)
+            else:
+                geo = (xs, ys, flips, plain, mirror)
+            got = _Pin(name, self.lambda_cols[name], lo, hi, geo)
+        self._pins[k] = got
+        return got
 
 
 def _ends(plain, mirror, off_n: int, off_m: int) -> tuple[int, int]:
@@ -666,81 +832,161 @@ def _ends(plain, mirror, off_n: int, off_m: int) -> tuple[int, int]:
     )
 
 
-def _hpwl_rows(
-    out: _Arrays, net: Net, pins: list[_Pin], beta: float
-) -> None:
-    """Constraints (2)-(3): the net's bounding-box columns and the pin
-    rows that can bind them.
+def _hpwl_rows(out: _Arrays, pins: _Pins, params: OptParams) -> None:
+    """Constraints (2)-(3): every touched net's bounding-box columns,
+    then the pin rows that can bind them.
 
     Every touched net has a movable pin (it was found through one).
-    A column's fixed-terminal bound and each pin's guaranteed
-    coordinate bound it; a pin's row binds only where the pin can
-    reach past that bound."""
-    moving = [pin for pin in pins if pin.movable]
-    # Two rows of one column coincide only for two pins of one cell.
-    repeated = len({pin.inst for pin in moving}) < len(moving)
-    columns = []
-    for kind, pads in (
-        ("x", [pad.x for pad in net.pads]),
-        ("y", [pad.y for pad in net.pads]),
-    ):
-        terminals = pads + [
-            pin.bound[kind][0] for pin in pins if not pin.movable
-        ]
-        los = [pin.bound[kind][0] for pin in moving]
-        his = [pin.bound[kind][1] for pin in moving]
-        # The max column lies above every pin's least coordinate and
-        # the min column below every pin's largest.
-        max_lb = max(los)
-        min_ub = min(his)
-        low = min(los)
-        high = max(his)
-        if terminals:
-            f_max = max(terminals)
-            f_min = min(terminals)
-            max_lb = max(max_lb, f_max)
-            min_ub = min(min_ub, f_min)
-            low = min(low, f_min)
-            high = max(high, f_max)
-        col_max = out.add_column(
-            float(max_lb), float(high), cost=0.0 + beta
-        )
-        col_min = out.add_column(
-            float(low), float(min_ub), cost=0.0 - beta
-        )
-        columns.append((kind, col_max, max_lb, col_min, min_ub, los, his))
+    The max column lies above every terminal's least coordinate and
+    the min column below every terminal's largest; a pin's row binds
+    only where the pin can reach past that bound.  Each net's columns
+    are ``xmax, xmin, ymax, ymin``; its rows follow its pins, x before
+    y and max before min."""
+    start = pins.start
+    x_lo, x_hi, y_lo, y_hi = pins.x_lo, pins.x_hi, pins.y_lo, pins.y_hi
+    base = len(out.c)
+    lb = out.lb
+    ub = out.ub
+    bounds = []
+    for n, net in enumerate(pins.nets):
+        first = start[n]
+        end = start[n + 1]
+        xs_lo = x_lo[first:end]
+        xs_hi = x_hi[first:end]
+        ys_lo = y_lo[first:end]
+        ys_hi = y_hi[first:end]
+        if net.pads:
+            pad_xs = [pad.x for pad in net.pads]
+            pad_ys = [pad.y for pad in net.pads]
+            xs_lo += pad_xs
+            xs_hi += pad_xs
+            ys_lo += pad_ys
+            ys_hi += pad_ys
+        x_lb = max(xs_lo)
+        x_ub = min(xs_hi)
+        y_lb = max(ys_lo)
+        y_ub = min(ys_hi)
+        # Integer bounds: ``finish`` converts them exactly.
+        lb += (x_lb, min(xs_lo), y_lb, min(ys_lo))
+        ub += (max(xs_hi), x_ub, max(ys_hi), y_ub)
+        bounds.append((x_lb, x_ub, y_lb, y_ub))
+    count = 4 * len(bounds)
+    if params.net_beta is None:
+        beta = params.beta
+        out.c += (0.0 + beta, 0.0 - beta, 0.0 + beta, 0.0 - beta) * len(bounds)
+    else:
+        for net in pins.nets:
+            beta = params.beta_of(net.name)
+            out.c += (0.0 + beta, 0.0 - beta, 0.0 + beta, 0.0 - beta)
+    out.integer += [0] * count
+    # A row repeats an earlier one of its column only for two pins of
+    # one cell with the same coordinates.
     seen: set[tuple] = set()
-    for i, pin in enumerate(moving):
-        for kind, col_max, max_lb, col_min, min_ub, los, his in columns:
-            # xmax >= pin: binds only if the pin can pass lb(xmax).
-            if his[i] > max_lb:
-                _pin_row(out, pin, kind, col_max, 0.0, _INF, seen, repeated)
-            # xmin <= pin: binds only if the pin can pass ub(xmin).
-            if los[i] < min_ub:
-                _pin_row(
-                    out, pin, kind, col_min, -_INF, 0.0, seen, repeated
-                )
+    for n, (x_lb, x_ub, y_lb, y_ub) in enumerate(bounds):
+        col = base + 4 * n
+        for k in pins.movers[n]:
+            if x_hi[k] > x_lb:
+                _pin_row(out, pins.pin(k), _X, col, 0.0, _INF, seen)
+            if x_lo[k] < x_ub:
+                _pin_row(out, pins.pin(k), _X, col + 1, -_INF, 0.0, seen)
+            if y_hi[k] > y_lb:
+                _pin_row(out, pins.pin(k), _Y, col + 2, 0.0, _INF, seen)
+            if y_lo[k] < y_ub:
+                _pin_row(out, pins.pin(k), _Y, col + 3, -_INF, 0.0, seen)
 
 
 def _pin_row(
     out: _Arrays,
     pin: _Pin,
-    kind: str,
+    kind: int,
     col: int,
     lo: float,
     hi: float,
     seen: set[tuple],
-    repeated: bool,
 ) -> None:
     """``column - pin.<kind>`` within ``[lo, hi]``, unless a pin of the
     same cell already wrote the same row."""
-    if repeated:
-        key = (col, pin.inst, tuple(pin.values(kind)))
-        if key in seen:
-            return
-        seen.add(key)
-    cols, vals = pin.terms(kind, True)
-    out.add_row([*cols, col], [*vals, 1.0], lo, hi)
+    key = (col, pin.inst, tuple(pin.values(kind)))
+    if key in seen:
+        return
+    seen.add(key)
+    negs = pin.negated(kind)
+    cols = out.cols
+    vals = out.vals
+    if 0 in negs:
+        for lam, value in zip(pin.cols, negs):
+            if value:
+                cols.append(lam)
+                vals.append(value)
+    else:
+        cols += pin.cols
+        vals += negs
+    cols.append(col)
+    vals.append(1.0)
+    out.row_ptr.append(len(cols))
+    out.lo.append(lo)
+    out.hi.append(hi)
+
+
+def _pair_rows(out, pins: _Pins, params, row_height, mode, pairs):
+    """The d columns and rows of every same-net pin pair that can
+    align (ClosedM1) or overlap (OpenM1), on distinct instances with at
+    least one movable; appends ``(p, q, d)`` to ``pairs``.
+
+    A pair whose pins cannot come within the γ row span, or whose x
+    ranges (OpenM1: access shapes) can never meet, is pruned on the
+    pins' bounds before either becomes a :class:`_Pin`."""
+    span = params.gamma * row_height
+    reward = -float(params.alpha)
+    overlap_reward = -float(params.epsilon)
+    delta = params.delta
+    max_degree = params.max_net_degree
+    align = mode is AlignmentMode.ALIGN
+    start = pins.start
+    inst = pins.inst
+    cell = pins.cell
+    y_lo, y_hi = pins.y_lo, pins.y_hi
+    if align:
+        near_lo, near_hi = pins.x_lo, pins.x_hi
+    else:
+        near_lo, near_hi = pins.lo_lo, pins.hi_hi
+    for n, net in enumerate(pins.nets):
+        if not 2 <= net.degree <= max_degree:
+            continue
+        first = start[n]
+        end = start[n + 1]
+        movers = pins.movers[n]
+        for i in range(first, end):
+            # A pair needs a movable pin: past a fixed i, only the
+            # movable pins after it.
+            later = (
+                range(i + 1, end)
+                if cell[i] >= 0
+                else movers[bisect_right(movers, i):]
+            )
+            for j in later:
+                if inst[i] == inst[j]:
+                    continue
+                if y_lo[i] - y_hi[j] > span or y_lo[j] - y_hi[i] > span:
+                    continue
+                if align:
+                    if near_hi[i] < near_lo[j] or near_hi[j] < near_lo[i]:
+                        continue
+                    d = _closedm1_pair(out, pins.pin(i), pins.pin(j), span)
+                else:
+                    if min(near_hi[i], near_hi[j]) - max(
+                        near_lo[i], near_lo[j]
+                    ) < delta:
+                        continue
+                    d = _openm1_pair(
+                        out, pins.pin(i), pins.pin(j), span, delta,
+                        overlap_reward,
+                    )
+                if d is not None:
+                    out.c[d] = reward
+                    pairs.append(
+                        (net.pins[i - first], net.pins[j - first], d)
+                    )
 
 
 def _row_bounds(
@@ -774,7 +1020,7 @@ def _row_bounds(
     return coef, rhs
 
 
-def _diff(p: _Pin, q: _Pin, kind: str):
+def _diff(p: _Pin, q: _Pin, kind: int):
     """``p.<kind> - q.<kind>``: its λ columns and coefficients, its
     constant, and the range of its λ terms."""
     p_cols, p_vals = p.terms(kind, False)
@@ -814,37 +1060,26 @@ def _pair_row(
     return (cols, vals, -_INF, rhs) if le else (cols, vals, rhs, _INF)
 
 
-def _movable_pairs(pins: list[_Pin]):
-    """Index pairs of a net's pins on distinct instances, at least one
-    movable."""
-    for i in range(len(pins)):
-        for j in range(i + 1, len(pins)):
-            if pins[i].inst == pins[j].inst:
-                continue
-            if pins[i].movable or pins[j].movable:
-                yield i, j
-
-
 def _closedm1_pair(
     out: _Arrays, p: _Pin, q: _Pin, span: int
 ) -> int | None:
     """Constraint (4) with a γ·H vertical window; returns the d column,
     or None when pruned."""
-    p_xlo, p_xhi = p.bound["x"]
-    q_xlo, q_xhi = q.bound["x"]
+    p_xlo, p_xhi = p.lo[_X], p.hi[_X]
+    q_xlo, q_xhi = q.lo[_X], q.hi[_X]
     if p_xhi < q_xlo or q_xhi < p_xlo:
         return None
-    if set(p.values("x")).isdisjoint(q.values("x")):
+    if set(p.values(_X)).isdisjoint(q.values(_X)):
         return None
-    p_ylo, p_yhi = p.bound["y"]
-    q_ylo, q_yhi = q.bound["y"]
+    p_ylo, p_yhi = p.lo[_Y], p.hi[_Y]
+    q_ylo, q_yhi = q.lo[_Y], q.hi[_Y]
     if max(p_ylo - q_yhi, q_ylo - p_yhi, 0) > span:
         return None
     g_x = float(max(p_xhi - q_xlo, q_xhi - p_xlo))
     g_y = float(max(p_yhi - q_ylo, q_yhi - p_ylo) + span)
     d = out.add_column(0.0, 1.0, 1)
     rows = []
-    for kind, g, reach in (("x", g_x, 0), ("y", g_y, span)):
+    for kind, g, reach in ((_X, g_x, 0), (_Y, g_y, span)):
         cols, vals, const, lo, hi = _diff(p, q, kind)
         for coef, le, rhs in ((g, True, g + reach), (-g, False, -(g + reach))):
             rows.append(_pair_row(cols, vals, const, lo, hi, d, coef, le, rhs))
@@ -865,17 +1100,17 @@ def _openm1_pair(
 ) -> int | None:
     """Constraints (11)-(14); returns the d column, or None when
     pruned."""
-    p_lo, p_lo_max = p.bound["lo"]
-    q_lo, q_lo_max = q.bound["lo"]
-    p_hi_min, p_hi = p.bound["hi"]
-    q_hi_min, q_hi = q.bound["hi"]
+    p_lo, p_lo_max = p.lo[_LO], p.hi[_LO]
+    q_lo, q_lo_max = q.lo[_LO], q.hi[_LO]
+    p_hi_min, p_hi = p.lo[_HI], p.hi[_HI]
+    q_hi_min, q_hi = q.lo[_HI], q.hi[_HI]
     lo_max = max(p_lo, q_lo)
     hi_min = min(p_hi, q_hi)
     best_overlap = hi_min - lo_max
     if best_overlap < delta:
         return None
-    p_ylo, p_yhi = p.bound["y"]
-    q_ylo, q_yhi = q.bound["y"]
+    p_ylo, p_yhi = p.lo[_Y], p.hi[_Y]
+    q_ylo, q_yhi = q.lo[_Y], q.hi[_Y]
     if max(p_ylo - q_yhi, q_ylo - p_yhi, 0) > span:
         return None
     # Relaxation constant for constraint (13): when d = 0 the bound
@@ -905,18 +1140,18 @@ def _openm1_pair(
     # a >= x_lo of each pin, b <= x_hi: bind only for a pin whose
     # interval can pass lb(a) / ub(b).  A fixed pin's are bounds.
     for pin, pin_lo_max in ((p, p_lo_max), (q, q_lo_max)):
-        if pin.movable and pin_lo_max - lb_a > _EPS:
-            cols, vals = pin.terms("lo", True)
+        if pin.cols and pin_lo_max - lb_a > _EPS:
+            cols, vals = pin.terms(_LO, True)
             out.add_row([*cols, a], [*vals, 1.0], 0.0, _INF)
     for pin, pin_hi_min in ((p, p_hi_min), (q, q_hi_min)):
-        if pin.movable and ub_b - pin_hi_min > _EPS:
-            cols, vals = pin.terms("hi", True)
+        if pin.cols and ub_b - pin_hi_min > _EPS:
+            cols, vals = pin.terms(_HI, True)
             out.add_row([*cols, b], [*vals, 1.0], -_INF, 0.0)
 
     d = out.add_column(0.0, 1.0, 1)
     v = out.add_column(0.0, 1.0, 1)
     g_y = float(max(p_yhi - q_ylo, q_yhi - p_ylo) + span)
-    cols, vals, const, lo, hi = _diff(p, q, "y")
+    cols, vals, const, lo, hi = _diff(p, q, _Y)
     for coef, le, rhs in ((-g_y, True, span), (g_y, False, -span)):
         row = _pair_row(cols, vals, const, lo, hi, v, coef, le, rhs)
         if row is not None:

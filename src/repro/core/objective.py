@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.params import OptParams
+from repro.geometry.orientation import X_MIRRORED
 from repro.netlist.design import Design, Net
 from repro.tech.arch import AlignmentMode
 
@@ -31,11 +32,19 @@ class AlignmentStats:
 
 
 def _pin_access(instances, net: Net) -> list[tuple]:
-    """``(instance, x, y, x_lo, x_hi)`` of every pin of ``net``."""
-    return [
-        (ref.instance, *instances[ref.instance].pin_access(ref.pin))
-        for ref in net.pins
-    ]
+    """``(instance, x, y, x_lo, x_hi)`` of every pin of ``net``: what
+    :meth:`~repro.netlist.design.Instance.pin_access` answers, read
+    from the macro's pin table without a call per pin."""
+    pins = []
+    for ref in net.pins:
+        name = ref.instance
+        inst = instances[name]
+        x, y, lo, hi = inst.macro.pin_access[ref.pin][
+            inst.orientation in X_MIRRORED
+        ]
+        ox = inst.x
+        pins.append((name, ox + x, inst.y + y, ox + lo, ox + hi))
+    return pins
 
 
 def _pair_stats(

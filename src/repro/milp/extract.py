@@ -2,10 +2,11 @@
 
 :func:`extract` converts a model — objective vector, integrality mask,
 variable bounds and the constraint matrix — in one pass, straight into
-row-major (CSR) arrays.  The result is viewed as a two-sided range
-constraint (``lo <= A x <= hi``, the form ``scipy.optimize.milp``
-wants) or as column-major arrays (the form the direct HiGHS driver
-passes) without another pass over the model.
+row-major (CSR) arrays.  The direct HiGHS driver loads those arrays as
+they are (HiGHS takes a row-wise matrix); the public
+``scipy.optimize.milp`` path views them as a two-sided range
+constraint (``lo <= A x <= hi``) without another pass over the
+model.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ class ModelArrays:
             row-major (CSR) index pointer, column indices and values,
             in constraint order and, within a row, coefficient order.
 
-    The matrix is viewed on demand: :attr:`a` as a SciPy CSR matrix,
-    :meth:`csc` as column-major arrays (what HiGHS takes).
+    HiGHS loads the row-major arrays as they are; :attr:`a` views
+    them as a SciPy CSR matrix on demand.
     """
 
     c: np.ndarray
@@ -67,23 +68,6 @@ class ModelArrays:
         return sparse.csr_matrix(
             (self.vals, self.cols, self.row_ptr), shape=(self.m, self.n)
         )
-
-    def csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``A`` column-major: ``(col_ptr, row_indices, values)``.
-
-        The same arrays ``a.tocsc()`` holds — within a column, entries
-        in ascending row order — built by one stable sort of the
-        row-major column indices instead of two SciPy matrix objects.
-        """
-        order = np.argsort(self.cols, kind="stable")
-        rows = np.repeat(
-            np.arange(self.m, dtype=np.int64), np.diff(self.row_ptr)
-        )
-        col_ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(self.cols, minlength=self.n), out=col_ptr[1:]
-        )
-        return col_ptr, rows[order], self.vals[order]
 
 
 def extract(model: Model) -> ModelArrays:

@@ -10,13 +10,23 @@ window-solve hot path — many small MILPs per flow — that glue cost
 about a fifth as much as HiGHS' own ``run()``.
 
 This backend hands the same arrays to the binding's array
-``passModel`` overload, without per-element copies, and sets the same
-options the wrapper would, so HiGHS receives a bit-identical model and
-option set and returns the same solution; it then reads back only the
-model status, the primal column values and the effort counts (branch
-and bound nodes, simplex iterations).  On a SciPy without ``_core``
-the public ``milp`` entry point is used instead, with the same
-options, and no effort is reported.  HiGHS receives, on every path:
+``passModel`` overload and sets the same options the wrapper would, so
+HiGHS receives the same model and option set and returns the same
+solution.  It loads the matrix row-wise, as
+:class:`~repro.milp.extract.ModelArrays` holds it and the window build
+writes it: HiGHS takes a row-wise matrix as readily as a column-wise
+one, and a column-major copy cost a sort and three index arrays per
+solve.  On every window model of the census reference flows the
+row-wise load got the column-wise load's answer bit for bit: model
+status, node and iteration counts, objective and column values.  After
+the run it reads back only the model status, two info values (the
+branch-and-bound node count and the simplex iteration count) and the
+primal column values; :class:`~repro.milp.solution.Solution` keeps
+those as one vector (``Solution.x``), integer columns snapped, which
+the window decode reads a cell's λ slice at a time.  On a SciPy
+without ``_core`` the public ``milp`` entry point is used instead,
+with the same options, and no effort is reported.  HiGHS receives, on
+every path:
 
 * ``log_to_console`` off (the direct driver; ``milp`` sets it itself);
 * ``mip_rel_gap``, the backend's gap;
@@ -121,7 +131,7 @@ if _highs is not None:
         _MS.kModelError: SolveStatus.INFEASIBLE,
         _MS.kUnbounded: SolveStatus.UNBOUNDED,
     }
-    _COLWISE = int(_highs.MatrixFormat.kColwise)
+    _ROWWISE = int(_highs.MatrixFormat.kRowwise)
     _MINIMIZE = int(_highs.ObjSense.kMinimize)
 
 #: From this many integer columns on, HiGHS spends more time in its own
@@ -144,13 +154,13 @@ def recommend_native_presolve(arrays: ModelArrays) -> bool:
 def _run_highs(arrays, options: dict):
     """One direct HiGHS run; returns ``(status, message, x, effort)``.
 
-    ``x`` is None unless HiGHS holds a usable primal solution: an
-    optimal one, or for a MIP the incumbent of a limit stop.
-    ``effort`` is ``(mip_node_count, simplex_iteration_count)`` of the
-    run, or None for a model HiGHS rejects on load.
+    The model is loaded row-wise, as the arrays hold it.  ``x`` is
+    None unless HiGHS holds a usable primal solution: an optimal one,
+    or for a MIP the incumbent of a limit stop.  ``effort`` is
+    ``(mip_node_count, simplex_iteration_count)`` of the run, or None
+    for a model HiGHS rejects on load.
     """
     h = _highs
-    col_ptr, rows, values = arrays.csc()
     highs = h._Highs()
     highs.setOptionValue("log_to_console", False)
     for key, value in options.items():
@@ -160,8 +170,8 @@ def _run_highs(arrays, options: dict):
     loaded = highs.passModel(
         arrays.n,
         arrays.m,
-        len(values),
-        _COLWISE,
+        len(arrays.vals),
+        _ROWWISE,
         _MINIMIZE,
         0.0,
         arrays.c,
@@ -169,9 +179,9 @@ def _run_highs(arrays, options: dict):
         arrays.ub,
         arrays.lo,
         arrays.hi,
-        col_ptr.astype(np.int32),
-        rows.astype(np.int32),
-        values,
+        arrays.row_ptr.astype(np.int32),
+        arrays.cols.astype(np.int32),
+        arrays.vals,
         arrays.integrality.astype(np.int32),
     )
     if loaded == h.HighsStatus.kError:
@@ -179,8 +189,7 @@ def _run_highs(arrays, options: dict):
         return _MODEL_STATUS[status], _message(highs, status), None, None
     run_status = highs.run()
     status = highs.getModelStatus()
-    info = highs.getInfo()
-    effort = (info.mip_node_count, info.simplex_iteration_count)
+    effort = _effort(highs)
     ours = _MODEL_STATUS.get(status, SolveStatus.ERROR)
     message = _message(highs, status)
     if run_status == h.HighsStatus.kError or not ours.has_solution:
@@ -189,10 +198,26 @@ def _run_highs(arrays, options: dict):
         # A limit stop: only a MIP's finite incumbent is a solution.
         if (
             not arrays.integrality.any()
-            or info.objective_function_value == h.kHighsInf
+            or highs.getInfo().objective_function_value == h.kHighsInf
         ):
             return ours, f"{message}; no feasible solution", None, effort
     return ours, message, highs.getSolution().col_value, effort
+
+
+def _effort(highs) -> tuple[int, int]:
+    """The run's ``(mip_node_count, simplex_iteration_count)``, read as
+    two info values rather than the whole ``HighsInfo``.  A status
+    other than ``kOk`` means HiGHS holds no valid info, and then
+    ``getInfo`` reports its reset counts."""
+    ok = _highs.HighsStatus.kOk
+    nodes_status, nodes = highs.getInfoValue("mip_node_count")
+    iterations_status, iterations = highs.getInfoValue(
+        "simplex_iteration_count"
+    )
+    if nodes_status != ok or iterations_status != ok:
+        info = highs.getInfo()
+        return info.mip_node_count, info.simplex_iteration_count
+    return nodes, iterations
 
 
 def _run_milp(arrays, options: dict):
@@ -213,11 +238,19 @@ def _run_milp(arrays, options: dict):
     return status, str(result.message), result.x, None
 
 
+#: HiGHS model status -> the message it is reported with, filled on
+#: first use (a status' wording is a constant of the binding).
+_MESSAGES: dict = {}
+
+
 def _message(highs, status) -> str:
-    return (
-        f"{highs.modelStatusToString(status)} "
-        f"(HiGHS model status {int(status)})"
-    )
+    message = _MESSAGES.get(status)
+    if message is None:
+        message = _MESSAGES[status] = (
+            f"{highs.modelStatusToString(status)} "
+            f"(HiGHS model status {int(status)})"
+        )
+    return message
 
 
 class HighsBackend:
@@ -327,16 +360,14 @@ class HighsBackend:
             )
 
         # Integer variables snap to the nearest integer in one
-        # vectorized pass; a per-variable round() was measurable on
-        # the window-solve hot path.
-        xs = np.asarray(result_x, dtype=np.float64)
-        snapped = np.where(
-            arrays.integrality == 1, np.rint(xs), xs
-        )
+        # vectorized pass, in place; ``Solution.values`` reads the
+        # vector.
+        x = np.array(result_x, dtype=np.float64)
+        np.rint(x, out=x, where=arrays.integrality == 1)
         return Solution(
             status=status,
-            objective=const + float(arrays.c @ snapped),
-            values=dict(enumerate(snapped.tolist())),
+            objective=const + float(arrays.c @ x),
+            x=x,
             solve_seconds=elapsed,
             message=message,
             mip_node_count=nodes,

@@ -39,9 +39,9 @@ append to one coherent trace.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
-import uuid
 from dataclasses import dataclass, field
 
 from repro.obs.profile import DIGEST_ATTR, SamplingProfiler
@@ -52,8 +52,9 @@ TRACE_SCHEMA = "repro.obs.trace/v1"
 
 def new_id() -> str:
     """A fresh 16-hex-digit identifier (collision-safe across
-    processes — workers mint their own span ids)."""
-    return uuid.uuid4().hex[:16]
+    processes — workers mint their own span ids): 64 bits from the
+    operating system's random source, as ``uuid4`` draws them."""
+    return os.urandom(8).hex()
 
 
 @dataclass

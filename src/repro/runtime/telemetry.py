@@ -68,6 +68,29 @@ class WindowRecord:
     degraded: bool = False
 
 
+#: A window solve that ran this close to its time limit was cut by it
+#: (perfbench's rule).
+TIME_LIMIT_SHARE = 0.98
+
+
+def time_limit_errors(records, time_limit: float) -> list[str]:
+    """The windows among ``records`` whose solve timed out or ran to
+    at least :data:`TIME_LIMIT_SHARE` of ``time_limit``: a run that
+    compares placements byte for byte must contain none, or the
+    incumbent it compares depends on the machine's load."""
+    errors = []
+    for rec in records:
+        where = f"window {rec.pass_label} ({rec.ix},{rec.iy})"
+        if rec.status == "timed_out":
+            errors.append(f"{where} timed out")
+        elif rec.solve_seconds >= TIME_LIMIT_SHARE * time_limit:
+            errors.append(
+                f"{where} solved in {rec.solve_seconds:.3f} s, at its "
+                f"{time_limit:g} s limit"
+            )
+    return errors
+
+
 def _has_totals(span) -> bool:
     return "windows_built" in span.attrs
 

@@ -4,7 +4,9 @@ checkpoint-resume vs straight run.
 
 The quick variants run in tier-1; the heavyweight process-pool and
 full-flow resume variants carry ``slow`` and run in the nightly job
-(plus the check-smoke CI job via ``repro check --axes ...``).
+(plus the check-smoke CI job via ``repro check --axes ...``).  The
+time-limit guard of the VM1Opt axes is tested here too: a window cut
+by its limit makes a byte-for-byte comparison depend on load.
 """
 
 import pytest
@@ -17,7 +19,10 @@ from repro.check.differential import (
 )
 from repro.check.serialize import clone_design
 from repro.core.formulation import apply_solution, build_window_model
-from repro.milp import SolveStatus
+from repro.milp import HighsBackend, SolveStatus
+from repro.milp.solution import Solution
+from repro.runtime import WindowRecord
+from repro.runtime.telemetry import time_limit_errors
 from tests.reference import reference_problem
 
 
@@ -71,3 +76,49 @@ def test_executor_axis_process_matches_serial():
 @pytest.mark.slow
 def test_resume_axis_matches_straight_run():
     assert check_resume_axis() == []
+
+
+def test_time_limit_errors_flags_cut_and_timed_out_windows():
+    ok = WindowRecord("move", 0, 0, 0, solve_seconds=0.5, status="applied")
+    cut = WindowRecord("move", 0, 1, 0, solve_seconds=9.8, status="no_move")
+    lost = WindowRecord("flip", 0, 2, 0, status="timed_out")
+    errors = time_limit_errors([ok, cut, lost], 10.0)
+    assert errors == [
+        "window move (1,0) solved in 9.800 s, at its 10 s limit",
+        "window flip (2,0) timed out",
+    ]
+
+
+def _time_limit_stop(self, arrays):
+    """Every solve stops at the backend's time limit with no
+    incumbent, as HiGHS reports it."""
+    return Solution(
+        status=SolveStatus.ERROR,
+        message="Time limit reached (HiGHS model status 13); "
+        "no feasible solution",
+    )
+
+
+def test_resume_axis_reports_windows_cut_by_the_time_limit(monkeypatch):
+    monkeypatch.setattr(HighsBackend, "solve_arrays", _time_limit_stop)
+    errors = check_resume_axis()
+    assert errors
+    assert all("timed out" in error for error in errors)
+    assert any(error.startswith("straight run: ") for error in errors)
+
+
+def test_chaos_case_reports_a_clean_run_cut_by_the_time_limit(monkeypatch):
+    from repro.chaos.plan import FaultPlan, FaultRule
+    from repro.chaos.runner import run_chaos_case
+
+    monkeypatch.setattr(HighsBackend, "solve_arrays", _time_limit_stop)
+    plan = FaultPlan(
+        seed=2,
+        faults=(FaultRule(site="runtime.worker", action="raise", nth=1),),
+    )
+    outcome = run_chaos_case(plan)
+    assert not outcome.converged
+    assert any(
+        error.startswith("clean run: ") and "timed out" in error
+        for error in outcome.errors
+    )

@@ -339,9 +339,9 @@ def test_time_limit_without_incumbent_marks_the_task_timed_out():
     assert "time limit" in result.error.lower()
 
 
-def _window_models(monkeypatch, arch, seed):
+def _window_models(monkeypatch, arch, seed, *, lx, ly, allow_flip):
     """The arrays and options of every HiGHS call one DistOpt pass
-    makes (each window model, presolved as in production)."""
+    makes (each window model, as the build writes it)."""
     from repro.core import OptParams
     from repro.core.distopt import dist_opt
     from repro.library import build_library
@@ -366,23 +366,15 @@ def _window_models(monkeypatch, arch, seed):
     place_design(design, seed=seed)
     params = OptParams.for_arch(arch, time_limit=10.0)
     dist_opt(
-        design, params, tx=0, ty=0, bw=1250, bh=1080, lx=2, ly=1,
-        allow_flip=False,
+        design, params, tx=0, ty=0, bw=1250, bh=1080, lx=lx, ly=ly,
+        allow_flip=allow_flip,
     )
     return calls
 
 
-@needs_direct
-@milp_passes_options
-@pytest.mark.parametrize("arch_name", ["CLOSED_M1", "OPEN_M1"])
-def test_direct_driver_matches_public_milp_on_window_models(
-    monkeypatch, arch_name
-):
-    from repro.tech import CellArchitecture
-
-    calls = _window_models(
-        monkeypatch, CellArchitecture[arch_name], seed=5
-    )
+def _assert_driver_matches_milp(calls) -> None:
+    """The driver's row-wise load answers every recorded call bit for
+    bit as the public ``milp`` entry point does."""
     assert len(calls) >= 5
     for index, (arrays, options) in enumerate(calls):
         assert options.items() >= FJ_RENS_OFF.items(), index
@@ -394,6 +386,40 @@ def test_direct_driver_matches_public_milp_on_window_models(
             direct = np.asarray(d_x, dtype=np.float64)
             public = np.asarray(p_x, dtype=np.float64)
             assert direct.tobytes() == public.tobytes(), index
+
+
+@needs_direct
+@milp_passes_options
+@pytest.mark.parametrize("arch_name", ["CLOSED_M1", "OPEN_M1"])
+def test_direct_driver_matches_public_milp_on_window_models(
+    monkeypatch, arch_name
+):
+    """A move pass's window models."""
+    from repro.tech import CellArchitecture
+
+    _assert_driver_matches_milp(
+        _window_models(
+            monkeypatch, CellArchitecture[arch_name], seed=5,
+            lx=2, ly=1, allow_flip=False,
+        )
+    )
+
+
+@needs_direct
+@milp_passes_options
+@pytest.mark.parametrize("arch_name", ["CLOSED_M1", "OPEN_M1"])
+def test_direct_driver_matches_public_milp_on_flip_window_models(
+    monkeypatch, arch_name
+):
+    """A flip pass's window models: half of a flow's HiGHS calls."""
+    from repro.tech import CellArchitecture
+
+    _assert_driver_matches_milp(
+        _window_models(
+            monkeypatch, CellArchitecture[arch_name], seed=5,
+            lx=0, ly=0, allow_flip=True,
+        )
+    )
 
 
 def load_model(doc: dict) -> Model:

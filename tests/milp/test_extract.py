@@ -1,4 +1,4 @@
-"""Sparse extraction: Model -> arrays, range and column-major views."""
+"""Sparse extraction: Model -> arrays and the range-form view."""
 
 import numpy as np
 import pytest
@@ -47,25 +47,3 @@ def test_extract_unconstrained_model():
     arrays = extract(m)
     assert arrays.a is None
 
-
-def test_csc_view_equals_scipy_tocsc():
-    m = Model("scattered")
-    xs = [m.add_continuous(f"x{i}", 0, 9) for i in range(5)]
-    m.add_constraint((3 * xs[4] + 2 * xs[0] - xs[2]) <= 7)
-    m.add_constraint((xs[2] + 5 * xs[1]) >= 1)
-    m.add_constraint((xs[0] - 4 * xs[4] + xs[3]).equals(2))
-    arrays = extract(m)
-    col_ptr, rows, values = arrays.csc()
-    csc = arrays.a.tocsc()
-    assert col_ptr.tolist() == csc.indptr.tolist()
-    assert rows.tolist() == csc.indices.tolist()
-    assert values.tobytes() == csc.data.tobytes()
-
-
-def test_csc_view_of_unconstrained_model_is_empty():
-    m = Model("free")
-    m.add_binary("x")
-    m.add_binary("y")
-    col_ptr, rows, values = extract(m).csc()
-    assert col_ptr.tolist() == [0, 0, 0]
-    assert rows.size == 0 and values.size == 0

@@ -85,3 +85,19 @@ class AlwaysErrorBackend:
 
     def solve_arrays(self, arrays) -> Solution:
         raise RuntimeError("solver is down")
+
+
+class CorruptBackend:
+    """Solves with HiGHS, then selects no candidate at all: every λ
+    column of the answer reads 0, so no cell decodes.  Counts its
+    calls (in-process executors only)."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def solve_arrays(self, arrays) -> Solution:
+        self.calls += 1
+        solution = HighsBackend().solve_arrays(arrays)
+        return dataclasses.replace(
+            solution, values={}, x=solution.x * (arrays.integrality == 0)
+        )
